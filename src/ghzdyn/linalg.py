@@ -128,15 +128,30 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mat)[::-1]
 
 
+def _check_probabilities(p: np.ndarray) -> None:
+    """Reject entries below ``-PSD_FLOOR`` and rows (last axis) not summing to 1."""
+    if p.min() < -PSD_FLOOR:
+        raise ValueError(f"probability {p.min():.3e} is negative beyond tolerance")
+    sums = p.sum(axis=-1)
+    deviation = np.abs(sums - 1.0)
+    if deviation.max() > 1e-9:
+        raise ValueError(f"probabilities sum to {sums.flat[deviation.argmax()]:.12g}, expected 1")
+
+
 def shannon_entropy(probs: np.ndarray | list[float]) -> float:
     """Entropy in bits of a probability vector; tiny entries are dropped."""
     p = np.asarray(probs, dtype=float)
-    if p.min() < -PSD_FLOOR:
-        raise ValueError(f"probability {p.min():.3e} is negative beyond tolerance")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum():.12g}, expected 1")
+    _check_probabilities(p)
     p = p[p > EIGENVALUE_FLOOR]
     return float(-(p * np.log2(p)).sum())
+
+
+def shannon_entropies(probs: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`shannon_entropy` over the last axis, with the same checks."""
+    p = np.asarray(probs, dtype=float)
+    _check_probabilities(p)
+    q = np.where(p > EIGENVALUE_FLOOR, p, 1.0)
+    return -(q * np.log2(q)).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

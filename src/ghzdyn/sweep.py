@@ -130,6 +130,23 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         return list(pool.map(_compute_record, cells, chunksize=4))
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A failed write leaves any previous file intact and no temporary behind.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _format(value: float | None) -> str:
     return "" if value is None else f"{value:.12g}"
 
@@ -148,17 +165,7 @@ def emit_csv(records: list[SweepRecord], path: str) -> None:
             _format(r.ppt_min_eig),
             _format(r.entropy),
         ]))
-    payload = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 _PLOT_PRELUDE = '''#!/usr/bin/env python3
@@ -234,6 +241,5 @@ def emit_plot_script(records: list[SweepRecord], csv_path: str, script_path: str
     if script_path is None:
         script_path = os.path.splitext(csv_path)[0] + "_plot.py"
     text = _PLOT_PRELUDE.format(csv_name=os.path.basename(csv_path), csv_path=csv_path) + "\n".join(body) + "\n"
-    with open(script_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_atomic(script_path, text)
     return script_path

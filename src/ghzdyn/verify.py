@@ -113,9 +113,9 @@ def check_gqd_x() -> list[CheckResult]:
     )
     return [
         _result("gqd-x", "max |optimised - 1| on the plateau {0.02, 0.08, 0.13}",
-                plateau, 0.0, 1e-3),
+                plateau, 0.0, 1e-8),
         _result("gqd-x", "max |optimised - (3 - S)| past the kink {0.2, 0.4}",
-                decay, 0.0, 5e-3),
+                decay, 0.0, 1e-8),
     ]
 
 
@@ -135,8 +135,8 @@ def check_gqd_z() -> list[CheckResult]:
     uncorrected = max(abs(v - _z_form_unbalanced(kt)) for v, kt in zip(values, grid))
     return [
         _result("gqd-z", "max |optimised - corrected form| over 10 points in [0, 0.5]",
-                corrected, 0.0, 5e-3),
-        _result("gqd-z", "value at kappa*t = 0", values[0], 1.0, 1e-4),
+                corrected, 0.0, 1e-8),
+        _result("gqd-z", "value at kappa*t = 0", values[0], 1.0, 1e-10),
         _flag("gqd-z", "form without the 1/2 factor disagrees (rejected as expected)",
               uncorrected > 5e-3),
     ]
@@ -149,8 +149,8 @@ def check_gqd_iso() -> list[CheckResult]:
     dev = max(abs(v - analytic_gqd(Channel.ISO, kt)) for v, kt in zip(values, grid))
     return [
         _result("gqd-iso", "max |optimised - closed form| over 10 points in [0, 0.5]",
-                dev, 0.0, 5e-3),
-        _result("gqd-iso", "value at kappa*t = 0", values[0], 1.0, 1e-4),
+                dev, 0.0, 1e-8),
+        _result("gqd-iso", "value at kappa*t = 0", values[0], 1.0, 1e-10),
     ]
 
 

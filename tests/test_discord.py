@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bell_state
+from conftest import bell_state, random_density
+import ghzdyn.discord as discord
 from ghzdyn.channels import Channel, closed_form_spectrum, closed_form_state, ghz_state
 from ghzdyn.discord import (
     DiscordResult,
     OptimizerConfig,
+    _GlobalObjective,
+    _lockstep,
     analytic_gqd,
     bipartite_discord,
     dephase,
@@ -22,7 +25,7 @@ from ghzdyn.discord import (
     y_frame,
     z_frame,
 )
-from ghzdyn.linalg import shannon_entropy, von_neumann_entropy
+from ghzdyn.linalg import partial_trace, shannon_entropies, shannon_entropy, von_neumann_entropy
 
 angles = st.tuples(
     st.floats(min_value=0.0, max_value=math.pi, allow_nan=False),
@@ -128,7 +131,7 @@ def test_global_discord_ghz():
     assert result.branch_values["z"] == pytest.approx(1.0, abs=1e-9)
     assert result.branch_values["x"] == pytest.approx(3.0, abs=1e-9)
     assert result.branch_values["y"] == pytest.approx(3.0, abs=1e-9)
-    assert result.optimizer_evals > 300
+    assert result.optimizer_evals == 1402
     for theta, _ in result.frame:
         assert min(abs(theta), abs(math.pi - theta)) < 1e-3
     assert result.value <= min(result.branch_values.values()) + 1e-12
@@ -247,3 +250,131 @@ def test_discord_result_shape():
     assert result.frame.shape == (4, 2)
     assert set(result.branch_values) == {"z", "x", "y"}
     assert result.value >= 0.0
+
+
+def _reference_objective(rho: np.ndarray, frame: np.ndarray) -> float:
+    """One-frame discord objective: Kronecker basis, scalar entropies."""
+    n = frame.shape[0]
+    u = np.array([[1.0 + 0j]])
+    pairs = []
+    for theta, phi in frame:
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        e = np.exp(-1j * phi)
+        pair = np.array([[c, e * s], [-s, e * c]], dtype=complex)
+        pairs.append(pair)
+        u = np.kron(u, pair)
+    probs = ((u @ rho) * u.conj()).sum(axis=1).real
+    total = shannon_entropy(probs) - von_neumann_entropy(rho)
+    for j, pair in enumerate(pairs):
+        marginal = partial_trace(rho, (j,))
+        p1 = float((pair[0].conj() @ marginal @ pair[0]).real)
+        total -= shannon_entropy([p1, 1.0 - p1]) - von_neumann_entropy(marginal)
+    return total
+
+
+def _random_frames(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    frames = np.stack([rng.uniform(0.0, math.pi, size=(count, n)),
+                       rng.uniform(0.0, 2.0 * math.pi, size=(count, n))], axis=-1)
+    # Pin some angles to the poles, where a local basis vector loses its phase.
+    frames[::3, 0, 0] = 0.0
+    frames[1::3, -1, 0] = math.pi
+    return frames
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_objective_matches_one_frame_reference(n, rng):
+    rho = random_density(n, rng)
+    frames = _random_frames(n, 12, rng)
+    frames = np.concatenate([frames, z_frame(n)[None], uniform_frame(n, math.pi, 1.0)[None]])
+    batched = _GlobalObjective(rho, n)(frames)
+    reference = np.array([_reference_objective(rho, f) for f in frames])
+    assert np.abs(batched - reference).max() < 1e-13
+
+
+def test_batch_beyond_the_cap_equals_one_frame_at_a_time(rng):
+    rho = random_density(4, rng)
+    objective = _GlobalObjective(rho, 4)
+    assert objective.batch == 64
+    frames = _random_frames(4, 3 * objective.batch + 5, rng)
+    together = objective(frames)
+    alone = np.concatenate([objective(f[None]) for f in frames])
+    assert together.shape == (len(frames),)
+    assert np.array_equal(together, alone)
+
+
+def test_batch_cap_bounds_large_registers():
+    for n, batch in ((1, 4096), (4, 64), (6, 4), (7, 1), (9, 1)):
+        rho = np.eye(2**n, dtype=complex) / 2**n
+        assert _GlobalObjective(rho, n).batch == batch
+
+
+def test_batched_objective_rejects_out_of_range_probabilities():
+    doubled = np.zeros((4, 4), dtype=complex)
+    doubled[0, 0] = doubled[1, 1] = 1.0  # trace 2: rows sum to 2
+    with pytest.raises(ValueError, match="sum to 2"):
+        _GlobalObjective(doubled, 2)(np.stack([z_frame(2), x_frame(2)]))
+    good = np.full((3, 2), 0.5)
+    with pytest.raises(ValueError, match="negative beyond tolerance"):
+        shannon_entropies(np.vstack([good, [[1.0 + 1e-9, -1e-9]]]))
+    with pytest.raises(ValueError, match="sum to 0.9"):
+        shannon_entropies(np.vstack([good, [[0.5, 0.4]]]))
+
+
+def test_row_entropies_match_the_scalar_entropy(rng):
+    rows = rng.dirichlet(np.ones(8), size=5)
+    rows[0] = [1.0] + [0.0] * 7
+    rows[1, :4] = 0.0
+    rows[1] /= rows[1].sum()
+    expected = [shannon_entropy(r) for r in rows]
+    assert np.abs(shannon_entropies(rows) - expected).max() < 1e-15
+
+
+@pytest.mark.parametrize("state", [
+    ghz_state(4),
+    *(closed_form_state(channel, 0.3) for channel in Channel),
+], ids=["ghz", *(f"{c.value}-0.3" for c in Channel)])
+def test_evaluation_count_is_pinned(state):
+    # 3 named frames + 21 x 16 grid + the descents from 3 distinct starts.
+    assert global_discord(state).optimizer_evals == 1402
+
+
+def test_lockstep_descents_match_lone_descents():
+    rho = closed_form_state(Channel.X, 0.2)
+    objective = _GlobalObjective(rho, 4)
+    config = OptimizerConfig()
+    starts = [uniform_frame(4, 0.3, 1.0), z_frame(4), x_frame(4), y_frame(4)]
+    together, evals = _lockstep(objective, starts, config)
+    alone = [_lockstep(objective, [start], config) for start in starts]
+    assert evals == sum(count for _, count in alone)
+    for (value, frame), ((lone_value, lone_frame),) in zip(together, (r for r, _ in alone)):
+        assert value == lone_value
+        assert np.array_equal(frame, lone_frame)
+
+
+def _werner(z: float) -> np.ndarray:
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    return (z * np.outer(singlet, singlet) + (1.0 - z) * np.eye(4) / 4.0).astype(complex)
+
+
+def _xlog2x(v: float) -> float:
+    return 0.0 if v <= 0.0 else v * math.log2(v)
+
+
+@pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
+def test_bipartite_discord_of_werner_states(z):
+    # Ollivier and Zurek, PRL 88, 017901 (2001).
+    expected = 0.25 * (_xlog2x(1.0 - z) - 2.0 * _xlog2x(1.0 + z) + _xlog2x(1.0 + 3.0 * z))
+    assert bipartite_discord(_werner(z)) == pytest.approx(expected, abs=1e-9)
+
+
+def test_bipartite_discord_descends_once_per_distinct_start(monkeypatch):
+    starts = []
+    descent = discord._descent
+
+    def recording(frame, config):
+        starts.append(tuple(frame.reshape(-1)))
+        return descent(frame, config)
+
+    monkeypatch.setattr(discord, "_descent", recording)
+    bipartite_discord(_werner(0.5))
+    assert len(starts) == len(set(starts)) == 3

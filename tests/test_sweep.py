@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -7,7 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ghzdyn.sweep as sweep
 from ghzdyn.channels import Channel
+from ghzdyn.cli import main
 from ghzdyn.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -16,6 +19,7 @@ from ghzdyn.sweep import (
     run_sweep,
 )
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_sweep.csv")
 FAST = SweepConfig(channels=(Channel.X, Channel.Z), measures=("tau", "entropy"),
                    kt_max=0.3, steps=3)
 
@@ -150,3 +154,60 @@ def test_emitted_plot_script_runs(tmp_path):
                           text=True, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(str(tmp_path / "sweep_curves.png"))
+
+
+class _FailingFile:
+    """File stand-in that writes half of what it is given, then reports a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_plot_script_write_keeps_the_previous_script(tmp_path, monkeypatch):
+    records = run_sweep(replace(FAST, measures=("tau",)))
+    csv_path = str(tmp_path / "sweep.csv")
+    script_path = emit_plot_script(records, csv_path)
+    before = open(script_path, "rb").read()
+
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(sweep.os, "fdopen", lambda *a, **k: _FailingFile(real_fdopen(*a, **k)))
+    with pytest.raises(OSError, match="No space"):
+        emit_plot_script(records[:3], csv_path)
+    with pytest.raises(OSError, match="No space"):
+        emit_csv(records, csv_path)
+    assert open(script_path, "rb").read() == before
+    assert not os.path.exists(csv_path)
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+def _csv_columns(path):
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    return rows[0], list(zip(*rows[1:]))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_reproduces_the_golden_csv(tmp_path, jobs):
+    out = str(tmp_path / "sweep.csv")
+    assert main(["--kt-max", "0.6", "--steps", "13", "--method", "both",
+                 "--jobs", jobs, "--out", out]) == 0
+    header, columns = _csv_columns(out)
+    golden_header, golden_columns = _csv_columns(GOLDEN)
+    assert header == golden_header
+    for name, got, want in zip(header, columns, golden_columns):
+        if name == "gqd_numeric":
+            # %.12g is relative: tiny Z-channel values may move in the last digit.
+            deviation = max(abs(float(a) - float(b)) for a, b in zip(got, want))
+            assert deviation <= 1e-14, deviation
+        else:
+            assert got == want, name
