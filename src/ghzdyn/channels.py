@@ -11,8 +11,15 @@ the dimensionless product ``kappa * t`` throughout the public API.
 
 For the 4-qubit GHZ initial state every channel admits a closed-form
 evolved state; :func:`closed_form_state` builds it directly, and
-:func:`evolve_numeric` integrates the same flow with an adaptive RK4
-scheme so the two routes can be cross-checked against each other.
+:func:`evolve_numeric` integrates the same flow with fixed-step RK4 and
+step doubling, so the two routes can be cross-checked against each other.
+
+The integrator and :func:`lindblad_generator` hold rho in a paired
+layout: each qubit's (row bit, column bit) is one base-4 digit, and the
+digits of the first ceil(N/2) qubits index the rows of a
+4**ceil(N/2) x 4**floor(N/2) matrix V.  The generator is then a
+Kronecker sum ``A kron I + I kron B`` of identical 4 x 4 site generators,
+applied as ``A @ V + V @ B.T``.
 """
 
 from __future__ import annotations
@@ -20,13 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, assert_density_matrix, num_qubits, tensor, trace_distance
+from .linalg import MAX_QUBITS, assert_density_matrix, num_qubits, trace_distance
 
-IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -163,66 +168,64 @@ def closed_form_spectrum(channel: Channel, kt: float) -> np.ndarray:
     return np.sort(np.asarray(lam))[::-1]
 
 
-@lru_cache(maxsize=None)
-def _site_paulis(channel: Channel, n: int) -> tuple[np.ndarray, ...]:
-    """All single-site jump operators of the channel, embedded in n qubits."""
-    ops = []
-    for site in range(n):
-        for pauli in channel.paulis():
-            op = np.array([[1.0 + 0j]])
-            for q in range(n):
-                op = tensor(op, pauli if q == site else IDENTITY_2)
-            op.setflags(write=False)
-            ops.append(op)
-    return tuple(ops)
+def _to_paired(rho: np.ndarray, n: int) -> np.ndarray:
+    """rho as the 4**ceil(n/2) x 4**floor(n/2) paired-layout matrix V."""
+    order = [axis for q in range(n) for axis in (q, n + q)]
+    paired = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n)).transpose(order)
+    return paired.reshape(4 ** ((n + 1) // 2), 4 ** (n // 2))
+
+
+def _from_paired(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`_to_paired`."""
+    order = [2 * q for q in range(n)] + [2 * q + 1 for q in range(n)]
+    return v.reshape((2,) * (2 * n)).transpose(order).reshape(2**n, 2**n)
+
+
+def _split_generator(channel: Channel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors A, B of the paired-layout generator ``A kron I + I kron B`` (kappa = 1).
+
+    One qubit's generator on its row-major (row bit, column bit) digit is
+    ``sum_S kron(S, S^T) - |S| I``, since vec(S rho S) = (S kron S^T) vec(rho).
+    The register's generator is the Kronecker sum of these; A collects the
+    first ceil(n/2) qubits and B the last floor(n/2).
+    """
+    paulis = channel.paulis()
+    site = sum(np.kron(s, s.T) for s in paulis) - len(paulis) * np.eye(4)
+
+    def kronecker_sum(qubits: int) -> np.ndarray:
+        out = np.zeros((1, 1), dtype=complex)
+        for _ in range(qubits):
+            out = np.kron(out, np.eye(4)) + np.kron(np.eye(len(out)), site)
+        return out
+
+    return kronecker_sum((n + 1) // 2), kronecker_sum(n // 2)
 
 
 def lindblad_generator(rho: np.ndarray, channel: Channel, kappa: float = 1.0) -> np.ndarray:
     """Right-hand side kappa * sum_S (S rho S - rho) of the master equation."""
     channel = Channel(channel)
     n = num_qubits(rho)
-    ops = _site_paulis(channel, n)
-    acc = -float(len(ops)) * rho.astype(complex)
-    for op in ops:
-        acc += op @ rho @ op
-    return kappa * acc
+    a, b = _split_generator(channel, n)
+    v = _to_paired(rho, n)
+    return kappa * _from_paired(a @ v + v @ b.T, n)
 
 
-@lru_cache(maxsize=None)
-def _superoperator(channel: Channel, n: int) -> np.ndarray:
-    """Matrix of the generator on row-major vectorised states, kappa = 1."""
-    dim = 2**n
-    ops = _site_paulis(channel, n)
-    mat = -float(len(ops)) * np.eye(dim * dim, dtype=complex)
-    for op in ops:
-        # vec(S rho S) = (S kron S^T) vec(rho) for row-major vec.
-        mat += np.kron(op, op.T)
-    mat.setflags(write=False)
-    return mat
+def _rk4(v0: np.ndarray, a: np.ndarray, b: np.ndarray, t: float, steps: int) -> np.ndarray:
+    """Classical RK4 for the paired-layout flow dV/dt = A V + V B^T.
 
-
-def _rk4_superop(vec0: np.ndarray, mat: np.ndarray, t: float, steps: int) -> np.ndarray:
+    For a constant linear generator L the RK4 step is the degree-4 Taylor
+    polynomial of exp(hL), evaluated in Horner form as
+    w = v + (h/k) L w for k = 4, 3, 2, 1, with A and B^T pre-scaled by h/k.
+    """
     h = t / steps
-    v = vec0.copy()
+    stages = [((h / k) * a, (h / k) * b.T) for k in (4.0, 3.0, 2.0, 1.0)]
+    v = v0
     for _ in range(steps):
-        k1 = mat @ v
-        k2 = mat @ (v + 0.5 * h * k1)
-        k3 = mat @ (v + 0.5 * h * k2)
-        k4 = mat @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w = v
+        for a_k, b_k in stages:
+            w = v + a_k @ w + w @ b_k
+        v = w
     return v
-
-
-def _rk4_direct(rho0: np.ndarray, channel: Channel, t: float, steps: int) -> np.ndarray:
-    h = t / steps
-    rho = rho0.astype(complex)
-    for _ in range(steps):
-        k1 = lindblad_generator(rho, channel)
-        k2 = lindblad_generator(rho + 0.5 * h * k1, channel)
-        k3 = lindblad_generator(rho + 0.5 * h * k2, channel)
-        k4 = lindblad_generator(rho + h * k3, channel)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
 
 
 def evolve_numeric(
@@ -247,15 +250,11 @@ def evolve_numeric(
     if t_final == 0:
         return rho0.astype(complex).copy()
 
-    dim = 2**n
-    use_superop = dim <= 32
+    a, b = _split_generator(channel, n)
+    v0 = _to_paired(rho0, n)
 
     def run(steps: int) -> np.ndarray:
-        if use_superop:
-            mat = _superoperator(channel, n)
-            v = _rk4_superop(rho0.astype(complex).reshape(-1), mat, t_final, steps)
-            return v.reshape(dim, dim)
-        return _rk4_direct(rho0, channel, t_final, steps)
+        return _from_paired(_rk4(v0, a, b, t_final, steps), n)
 
     steps = max(1, math.ceil(t_final / BASE_STEP))
     coarse = run(steps)

@@ -25,24 +25,21 @@ from .verify import format_report, run_checks
 
 _CHANNEL_VALUES = tuple(c.value for c in Channel)
 
-_CONFIG_KEYS = (
-    "channel", "measure", "kt-max", "steps", "method",
-    "grid-theta", "grid-phi", "refine", "out", "plot", "jobs",
-)
-
+_SWEEP_DEFAULTS = SweepConfig()
 _DEFAULTS = {
-    "channel": list(_CHANNEL_VALUES),
-    "measure": list(MEASURES),
-    "kt-max": 0.6,
-    "steps": 121,
-    "method": "both",
-    "grid-theta": 21,
-    "grid-phi": 16,
-    "refine": 3,
-    "out": "sweep.csv",
-    "plot": False,
-    "jobs": 1,
+    "channel": [c.value for c in _SWEEP_DEFAULTS.channels],
+    "measure": list(_SWEEP_DEFAULTS.measures),
+    "kt-max": _SWEEP_DEFAULTS.kt_max,
+    "steps": _SWEEP_DEFAULTS.steps,
+    "method": _SWEEP_DEFAULTS.method,
+    "grid-theta": _SWEEP_DEFAULTS.optimizer.theta_grid,
+    "grid-phi": _SWEEP_DEFAULTS.optimizer.phi_grid,
+    "refine": _SWEEP_DEFAULTS.optimizer.refine_sweeps,
+    "out": _SWEEP_DEFAULTS.out,
+    "plot": _SWEEP_DEFAULTS.plot,
+    "jobs": _SWEEP_DEFAULTS.jobs,
 }
+_CONFIG_KEYS = tuple(_DEFAULTS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,23 +62,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--measure", action="append", choices=MEASURES,
                         help="quantity to compute; repeatable (default: all)")
     parser.add_argument("--kt-max", type=float, default=None,
-                        help="largest kappa*t on the grid (default 0.6)")
+                        help=f"largest kappa*t on the grid (default {_DEFAULTS['kt-max']})")
     parser.add_argument("--steps", type=int, default=None,
-                        help="number of grid points including both ends (default 121)")
+                        help=f"number of grid points including both ends (default {_DEFAULTS['steps']})")
     parser.add_argument("--method", choices=METHODS, default=None,
-                        help="analytic, numeric, or both columns (default both)")
+                        help=f"analytic, numeric, or both columns (default {_DEFAULTS['method']})")
     parser.add_argument("--grid-theta", type=int, default=None,
-                        help="theta points in the discord optimiser grid (default 21)")
+                        help=f"theta points in the discord optimiser grid (default {_DEFAULTS['grid-theta']})")
     parser.add_argument("--grid-phi", type=int, default=None,
-                        help="phi points in the discord optimiser grid (default 16)")
+                        help=f"phi points in the discord optimiser grid (default {_DEFAULTS['grid-phi']})")
     parser.add_argument("--refine", type=int, default=None,
-                        help="coordinate-descent sweeps in the optimiser (default 3)")
+                        help=f"coordinate-descent sweeps in the optimiser (default {_DEFAULTS['refine']})")
     parser.add_argument("--out", default=None,
-                        help="CSV output path (default sweep.csv)")
+                        help=f"CSV output path (default {_DEFAULTS['out']})")
     parser.add_argument("--plot", action="store_true", default=None,
                         help="also emit a standalone matplotlib script next to the CSV")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the sweep (default 1)")
+                        help=f"worker processes for the sweep (default {_DEFAULTS['jobs']})")
     parser.add_argument("--config", default=None,
                         help="flat key = value file supplying defaults for the flags above")
     parser.add_argument("--verify", action="store_true",
@@ -141,20 +138,8 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     if args.config:
         for key, text in parse_config_file(args.config).items():
             merged[key] = _coerce(key, text)
-    overrides = {
-        "channel": args.channel,
-        "measure": args.measure,
-        "kt-max": args.kt_max,
-        "steps": args.steps,
-        "method": args.method,
-        "grid-theta": args.grid_theta,
-        "grid-phi": args.grid_phi,
-        "refine": args.refine,
-        "out": args.out,
-        "plot": args.plot,
-        "jobs": args.jobs,
-    }
-    for key, value in overrides.items():
+    for key in _CONFIG_KEYS:
+        value = getattr(args, key.replace("-", "_"))
         if value is not None:
             merged[key] = value
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel, closed_form_spectrum, coefficients
+from .entanglement import _bisect_root
 from .linalg import (
     assert_density_matrix,
     partial_trace,
@@ -404,13 +405,4 @@ def sudden_change_point(channel: Channel) -> float:
     def gap(kt: float) -> float:
         return 2.0 - shannon_entropy(closed_form_spectrum(channel, kt))
 
-    lo, hi = 0.0, 1.0
-    if gap(lo) <= 0 or gap(hi) >= 0:
-        raise RuntimeError("branch gap does not change sign on [0, 1]")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_root(gap, 0.0, 1.0)

@@ -134,10 +134,15 @@ def _write_atomic(path: str, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
 
     A failed write leaves any previous file intact and no temporary behind.
+    The file gets the mode ``open`` would give it, 0o666 less the umask,
+    rather than the 0600 of ``mkstemp``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -198,7 +198,7 @@ def check_integrator() -> list[CheckResult]:
     )
     return [
         _result("integrator", "max trace distance to closed form, all channels x 3 times",
-                worst, 0.0, 1e-8),
+                worst, 0.0, 1e-10),
     ]
 
 

@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -188,6 +189,19 @@ def test_failed_plot_script_write_keeps_the_previous_script(tmp_path, monkeypatc
     assert open(script_path, "rb").read() == before
     assert not os.path.exists(csv_path)
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    records = run_sweep(replace(FAST, measures=("tau",)))
+    csv_path = str(tmp_path / "sweep.csv")
+    previous = os.umask(0o022)
+    try:
+        emit_csv(records, csv_path)
+        script_path = emit_plot_script(records, csv_path)
+    finally:
+        os.umask(previous)
+    for path in (csv_path, script_path):
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path
 
 
 def _csv_columns(path):
