@@ -15,7 +15,16 @@ three-stage search: the named z/x/y frames, a uniform-frame grid, then
 coordinate descent with golden-section line searches from the best
 starting points.  The objective evaluates batches of frames at once, and
 the descents run in lockstep so that every round of trials across all
-starts is one batch.  :func:`analytic_gqd` gives the closed-form values for
+starts is one batch.
+
+The search also batches across states: the objective holds a stack of
+states and measures each frame on the state that owns it, and one search
+carries a whole block of states through the three stages together, so a
+sweep pays the fixed cost of a search round once per block of cells
+rather than once per cell.  A frame's value does not depend on the batch
+it lands in, so each state gets the value, frame, branch values and
+evaluation count it gets when searched alone; :func:`global_discord` is
+the one-state case.  :func:`analytic_gqd` gives the closed-form values for
 the 4-qubit channel states so the optimiser can be cross-checked.
 """
 
@@ -40,6 +49,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 9
 _ANGLE_TOL = 1e-7
 _TIE_TOL = 1e-12
+# Outcome probabilities at or below this are outcomes that never occur.
+_PROB_FLOOR = 1e-14
 # Complex product-basis entries per objective batch: 64 frames at 4
 # qubits, one frame from 7 qubits up, so memory stays flat in N.
 _BATCH_ENTRIES = 2**14
@@ -161,54 +172,62 @@ def dephase(rho: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
 
 class _GlobalObjective:
-    """Discord objective of a batch of frames, frame-independent pieces precomputed."""
+    """Discord objective of frames on a stack of states, frame-independent pieces precomputed.
 
-    def __init__(self, rho: np.ndarray, n: int) -> None:
-        self.rho = rho
-        self.state_entropy = von_neumann_entropy(rho)
-        self.marginals = np.stack([partial_trace(rho, (j,)) for j in range(n)])
-        self.marginal_entropies = [von_neumann_entropy(m) for m in self.marginals]
-        self.batch = max(1, _BATCH_ENTRIES // rho.size)
+    Frame ``b`` of a batch is measured on state ``owner[b]``.  Each frame's
+    arithmetic is the same whatever batch it lands in, so its value is too.
+    """
 
-    def __call__(self, frames: np.ndarray) -> np.ndarray:
-        """Objective values of ``(B, n, 2)`` frames, evaluated ``batch`` at a time."""
-        return np.concatenate([self._evaluate(frames[i:i + self.batch])
+    def __init__(self, rhos: np.ndarray, n: int) -> None:
+        self.rho = rhos
+        self.state_entropy = np.array([von_neumann_entropy(rho) for rho in rhos])
+        self.marginals = np.array([[partial_trace(rho, (j,)) for j in range(n)] for rho in rhos])
+        self.marginal_entropies = np.array(
+            [[von_neumann_entropy(m) for m in marginals] for marginals in self.marginals])
+        self.batch = max(1, _BATCH_ENTRIES // rhos[0].size)
+
+    def __call__(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Objective values of ``(B, n, 2)`` frames on states ``owner``, ``batch`` at a time."""
+        return np.concatenate([self._evaluate(frames[i:i + self.batch], owner[i:i + self.batch])
                                for i in range(0, len(frames), self.batch)])
 
-    def _evaluate(self, frames: np.ndarray) -> np.ndarray:
+    def _evaluate(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
         local = _local_bases(frames)
         u = _product_bases(local)
-        probs = ((u @ self.rho) * u.conj()).sum(axis=-1).real
-        total = shannon_entropies(probs) - self.state_entropy
+        probs = ((u @ self.rho[owner]) * u.conj()).sum(axis=-1).real
+        total = shannon_entropies(probs) - self.state_entropy[owner]
         first = local[:, :, 0]
-        p1 = np.einsum("bji,jik,bjk->bj", first.conj(), self.marginals, first).real
+        p1 = np.einsum("bji,bjik,bjk->bj", first.conj(), self.marginals[owner], first).real
         local_entropies = shannon_entropies(np.stack([p1, 1.0 - p1], axis=-1))
-        for j, s_j in enumerate(self.marginal_entropies):
-            total -= local_entropies[:, j] - s_j
+        marginal_entropies = self.marginal_entropies[owner]
+        for j in range(frames.shape[1]):
+            total -= local_entropies[:, j] - marginal_entropies[:, j]
         return total
 
 
 def gqd_objective(rho: np.ndarray, frame: np.ndarray) -> float:
     """Discord objective of a single frame (no optimisation)."""
     n = assert_density_matrix(rho)
-    return float(_GlobalObjective(rho, n)(_check_frame(frame, n)[None])[0])
+    objective = _GlobalObjective(rho[None], n)
+    return float(objective(_check_frame(frame, n)[None], np.zeros(1, dtype=int))[0])
 
 
 class _ConditionalEntropy:
     """Objective of :func:`bipartite_discord` on 1-qubit frames for qubit 1.
 
     Value: sum_k p_k S(rho_0 given outcome k) - S(rho_0), which is -J.
+    It holds one state, so every frame's ``owner`` is 0.
     """
 
     def __init__(self, rho: np.ndarray) -> None:
         self.t = rho.reshape(2, 2, 2, 2)
         self.s_a = von_neumann_entropy(partial_trace(rho, (0,)))
 
-    def __call__(self, frames: np.ndarray) -> np.ndarray:
+    def __call__(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
         v = _local_bases(frames[:, 0])
         m = np.einsum("bkx,axcy,bky->bkac", v.conj(), self.t, v)
         p = np.trace(m, axis1=-2, axis2=-1).real
-        seen = p > 1e-14
+        seen = p > _PROB_FLOOR
         weighted = np.zeros_like(p)
         lam = np.linalg.eigvalsh(m[seen] / p[seen, None, None])
         weighted[seen] = p[seen] * shannon_entropies(lam)
@@ -262,25 +281,26 @@ def _descent(frame0: np.ndarray, config: OptimizerConfig):
     return float(best), frame
 
 
-def _lockstep(objective, starts: list[np.ndarray], config: OptimizerConfig):
+def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: OptimizerConfig):
     """Run one descent per start, evaluating all their pending trials as one batch per round.
 
-    Each descent sees exactly the evaluations it would see alone.  Returns
-    the ``(value, frame)`` of every descent in start order and the
-    evaluation count.
+    Start ``i`` descends on state ``owners[i]``, and each descent sees
+    exactly the evaluations it would see alone.  Returns the ``(value,
+    frame)`` of every descent and its evaluation count, both in start order.
     """
     runs = [_descent(frame, config) for frame in starts]
     pending = {i: next(run) for i, run in enumerate(runs)}
     results = [None] * len(runs)
-    evals = 0
+    evals = [0] * len(runs)
     while pending:
-        batch = np.concatenate(list(pending.values()))
-        values = objective(batch)
-        evals += len(batch)
+        trials = list(pending.values())
+        owner = np.repeat([owners[i] for i in pending], [len(t) for t in trials])
+        values = objective(np.concatenate(trials), owner)
         offset = 0
-        for i, trials in list(pending.items()):
-            chunk = values[offset:offset + len(trials)]
-            offset += len(trials)
+        for i, batch in zip(list(pending), trials):
+            chunk = values[offset:offset + len(batch)]
+            offset += len(batch)
+            evals[i] += len(batch)
             try:
                 pending[i] = runs[i].send(chunk)
             except StopIteration as stop:
@@ -289,42 +309,78 @@ def _lockstep(objective, starts: list[np.ndarray], config: OptimizerConfig):
     return results, evals
 
 
-def _search(objective, n: int, config: OptimizerConfig):
-    """Minimise a batched frame objective over ``n``-qubit product frames.
+def _search(objective, states: int, n: int, config: OptimizerConfig):
+    """Minimise a batched frame objective over ``n``-qubit product frames for ``states`` states.
 
-    Evaluates the named z/x/y frames, then the uniform grid one theta row
-    per batch, then descends in lockstep from the deduplicated grid optimum
-    and named frames.  Ties within ``_TIE_TOL`` resolve to the
-    lexicographically smallest angle vector.  Returns ``(value, frame,
-    branch_values, evals)``.
+    All states pass the three stages together: the named z/x/y frames, the
+    uniform grid, then one lockstep descent from every state's deduplicated
+    grid optimum and named frames.  Ties within ``_TIE_TOL`` resolve to the
+    lexicographically smallest angle vector.  Returns one ``(value, frame,
+    branch_values, evals)`` per state.
     """
+    owners = np.arange(states)
     named = {"z": z_frame(n), "x": x_frame(n), "y": y_frame(n)}
-    named_values = objective(np.stack(list(named.values())))
-    branch_values = {name: float(v) for name, v in zip(named, named_values)}
-    evals = len(named)
+    named_frames = np.stack(list(named.values()))
+    named_values = objective(np.tile(named_frames, (states, 1, 1)),
+                             np.repeat(owners, len(named))).reshape(states, len(named))
 
-    phis = np.linspace(0.0, 2.0 * math.pi, config.phi_grid, endpoint=False)
-    row = np.empty((len(phis), n, 2))
-    row[:, :, 1] = phis[:, None]
-    grid_best: tuple[float, np.ndarray] | None = None
-    for theta in np.linspace(0.0, math.pi, config.theta_grid):
-        row[:, :, 0] = theta
-        for value, frame in zip(objective(row), row):
-            if grid_best is None or value < grid_best[0] - _TIE_TOL:
-                grid_best = (float(value), frame.copy())
-        evals += len(row)
+    grid = np.empty((config.theta_grid, config.phi_grid, n, 2))
+    grid[..., 0] = np.linspace(0.0, math.pi, config.theta_grid)[:, None, None]
+    grid[..., 1] = np.linspace(0.0, 2.0 * math.pi, config.phi_grid, endpoint=False)[:, None]
+    grid = grid.reshape(-1, n, 2)
+    grid_values = objective(np.tile(grid, (states, 1, 1)),
+                            np.repeat(owners, len(grid))).reshape(states, len(grid))
 
-    candidates = [grid_best, *zip(branch_values.values(), named.values())]
-    starts: dict[tuple[float, ...], np.ndarray] = {}
-    for _, frame in candidates:
-        starts.setdefault(tuple(np.round(frame.reshape(-1), 9)), frame)
-    refined, descent_evals = _lockstep(objective, list(starts.values()), config)
-    candidates += refined
+    candidates, starts, start_owners = [], [], []
+    for s in range(states):
+        row = grid_values[s].tolist()
+        best = 0
+        for k, value in enumerate(row):
+            if value < row[best] - _TIE_TOL:
+                best = k
+        own = [(row[best], grid[best]), *zip(named_values[s].tolist(), named_frames)]
+        distinct: dict[tuple[float, ...], np.ndarray] = {}
+        for _, frame in own:
+            distinct.setdefault(tuple(np.round(frame.reshape(-1), 9)), frame)
+        candidates.append(own)
+        starts += distinct.values()
+        start_owners += [s] * len(distinct)
+    refined, descent_evals = _lockstep(objective, starts, start_owners, config)
 
-    floor = min(v for v, _ in candidates)
-    value, frame = min(((v, f) for v, f in candidates if v <= floor + _TIE_TOL),
-                       key=lambda c: tuple(c[1].reshape(-1)))
-    return value, frame, branch_values, evals + descent_evals
+    evals = [len(named) + len(grid)] * states
+    for s, result, count in zip(start_owners, refined, descent_evals):
+        candidates[s].append(result)
+        evals[s] += count
+    results = []
+    for s, own in enumerate(candidates):
+        floor = min(v for v, _ in own)
+        value, frame = min(((v, f) for v, f in own if v <= floor + _TIE_TOL),
+                           key=lambda c: tuple(c[1].reshape(-1)))
+        results.append((value, frame, dict(zip(named, named_values[s].tolist())), evals[s]))
+    return results
+
+
+def _global_discords(states: list[np.ndarray],
+                     config: OptimizerConfig | None = None) -> list[DiscordResult]:
+    """:func:`global_discord` of every state, all searched together.
+
+    The states must share their qubit count.  Each result is the one
+    :func:`global_discord` gives for that state alone.
+    """
+    sizes = {assert_density_matrix(rho) for rho in states}
+    if len(sizes) != 1:
+        raise ValueError(f"states must share one qubit count, got {sorted(sizes)}")
+    n = sizes.pop()
+    searched = _search(_GlobalObjective(np.stack(states), n), len(states), n,
+                       config or OptimizerConfig())
+    results = []
+    for value, frame, branch_values, evals in searched:
+        if value < -1e-9:
+            raise RuntimeError(f"discord objective minimised to {value:.3e} < 0")
+        frame = frame.copy()
+        frame.setflags(write=False)
+        results.append(DiscordResult(max(0.0, value), frame, branch_values, evals))
+    return results
 
 
 def global_discord(rho: np.ndarray, config: OptimizerConfig | None = None) -> DiscordResult:
@@ -338,14 +394,7 @@ def global_discord(rho: np.ndarray, config: OptimizerConfig | None = None) -> Di
     :func:`analytic_gqd` on the channel states; for other states it is an
     upper bound on the global discord, not a certified minimum.
     """
-    n = assert_density_matrix(rho)
-    value, frame, branch_values, evals = _search(
-        _GlobalObjective(rho, n), n, config or OptimizerConfig())
-    if value < -1e-9:
-        raise RuntimeError(f"discord objective minimised to {value:.3e} < 0")
-    frame = frame.copy()
-    frame.setflags(write=False)
-    return DiscordResult(max(0.0, value), frame, branch_values, evals)
+    return _global_discords([rho], config)[0]
 
 
 def bipartite_discord(rho: np.ndarray, config: OptimizerConfig | None = None) -> float:
@@ -361,7 +410,7 @@ def bipartite_discord(rho: np.ndarray, config: OptimizerConfig | None = None) ->
     objective = _ConditionalEntropy(rho)
     s_b = von_neumann_entropy(partial_trace(rho, (1,)))
     mutual = objective.s_a + s_b - von_neumann_entropy(rho)
-    best = _search(objective, 1, config or OptimizerConfig())[0]
+    best = _search(objective, 1, 1, config or OptimizerConfig())[0][0]
 
     value = mutual + best  # best == -max J
     if value < -1e-9:
@@ -371,7 +420,7 @@ def bipartite_discord(rho: np.ndarray, config: OptimizerConfig | None = None) ->
 
 def _xlg(v: float) -> float:
     """v * log2(v) extended by continuity to 0 at v = 0."""
-    return 0.0 if v <= 1e-14 else v * math.log2(v)
+    return 0.0 if v <= _PROB_FLOOR else v * math.log2(v)
 
 
 def analytic_gqd(channel: Channel, kt: float) -> float:

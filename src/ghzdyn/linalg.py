@@ -58,7 +58,7 @@ def assert_density_matrix(rho: np.ndarray, *, name: str = "state") -> int:
     """
     n = num_qubits(rho)
     herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > 1e-12:
+    if herm > TRACE_TOL:
         raise ValueError(f"{name} is not hermitian: max deviation {herm:.3e}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:

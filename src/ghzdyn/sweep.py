@@ -8,8 +8,10 @@ CSV carries both columns when ``method = "both"``; ``ppt`` and
 
 Output is byte-reproducible: records are ordered channel-major, floats
 are rendered with 12 significant digits, rows end with a bare newline,
-and the file is written atomically.  Worker processes only parallelise
-the grid; the record order never depends on the job count.
+and the file is written atomically.  ``jobs`` splits the grid into that
+many contiguous blocks of cells, one per worker process; the record order
+never depends on the job count.  The numeric discord of a block's cells
+is searched in one batch (:func:`ghzdyn.discord._global_discords`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel, closed_form_state
-from .discord import OptimizerConfig, analytic_gqd, global_discord
+from .discord import OptimizerConfig, _global_discords, analytic_gqd
 from .entanglement import analytic_tau, ppt_min_eigenvalue, tau_lower_bound
 from .linalg import von_neumann_entropy
 
@@ -88,46 +90,58 @@ class SweepRecord:
     entropy: float | None = None
 
 
-def _compute_record(args: tuple[str, float, tuple[str, ...], str, OptimizerConfig]) -> SweepRecord:
-    channel_value, kt, measures, method, optimizer = args
-    channel = Channel(channel_value)
+def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str, OptimizerConfig]
+                   ) -> list[SweepRecord]:
+    """Records of a block of (channel, kappa_t) cells; their discord is searched in one batch."""
+    cells, measures, method, optimizer = args
     analytic = method in ("analytic", "both")
     numeric = method in ("numeric", "both")
     needs_state = ("ppt" in measures or "entropy" in measures
                    or (numeric and ("tau" in measures or "gqd" in measures)))
-    state = closed_form_state(channel, kt) if needs_state else None
-
-    fields: dict[str, float | None] = {}
-    if "tau" in measures:
-        if analytic:
-            fields["tau_analytic"] = analytic_tau(channel, kt)
-        if numeric:
-            fields["tau_numeric"] = tau_lower_bound(state).value
-    if "gqd" in measures:
-        if analytic:
+    searched = numeric and "gqd" in measures
+    rows: list[dict[str, float | None]] = []
+    states = []  # kept only for the discord search
+    for channel_value, kt in cells:
+        channel = Channel(channel_value)
+        state = closed_form_state(channel, kt) if needs_state else None
+        fields: dict[str, float | None] = {}
+        if "tau" in measures:
+            if analytic:
+                fields["tau_analytic"] = analytic_tau(channel, kt)
+            if numeric:
+                fields["tau_numeric"] = tau_lower_bound(state).value
+        if "gqd" in measures and analytic:
             fields["gqd_analytic"] = analytic_gqd(channel, kt)
-        if numeric:
-            fields["gqd_numeric"] = global_discord(state, optimizer).value
-    if "ppt" in measures:
-        fields["ppt_min_eig"] = ppt_min_eigenvalue(state, (0,))
-    if "entropy" in measures:
-        fields["entropy"] = von_neumann_entropy(state)
-    return SweepRecord(channel.value, kt, **fields)
+        if "ppt" in measures:
+            fields["ppt_min_eig"] = ppt_min_eigenvalue(state, (0,))
+        if "entropy" in measures:
+            fields["entropy"] = von_neumann_entropy(state)
+        rows.append(fields)
+        if searched:
+            states.append(state)
+    if searched:
+        for fields, result in zip(rows, _global_discords(states, optimizer)):
+            fields["gqd_numeric"] = result.value
+    return [SweepRecord(channel_value, kt, **fields)
+            for (channel_value, kt), fields in zip(cells, rows)]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the configured grid, channel-major, in deterministic order."""
+    """Evaluate the configured grid, channel-major, in deterministic order.
+
+    The cells are split into ``config.jobs`` contiguous blocks; with more
+    than one non-empty block, each goes to its own worker process.
+    """
     config.validate()
     grid = np.linspace(0.0, config.kt_max, config.steps)
-    cells = [
-        (channel.value, float(kt), config.measures, config.method, config.optimizer)
-        for channel in config.channels
-        for kt in grid
-    ]
-    if config.jobs == 1:
-        return [_compute_record(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(_compute_record, cells, chunksize=4))
+    cells = [(channel.value, float(kt)) for channel in config.channels for kt in grid]
+    bounds = [len(cells) * i // config.jobs for i in range(config.jobs + 1)]
+    blocks = [(cells[lo:hi], config.measures, config.method, config.optimizer)
+              for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if len(blocks) == 1:
+        return _compute_block(blocks[0])
+    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+        return [record for block in pool.map(_compute_block, blocks) for record in block]
 
 
 def _write_atomic(path: str, text: str) -> None:

@@ -286,18 +286,18 @@ def test_batched_objective_matches_one_frame_reference(n, rng):
     rho = random_density(n, rng)
     frames = _random_frames(n, 12, rng)
     frames = np.concatenate([frames, z_frame(n)[None], uniform_frame(n, math.pi, 1.0)[None]])
-    batched = _GlobalObjective(rho, n)(frames)
+    batched = _GlobalObjective(rho[None], n)(frames, np.zeros(len(frames), dtype=int))
     reference = np.array([_reference_objective(rho, f) for f in frames])
     assert np.abs(batched - reference).max() < 1e-13
 
 
 def test_batch_beyond_the_cap_equals_one_frame_at_a_time(rng):
     rho = random_density(4, rng)
-    objective = _GlobalObjective(rho, 4)
+    objective = _GlobalObjective(rho[None], 4)
     assert objective.batch == 64
     frames = _random_frames(4, 3 * objective.batch + 5, rng)
-    together = objective(frames)
-    alone = np.concatenate([objective(f[None]) for f in frames])
+    together = objective(frames, np.zeros(len(frames), dtype=int))
+    alone = np.concatenate([objective(f[None], np.zeros(1, dtype=int)) for f in frames])
     assert together.shape == (len(frames),)
     assert np.array_equal(together, alone)
 
@@ -305,14 +305,15 @@ def test_batch_beyond_the_cap_equals_one_frame_at_a_time(rng):
 def test_batch_cap_bounds_large_registers():
     for n, batch in ((1, 4096), (4, 64), (6, 4), (7, 1), (9, 1)):
         rho = np.eye(2**n, dtype=complex) / 2**n
-        assert _GlobalObjective(rho, n).batch == batch
+        assert _GlobalObjective(rho[None], n).batch == batch
 
 
 def test_batched_objective_rejects_out_of_range_probabilities():
     doubled = np.zeros((4, 4), dtype=complex)
     doubled[0, 0] = doubled[1, 1] = 1.0  # trace 2: rows sum to 2
     with pytest.raises(ValueError, match="sum to 2"):
-        _GlobalObjective(doubled, 2)(np.stack([z_frame(2), x_frame(2)]))
+        _GlobalObjective(doubled[None], 2)(np.stack([z_frame(2), x_frame(2)]),
+                                           np.zeros(2, dtype=int))
     good = np.full((3, 2), 0.5)
     with pytest.raises(ValueError, match="negative beyond tolerance"):
         shannon_entropies(np.vstack([good, [[1.0 + 1e-9, -1e-9]]]))
@@ -339,16 +340,46 @@ def test_evaluation_count_is_pinned(state):
 
 
 def test_lockstep_descents_match_lone_descents():
-    rho = closed_form_state(Channel.X, 0.2)
-    objective = _GlobalObjective(rho, 4)
+    states = [closed_form_state(Channel.X, 0.2), closed_form_state(Channel.ISO, 0.15)]
     config = OptimizerConfig()
     starts = [uniform_frame(4, 0.3, 1.0), z_frame(4), x_frame(4), y_frame(4)]
-    together, evals = _lockstep(objective, starts, config)
-    alone = [_lockstep(objective, [start], config) for start in starts]
-    assert evals == sum(count for _, count in alone)
-    for (value, frame), ((lone_value, lone_frame),) in zip(together, (r for r, _ in alone)):
-        assert value == lone_value
-        assert np.array_equal(frame, lone_frame)
+    # alone[s][i]: start i descending by itself on state s.
+    alone = [[_lockstep(_GlobalObjective(rho[None], 4), [start], [0], config) for start in starts]
+             for rho in states]
+    # All starts on one state, then starts owned by two states.
+    for stack, owners in ((states[:1], [0, 0, 0, 0]), (states, [0, 1, 1, 0])):
+        together, evals = _lockstep(_GlobalObjective(np.stack(stack), 4), starts, owners, config)
+        assert len(together) == len(evals) == len(starts)
+        for i, owner in enumerate(owners):
+            ((lone_value, lone_frame),), (lone_evals,) = alone[owner][i]
+            assert together[i][0] == lone_value
+            assert np.array_equal(together[i][1], lone_frame)
+            assert evals[i] == lone_evals
+
+
+def _search_states() -> list[np.ndarray]:
+    """52 closed-form channel states, kappa*t = 0, 0.05, ..., 0.6, and 4 random full-rank states."""
+    states = [closed_form_state(channel, kt)
+              for channel in Channel for kt in np.round(np.arange(13) * 0.05, 2)]
+    return states + [random_density(4, np.random.default_rng(seed)) for seed in range(4)]
+
+
+def test_batched_search_equals_one_state_searches():
+    states = _search_states()
+    batched = discord._global_discords(states)
+    assert len(batched) == len(states)
+    for rho, together in zip(states, batched):
+        alone = global_discord(rho)
+        assert together.value == alone.value
+        assert np.array_equal(together.frame, alone.frame)
+        assert not together.frame.flags.writeable
+        assert together.branch_values == alone.branch_values
+        assert together.optimizer_evals == alone.optimizer_evals
+
+
+def test_batched_search_rejects_mixed_register_sizes():
+    with pytest.raises(ValueError, match="one qubit count"):
+        discord._global_discords([ghz_state(4), ghz_state(3)])
 
 
 def _werner(z: float) -> np.ndarray:

@@ -114,6 +114,49 @@ def test_csv_bytes_are_reproducible(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize("channels, steps, jobs", [((Channel.Z,), 2, 3), ((Channel.ISO,), 5, 2)],
+                         ids=["more-jobs-than-cells", "unequal-blocks"])
+def test_csv_bytes_do_not_depend_on_the_blocks(tmp_path, channels, steps, jobs):
+    config = SweepConfig(channels=channels, kt_max=0.3, steps=steps)
+    paths = [str(tmp_path / "one.csv"), str(tmp_path / "many.csv")]
+    emit_csv(run_sweep(config), paths[0])
+    emit_csv(run_sweep(replace(config, jobs=jobs)), paths[1])
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+
+@pytest.mark.parametrize("steps, jobs, sizes", [(2, 3, [1, 1]), (2, 5, [1, 1]), (5, 2, [2, 3])])
+def test_no_empty_block_reaches_the_pool(monkeypatch, steps, jobs, sizes):
+    seen = []
+
+    class InlinePool:
+        """Process-pool stand-in that records its size and the blocks it is given."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            blocks = list(blocks)
+            seen.append([len(cells) for cells, *_ in blocks])
+            return map(fn, blocks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3,
+                         steps=steps, jobs=jobs)
+    assert len(run_sweep(config)) == steps
+    assert seen == [len(sizes), sizes]
+
+
+def test_a_single_block_runs_without_a_pool(monkeypatch):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
+    assert len(run_sweep(replace(FAST, jobs=1))) == 6
+
+
 def test_emit_plot_script_declares_one_curve_per_channel(tmp_path):
     config = SweepConfig(measures=("tau",), kt_max=0.2, steps=2)
     records = run_sweep(config)
@@ -210,7 +253,7 @@ def _csv_columns(path):
     return rows[0], list(zip(*rows[1:]))
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_sweep_reproduces_the_golden_csv(tmp_path, jobs):
     out = str(tmp_path / "sweep.csv")
     assert main(["--kt-max", "0.6", "--steps", "13", "--method", "both",
