@@ -42,13 +42,11 @@ from .discord import (
 from .entanglement import (
     CutTerm,
     CutTermSet,
-    SOGenerator,
     TauResult,
     analytic_tau,
     cut_terms,
     ppt_min_eigenvalue,
     pure_concurrence,
-    so_generators,
     tau_generator_bound,
     tau_lower_bound,
     tau_vanishing_time,
@@ -89,7 +87,6 @@ __all__ = [
     "CutTermSet",
     "DiscordResult",
     "OptimizerConfig",
-    "SOGenerator",
     "SweepConfig",
     "SweepRecord",
     "TauResult",
@@ -124,7 +121,6 @@ __all__ = [
     "run_checks",
     "run_sweep",
     "shannon_entropy",
-    "so_generators",
     "sudden_change_point",
     "tau_generator_bound",
     "tau_lower_bound",

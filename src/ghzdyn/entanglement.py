@@ -13,9 +13,12 @@ normalised so that the 4-qubit GHZ state scores sqrt(2):
 
 * :func:`tau_generator_bound` enumerates all SO(2**(N-1)) x SO(2)
   generator pairs for each one-versus-rest cut (see :func:`cut_terms`)
-  and aggregates the per-pair Wootters values in quadrature.  On pure
-  states this route saturates twice the N-partite pure concurrence, so
-  it detects states (W-type, for instance) that the spin flip misses.
+  and aggregates the per-pair Wootters values in quadrature.  Each
+  pair's conjugator touches only four basis states, so its term is the
+  Wootters value of a 4 x 4 principal submatrix of rho, and one batched
+  eigenproblem per cut covers every pair.  On pure states this route
+  saturates twice the N-partite pure concurrence, so it detects states
+  (W-type, for instance) that the spin flip misses.
 
 Both share ``TAU_SCALE = sqrt(2)``, fixed once by the GHZ calibration.
 """
@@ -43,16 +46,13 @@ TAU_SCALE = math.sqrt(2.0)
 # Real antisymmetric 2x2 seed of every flip/generator construction.
 L0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
+# The conjugator kron(G_pq, L0) of generator pair (p, q), restricted to the
+# basis states (2p, 2p+1, 2q, 2q+1) it acts on; the same for every pair.
+_PAIR_FLIP = np.kron(L0, L0)
+
 _EIG_NOISE_FLOOR = 1e-15
 _EIG_NEGATIVE_LIMIT = -1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class SOGenerator:
-    """Canonical antisymmetric generator G[p,q]=1, G[q,p]=-1 of SO(dim)."""
-
-    pair: tuple[int, int]
-    matrix: np.ndarray
+_EIG_IMAG_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class CutTermSet:
     @property
     def aggregate(self) -> float:
         """Quadrature sum of the term values for this cut."""
-        return math.sqrt(sum(t.value**2 for t in self.terms))
+        return math.sqrt(math.fsum(t.value**2 for t in self.terms))
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,6 @@ class TauResult:
     value: float
     per_cut: tuple[float, ...]
     convention_scale: float
-
-
-def so_generators(dim: int) -> tuple[SOGenerator, ...]:
-    """The dim*(dim-1)/2 canonical SO(dim) generators, pairs lexicographic."""
-    if dim < 2:
-        raise ValueError(f"SO(dim) needs dim >= 2, got {dim}")
-    gens = []
-    for p in range(dim):
-        for q in range(p + 1, dim):
-            g = np.zeros((dim, dim))
-            g[p, q] = 1.0
-            g[q, p] = -1.0
-            g.setflags(write=False)
-            gens.append(SOGenerator((p, q), g))
-    return tuple(gens)
 
 
 def pure_concurrence(psi: np.ndarray) -> float:
@@ -117,16 +102,20 @@ def pure_concurrence(psi: np.ndarray) -> float:
     return math.sqrt(max(0.0, 1.0 - purity / n))
 
 
-def _wootters_lambdas(product: np.ndarray) -> np.ndarray:
+def _wootters_lambdas(products: np.ndarray) -> np.ndarray:
     """Square roots of the eigenvalues of rho @ rho-tilde, sorted descending.
 
-    The product is similar to a positive matrix, so the spectrum is real
-    and nonnegative up to roundoff.  Values in [-1e-10, 0) clamp to zero,
-    anything below -1e-8 (or a large imaginary part) aborts, and residue
-    under 1e-15 is zeroed so null-space noise cannot leak through sqrt.
+    ``products`` is one square matrix or a stack of them (the last two
+    axes); roots come back row by row.  Each product is similar to a
+    positive matrix, so its spectrum is real and nonnegative up to
+    roundoff.  An eigenvalue in any row below ``_EIG_NEGATIVE_LIMIT``
+    (-1e-8) or with an imaginary part above ``_EIG_IMAG_LIMIT`` (1e-8)
+    aborts, values in [-1e-8, 0) clamp to zero, and residue under
+    ``_EIG_NOISE_FLOOR`` (1e-15) is zeroed so null-space noise cannot leak
+    through sqrt.
     """
-    ev = np.linalg.eigvals(product)
-    if float(np.abs(ev.imag).max()) > 1e-8:
+    ev = np.linalg.eigvals(products)
+    if float(np.abs(ev.imag).max()) > _EIG_IMAG_LIMIT:
         raise RuntimeError("flip eigenproblem produced complex eigenvalues")
     real = ev.real
     lo = float(real.min())
@@ -134,7 +123,7 @@ def _wootters_lambdas(product: np.ndarray) -> np.ndarray:
         raise RuntimeError(f"flip eigenproblem produced negative eigenvalue {lo:.3e}")
     real = np.clip(real, 0.0, None)
     real[real < _EIG_NOISE_FLOOR] = 0.0
-    return np.sort(np.sqrt(real))[::-1]
+    return np.sort(np.sqrt(real), axis=-1)[..., ::-1]
 
 
 def _aggregate(per_cut: list[float]) -> TauResult:
@@ -159,41 +148,53 @@ def tau_lower_bound(rho: np.ndarray) -> TauResult:
     return _aggregate([c] * n)
 
 
-def cut_terms(rho: np.ndarray, cut: int) -> CutTermSet:
-    """Generator-pair Wootters terms for the cut qubit versus the rest.
+def _cut_arrays(rho: np.ndarray, n: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs (K, 2), Wootters roots (K, 4) and values (K,) of one cut's terms.
 
-    The cut qubit is permuted to the last wire; each conjugation operator
-    is ``G tensor L0`` with G running over the SO(2**(N-1)) generators.
-    Each conjugated product has rank at most four, so exactly the four
-    leading eigenvalue roots enter a term.
+    Pairs run lexicographically over the SO(2**(N-1)) generators, with the
+    cut qubit permuted to the last wire.
     """
-    n = assert_density_matrix(rho)
     if n < 3:
         raise ValueError(f"cut decomposition needs at least 3 qubits, got {n}")
     if cut < 0 or cut >= n:
         raise ValueError(f"cut {cut} out of range for {n} qubits")
-    perm = [q for q in range(n) if q != cut] + [cut]
-    moved = permute_qubits(rho, perm)
-    conj = moved.conj()
-    terms = []
-    for gen in so_generators(2 ** (n - 1)):
-        s = np.kron(gen.matrix, L0)
-        lam = _wootters_lambdas(moved @ s @ conj @ s)
-        top = lam[:4]
-        value = max(0.0, top[0] - top[1] - top[2] - top[3])
-        terms.append(CutTerm(gen.pair, tuple(float(x) for x in top), value))
-    return CutTermSet(cut, tuple(terms))
+    moved = permute_qubits(rho, [q for q in range(n) if q != cut] + [cut])
+    p, q = np.triu_indices(2 ** (n - 1), k=1)
+    index = np.stack([2 * p, 2 * p + 1, 2 * q, 2 * q + 1], axis=1)
+    block = moved[index[:, :, None], index[:, None, :]]
+    lam = _wootters_lambdas(block @ _PAIR_FLIP @ block.conj() @ _PAIR_FLIP)
+    values = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    return np.stack([p, q], axis=1), lam, values
+
+
+def cut_terms(rho: np.ndarray, cut: int) -> CutTermSet:
+    """Generator-pair Wootters terms for the cut qubit versus the rest.
+
+    The cut qubit is permuted to the last wire; each conjugation operator
+    is ``s = G tensor L0`` with G running over the SO(2**(N-1))
+    generators.  The generator of pair (p, q) acts only on the basis
+    states I = (2p, 2p+1, 2q, 2q+1), where s restricts to
+    ``kron(L0, L0)``, so the nonzero spectrum of ``rho s rho* s`` is that
+    of the 4 x 4 product ``R kron(L0, L0) R* kron(L0, L0)`` with R the
+    principal submatrix ``rho[I, I]``.  A term's four roots are that
+    product's eigenvalue roots.
+    """
+    n = assert_density_matrix(rho)
+    pairs, lam, values = _cut_arrays(rho, n, cut)
+    terms = zip(pairs.tolist(), lam.tolist(), values.tolist())
+    return CutTermSet(cut, tuple(CutTerm(tuple(pair), tuple(top), v) for pair, top, v in terms))
 
 
 def tau_generator_bound(rho: np.ndarray) -> TauResult:
-    """Aggregate of :func:`cut_terms` over all cuts.
+    """Quadrature aggregate of every cut's :func:`cut_terms` values.
 
     Generally tighter than :func:`tau_lower_bound` (it saturates
     2 * :func:`pure_concurrence` on pure states); the two coincide on
     GHZ-coherence states such as the Z-channel family.
     """
-    n = num_qubits(rho)
-    return _aggregate([cut_terms(rho, cut).aggregate for cut in range(n)])
+    n = assert_density_matrix(rho)
+    return _aggregate([math.sqrt(math.fsum(np.square(_cut_arrays(rho, n, cut)[2])))
+                       for cut in range(n)])
 
 
 def analytic_tau(channel: Channel, kt: float) -> float:

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bell_state, random_product_state, random_pure
+from conftest import bell_state, random_density, random_product_state, random_pure
 from ghzdyn.channels import Channel, closed_form_state, ghz_ket, ghz_state
 from ghzdyn.entanglement import (
+    L0,
     TAU_SCALE,
+    _wootters_lambdas,
     analytic_tau,
     cut_terms,
     ppt_min_eigenvalue,
     pure_concurrence,
-    so_generators,
     tau_generator_bound,
     tau_lower_bound,
     tau_vanishing_time,
 )
-from ghzdyn.linalg import permute_qubits
+from ghzdyn.linalg import num_qubits, permute_qubits
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -25,17 +26,94 @@ ROOT_XY = -math.log(math.sqrt(12.0) - 3.0) / 4.0
 ROOT_ISO = -math.log((2.0 * math.sqrt(2.0) - 1.0) / 3.0) / 8.0
 
 
-def test_so_generator_counts_and_structure():
-    for dim, count in ((4, 6), (8, 28), (16, 120)):
-        gens = so_generators(dim)
-        assert len(gens) == count
-        pairs = [g.pair for g in gens]
-        assert pairs == sorted(pairs)
-        for g in gens:
-            assert np.array_equal(g.matrix, -g.matrix.T)
-            assert g.matrix[g.pair] == 1.0
-    with pytest.raises(ValueError):
-        so_generators(1)
+def _dense_cut_terms(rho: np.ndarray, cut: int) -> list[tuple[tuple[int, int], np.ndarray, float]]:
+    """Reference: one full 2**N x 2**N product per generator, s = kron(G, L0)."""
+    n = num_qubits(rho)
+    moved = permute_qubits(rho, [q for q in range(n) if q != cut] + [cut])
+    dim = 2 ** (n - 1)
+    terms = []
+    for p in range(dim):
+        for q in range(p + 1, dim):
+            g = np.zeros((dim, dim))
+            g[p, q] = 1.0
+            g[q, p] = -1.0
+            s = np.kron(g, L0)
+            ev = np.linalg.eigvals(moved @ s @ moved.conj() @ s).real
+            ev = np.clip(ev, 0.0, None)
+            ev[ev < 1e-15] = 0.0
+            top = np.sort(np.sqrt(ev))[::-1][:4]
+            terms.append(((p, q), top, max(0.0, top[0] - top[1] - top[2] - top[3])))
+    return terms
+
+
+def test_cut_terms_counts_and_pair_order():
+    for n in (3, 4, 5):
+        dim = 2 ** (n - 1)
+        for cut in (0, n - 1):
+            pairs = [t.pair for t in cut_terms(ghz_state(n), cut).terms]
+            assert len(pairs) == dim * (dim - 1) // 2
+            assert pairs == sorted(pairs)
+            assert all(0 <= p < q < dim for p, q in pairs)
+            assert all(type(p) is int and type(q) is int for p, q in pairs)
+
+
+def _reference_states():
+    yield "ghz", ghz_state(4)
+    w = np.zeros(16, dtype=complex)
+    w[[1, 2, 4, 8]] = 0.5
+    yield "w", np.outer(w, w.conj())
+    for channel in Channel:
+        for kt in (0.02, 0.15, 0.4):
+            yield f"{channel.value}-{kt}", closed_form_state(channel, kt)
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 5, 6):
+        yield f"mixed-{n}", random_density(n, rng)
+        psi = random_pure(n, rng)
+        yield f"pure-{n}", np.outer(psi, psi.conj())
+
+
+REFERENCE_STATES = dict(_reference_states())
+
+
+@pytest.mark.parametrize("name", REFERENCE_STATES)
+def test_cut_terms_match_dense_reference(name):
+    rho = REFERENCE_STATES[name]
+    n = num_qubits(rho)
+    assert tau_generator_bound(rho).per_cut == tuple(cut_terms(rho, c).aggregate for c in range(n))
+    for cut in range(n):
+        got = cut_terms(rho, cut).terms
+        want = _dense_cut_terms(rho, cut)
+        assert [t.pair for t in got] == [pair for pair, _, _ in want]
+        lam = np.array([t.lambdas for t in got])
+        assert np.abs(lam - np.array([top for _, top, _ in want])).max() <= 1e-12
+        values = np.array([t.value for t in got])
+        assert np.abs(values - np.array([v for _, _, v in want])).max() <= 1e-12
+
+
+def test_wootters_checks_apply_row_by_row():
+    rows = np.zeros((5, 4, 4), dtype=complex)
+    for k in range(5):
+        rows[k] = np.diag([0.5, 0.2, 0.1 * k, 0.0])
+    rows[1, 3, 3] = -5e-9
+    clean = _wootters_lambdas(rows)
+    assert clean.shape == (5, 4)
+    for k in range(5):
+        assert np.array_equal(clean[k], _wootters_lambdas(rows[k]))
+    assert np.array_equal(clean[1], np.sqrt([0.5, 0.2, 0.1, 0.0]))
+
+    negative = rows.copy()
+    negative[3, 3, 3] = -2e-8
+    with pytest.raises(RuntimeError, match="negative eigenvalue -2.000e-08"):
+        _wootters_lambdas(negative)
+    with pytest.raises(RuntimeError, match="negative eigenvalue -2.000e-08"):
+        _wootters_lambdas(negative[3])
+
+    rotating = rows.copy()
+    rotating[2, 2:, 2:] = [[0.0, -2e-8], [2e-8, 0.0]]
+    with pytest.raises(RuntimeError, match="complex eigenvalues"):
+        _wootters_lambdas(rotating)
+    with pytest.raises(RuntimeError, match="complex eigenvalues"):
+        _wootters_lambdas(rotating[2])
 
 
 def test_pure_concurrence_reference_states():
@@ -83,6 +161,8 @@ def test_cut_terms_vanish_on_product_state():
 def test_cut_terms_validation():
     with pytest.raises(ValueError, match="at least 3"):
         cut_terms(bell_state(), 0)
+    with pytest.raises(ValueError, match="at least 3"):
+        tau_generator_bound(bell_state())
     with pytest.raises(ValueError, match="out of range"):
         cut_terms(ghz_state(3), 3)
 
@@ -154,6 +234,12 @@ def test_generator_bound_sees_w_state_where_flip_does_not():
     assert tau_generator_bound(rho).value == pytest.approx(
         2.0 * math.sqrt(3.0 / 8.0), abs=1e-6
     )
+
+
+def test_generator_bound_saturates_pure_cap_on_eight_qubits():
+    psi = random_pure(8, np.random.default_rng(8))
+    rho = np.outer(psi, psi.conj())
+    assert tau_generator_bound(rho).value == pytest.approx(2.0 * pure_concurrence(psi), abs=1e-6)
 
 
 @given(seeds)

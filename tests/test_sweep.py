@@ -1,4 +1,6 @@
+import csv
 import errno
+import json
 import math
 import os
 import stat
@@ -198,6 +200,81 @@ def test_emitted_plot_script_runs(tmp_path):
                           text=True, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(str(tmp_path / "sweep_curves.png"))
+
+
+_STUB_MATPLOTLIB = """\
+CALLS = []
+
+
+def use(backend):
+    CALLS.append(["use", backend])
+"""
+
+_STUB_PYPLOT = """\
+import json
+import os
+
+from matplotlib import CALLS
+
+
+class _Axes:
+    def __init__(self, panel):
+        self.panel = panel
+
+    def plot(self, xs, ys, style, label=None):
+        CALLS.append(["plot", self.panel, list(xs), list(ys), style, label])
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+class _Figure:
+    def tight_layout(self):
+        pass
+
+    def savefig(self, path, **kwargs):
+        CALLS.append(["savefig", path])
+        with open(os.environ["STUB_LOG"], "w") as fh:
+            json.dump(CALLS, fh)
+
+
+def subplots(rows, cols, **kwargs):
+    return _Figure(), [[_Axes(c) for c in range(cols)] for _ in range(rows)]
+"""
+
+
+def test_emitted_plot_script_draws_the_csv_series(tmp_path):
+    config = SweepConfig(channels=(Channel.X, Channel.Z), measures=("tau", "gqd"),
+                         method="analytic", kt_max=0.3, steps=3)
+    records = run_sweep(config)
+    csv_path = str(tmp_path / "sweep.csv")
+    emit_csv(records, csv_path)
+    script_path = emit_plot_script(records, csv_path)
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text(_STUB_MATPLOTLIB)
+    (stub / "pyplot.py").write_text(_STUB_PYPLOT)
+    log = tmp_path / "calls.json"
+    env = dict(os.environ, STUB_LOG=str(log),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(tmp_path / "stub"),
+                                                       os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, script_path], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(log.read_text())
+
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    expected = []
+    for panel, column in enumerate(("tau_analytic", "gqd_analytic")):
+        for channel in ("x", "z"):
+            mine = [r for r in rows if r["channel"] == channel]
+            expected.append((panel, [float(r["kappa_t"]) for r in mine],
+                             [float(r[column]) for r in mine]))
+    plots = [tuple(call[1:4]) for call in calls if call[0] == "plot"]
+    assert plots == expected
+    assert calls[0] == ["use", "Agg"]
+    assert calls[-1] == ["savefig", str(tmp_path / "sweep_curves.png")]
 
 
 class _FailingFile:
