@@ -234,79 +234,100 @@ class _ConditionalEntropy:
         return weighted.sum(axis=-1) - self.s_a
 
 
-def _descent(frame0: np.ndarray, config: OptimizerConfig):
-    """Cyclic coordinate descent over all angles with golden refinement.
-
-    A coroutine: it yields each batch of trial frames it needs, receives
-    their objective values, and returns ``(value, frame)``.
-    """
-    frame = frame0.copy()
-
-    def trials(j: int, coord: int, values) -> np.ndarray:
-        out = np.repeat(frame[None], len(values), axis=0)
-        out[:, j, coord] = values
-        return out
-
-    (best,) = yield frame[None]
-    for _ in range(config.refine_sweeps):
-        sweep_start = best
-        for j in range(frame.shape[0]):
-            for coord in range(2):
-                hi = math.pi if coord == 0 else 2.0 * math.pi
-                scan = np.linspace(0.0, hi, _SCAN_POINTS)
-                values = yield trials(j, coord, scan)
-                k = int(np.argmin(values))
-                step = hi / (_SCAN_POINTS - 1)
-                # Golden-section search of the bracket around the scan minimum.
-                a, b = max(0.0, scan[k] - step), min(hi, scan[k] + step)
-                c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-                fc, fd = yield trials(j, coord, (c, d))
-                while b - a > _ANGLE_TOL:
-                    if fc < fd:
-                        b, d, fd = d, c, fc
-                        c = b - _GOLDEN * (b - a)
-                        (fc,) = yield trials(j, coord, (c,))
-                    else:
-                        a, c, fc = c, d, fd
-                        d = a + _GOLDEN * (b - a)
-                        (fd,) = yield trials(j, coord, (d,))
-                x, fx = (c, fc) if fc < fd else (d, fd)
-                if min(fx, values[k]) < best - 1e-15:
-                    if fx <= values[k]:
-                        frame[j, coord], best = x, fx
-                    else:
-                        frame[j, coord], best = scan[k], values[k]
-        if sweep_start - best < config.tolerance:
-            break
-    return float(best), frame
-
-
 def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: OptimizerConfig):
-    """Run one descent per start, evaluating all their pending trials as one batch per round.
+    """Cyclic coordinate descent with golden refinement from every start, all in lockstep.
 
-    Start ``i`` descends on state ``owners[i]``, and each descent sees
-    exactly the evaluations it would see alone.  Returns the ``(value,
-    frame)`` of every descent and its evaluation count, both in start order.
+    Each line search scans one angle at ``_SCAN_POINTS`` points, then
+    golden-section searches the bracket around the scan minimum, and keeps
+    the better of the two minima if it beats the descent's best.  A descent
+    stops after ``refine_sweeps`` sweeps over all angles, or after a sweep
+    that gains less than ``tolerance``.  Descent state lives in arrays, and
+    each round evaluates the pending trials of every live descent as one
+    batch: a scan, a new bracket's two inner points, or one golden point.
+    Start ``i`` descends on state ``owners[i]`` and sees exactly the
+    evaluations it would see alone.  Returns the ``(value, frame)`` of every
+    descent and its evaluation count, both in start order.
     """
-    runs = [_descent(frame, config) for frame in starts]
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    results = [None] * len(runs)
-    evals = [0] * len(runs)
-    while pending:
-        trials = list(pending.values())
-        owner = np.repeat([owners[i] for i in pending], [len(t) for t in trials])
-        values = objective(np.concatenate(trials), owner)
-        offset = 0
-        for i, batch in zip(list(pending), trials):
-            chunk = values[offset:offset + len(batch)]
-            offset += len(batch)
-            evals[i] += len(batch)
-            try:
-                pending[i] = runs[i].send(chunk)
-            except StopIteration as stop:
-                del pending[i]
-                results[i] = stop.value
-    return results, evals
+    frames = np.array(starts, dtype=float)
+    count, n = frames.shape[:2]
+    angles = frames.reshape(count, 2 * n)  # a view: angle 2j + k is frames[:, j, k]
+    owners = np.asarray(owners)
+    hi = np.array([math.pi, 2.0 * math.pi])
+    scans = np.stack([np.linspace(0.0, h, _SCAN_POINTS) for h in hi])
+    best = objective(frames, owners)
+    evals = np.ones(count, dtype=int)
+    sweep_start = best.copy()
+    line = np.zeros(count, dtype=int)  # line searches begun; each moves angle line % 2n
+    # Descents scanning, opening a bracket, and golden stepping, by index.
+    # A golden descent holds its bracket [a, b], inner points c < d with
+    # values fc, fd, and its scan minimum (x0, f0); ``left`` marks a pending
+    # point c.  ``opened`` holds the same rows for the opening descents.
+    scan = np.arange(count if config.refine_sweeps else 0)
+    pair = golden = scan[:0]
+    a = b = c = d = fc = fd = x0 = f0 = np.zeros(0)
+    opened = np.zeros((8, 0))
+    left = np.zeros(0, dtype=bool)
+    regroup = True  # the batch's rows changed since the last round
+    while len(scan) + len(pair) + len(golden):
+        xs = np.where(left, c, d)
+        if regroup:
+            rows = np.concatenate([np.repeat(scan, _SCAN_POINTS), np.repeat(pair, 2), golden])
+            trials, owned, counts = angles[rows], owners[rows], np.bincount(rows, minlength=count)
+            moving = np.arange(len(rows)), line[rows] % (2 * n)
+            xs = np.concatenate([scans[line[scan] % 2].reshape(-1), opened[2:4].T.reshape(-1), xs])
+        trials[moving] = xs
+        values = objective(trials.reshape(-1, n, 2), owned)
+        evals += counts
+        f = values[len(values) - len(golden):]
+        fc, fd = np.where(left, f, fc), np.where(left, fd, f)
+        if len(pair):
+            opened[4:6] = values[len(scan) * _SCAN_POINTS:len(values) - len(golden)].reshape(-1, 2).T
+            a, b, c, d, fc, fd, x0, f0 = (np.concatenate(rows_of)
+                                          for rows_of in zip(opened, (a, b, c, d, fc, fd, x0, f0)))
+            golden = np.concatenate([pair, golden])
+
+        going = b - a > _ANGLE_TOL
+        regroup = len(scan) + len(pair) or not going.all()
+        done = golden[~going]
+        if len(done):
+            end = ~going
+            lt = fc[end] < fd[end]
+            x, fx = np.where(lt, c[end], d[end]), np.where(lt, fc[end], fd[end])
+            take = fx <= f0[end]
+            x, fx = np.where(take, x, x0[end]), np.where(take, fx, f0[end])
+            better = fx < best[done] - 1e-15
+            moved = done[better]
+            angles[moved, line[moved] % (2 * n)] = x[better]
+            best[moved] = fx[better]
+            a, b, c, d, fc, fd, x0, f0 = (v[going] for v in (a, b, c, d, fc, fd, x0, f0))
+            golden = golden[going]
+            line[done] += 1
+            ended = line[done] % (2 * n) == 0
+            stop = ended & ((sweep_start[done] - best[done] < config.tolerance)
+                            | (line[done] >= 2 * n * config.refine_sweeps))
+            sweep_start[done[ended]] = best[done[ended]]
+            done = done[~stop]
+
+        # Golden step: drop the bracket end beyond the worse inner point.
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        shift = _GOLDEN * (b - a)
+        c, d = np.where(left, b - shift, d), np.where(left, c, a + shift)
+        fc = fd = np.minimum(fc, fd)
+
+        opened = opened[:, :0]
+        if len(scan):
+            f_scan = values[:len(scan) * _SCAN_POINTS].reshape(-1, _SCAN_POINTS)
+            k = np.argmin(f_scan, axis=1)
+            coord = line[scan] % 2
+            x_min, f_min = scans[coord, k], f_scan[np.arange(len(scan)), k]
+            step = hi[coord] / (_SCAN_POINTS - 1)
+            lo, up = np.maximum(0.0, x_min - step), np.minimum(hi[coord], x_min + step)
+            # fc and fd (rows 4, 5) are filled when the inner points are evaluated.
+            opened = np.array([lo, up, up - _GOLDEN * (up - lo), lo + _GOLDEN * (up - lo),
+                               f_min, f_min, x_min, f_min])
+        scan, pair = done, scan
+    return [(float(v), f) for v, f in zip(best, frames)], evals.tolist()
 
 
 def _search(objective, states: int, n: int, config: OptimizerConfig):

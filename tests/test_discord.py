@@ -339,6 +339,21 @@ def test_evaluation_count_is_pinned(state):
     assert global_discord(state).optimizer_evals == 1402
 
 
+def test_search_round_count_is_pinned(monkeypatch):
+    # The named frames, the grid, then one call per lockstep round.
+    batches = []
+    call = _GlobalObjective.__call__
+
+    def counting(self, frames, owner):
+        batches.append(len(frames))
+        return call(self, frames, owner)
+
+    monkeypatch.setattr(_GlobalObjective, "__call__", counting)
+    result = global_discord(ghz_state(4))
+    assert len(batches) == 291
+    assert sum(batches) == result.optimizer_evals == 1402
+
+
 def test_lockstep_descents_match_lone_descents():
     states = [closed_form_state(Channel.X, 0.2), closed_form_state(Channel.ISO, 0.15)]
     config = OptimizerConfig()
@@ -399,13 +414,14 @@ def test_bipartite_discord_of_werner_states(z):
 
 
 def test_bipartite_discord_descends_once_per_distinct_start(monkeypatch):
-    starts = []
-    descent = discord._descent
+    calls = []
+    lockstep = discord._lockstep
 
-    def recording(frame, config):
-        starts.append(tuple(frame.reshape(-1)))
-        return descent(frame, config)
+    def recording(objective, starts, owners, config):
+        calls.append([tuple(frame.reshape(-1)) for frame in starts])
+        return lockstep(objective, starts, owners, config)
 
-    monkeypatch.setattr(discord, "_descent", recording)
+    monkeypatch.setattr(discord, "_lockstep", recording)
     bipartite_discord(_werner(0.5))
+    (starts,) = calls
     assert len(starts) == len(set(starts)) == 3
