@@ -1,31 +1,28 @@
 """Quantum discord of noisy GHZ registers.
 
 Global discord of an N-qubit state is minimised over products of local
-projective measurements.  A frame assigns each qubit a Bloch direction
-``(theta, phi)``; measuring in that frame pinches the state to
-
-    Phi(rho) = sum_k |b_k><b_k| rho |b_k><b_k| / (projector sum),
-
+projective measurements.  A frame gives qubit j the Bloch direction
+``n_j = (sin theta cos phi, sin theta sin phi, cos theta)`` of its angles
+``(theta_j, phi_j)``; outcome 0 projects onto +n_j, outcome 1 onto -n_j
+(:func:`projector`).  Measuring pinches rho to Phi(rho) (:func:`dephase`),
 and the objective is
 
     S(Phi(rho)) - S(rho) - sum_j [ S(Phi_j(rho_j)) - S(rho_j) ].
 
-:func:`global_discord` minimises this over frames with a deterministic
-three-stage search: the named z/x/y frames, a uniform-frame grid, then
-coordinate descent with golden-section line searches from the best
-starting points.  The objective evaluates batches of frames at once, and
-the descents run in lockstep so that every round of trials across all
-starts is one batch.
+It is evaluated on the real Pauli tensor ``C[mu] = Tr(rho sigma_mu)``: the
+frame's outcome probabilities contract C with one row pair
+``0.5 * (1, +-n_j)`` per qubit, and qubit j's own are ``(1 +- r_j . n_j) / 2``
+for its Bloch vector r_j, along the same axes.
 
-The search also batches across states: the objective holds a stack of
-states and measures each frame on the state that owns it, and one search
-carries a whole block of states through the three stages together, so a
-sweep pays the fixed cost of a search round once per block of cells
-rather than once per cell.  A frame's value does not depend on the batch
-it lands in, so each state gets the value, frame, branch values and
-evaluation count it gets when searched alone; :func:`global_discord` is
-the one-state case.  :func:`analytic_gqd` gives the closed-form values for
-the 4-qubit channel states so the optimiser can be cross-checked.
+:func:`global_discord` minimises it with a deterministic three-stage search:
+the named z/x/y frames, a uniform-frame grid, then coordinate descent with
+golden-section line searches from the best starts.  The descents keep their
+state in arrays and run in lockstep, each round one objective batch, and
+one search carries a block of states together (each frame is measured on
+the state that owns it), so a sweep pays a round's fixed cost once per
+block of cells.  A frame's value does not depend on its batch, so each state
+gets the result it gets when searched alone.  :func:`analytic_gqd` gives
+the closed-form values for the 4-qubit channel states to cross-check.
 """
 
 from __future__ import annotations
@@ -35,15 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, closed_form_spectrum, coefficients
+from .channels import PAULI_X, PAULI_Y, PAULI_Z, Channel, closed_form_spectrum, coefficients
 from .entanglement import _bisect_root
-from .linalg import (
-    assert_density_matrix,
-    partial_trace,
-    shannon_entropies,
-    shannon_entropy,
-    von_neumann_entropy,
-)
+from .linalg import (assert_density_matrix, partial_trace, shannon_entropies, shannon_entropy,
+                     von_neumann_entropy)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 9
@@ -51,9 +43,11 @@ _ANGLE_TOL = 1e-7
 _TIE_TOL = 1e-12
 # Outcome probabilities at or below this are outcomes that never occur.
 _PROB_FLOOR = 1e-14
-# Complex product-basis entries per objective batch: 64 frames at 4
-# qubits, one frame from 7 qubits up, so memory stays flat in N.
+# Pauli-tensor entries (4**n per frame) per objective batch: 64 frames at
+# 4 qubits, one frame from 7 qubits up, so memory stays flat in N.
 _BATCH_ENTRIES = 2**14
+_PAULIS = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z])
+_OUTCOME_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -107,23 +101,9 @@ def _local_bases(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product_bases(local: np.ndarray) -> np.ndarray:
-    """Unitaries whose rows are the product basis vectors of ``(B, n, 2, 2)`` local pairs.
-
-    Row ``k`` holds outcome bits ``k_0 ... k_{n-1}`` with qubit 0 slowest,
-    the layout of the tensor product ``L_0 (x) ... (x) L_{n-1}``.
-    """
-    u = local[:, 0]
-    for j in range(1, local.shape[1]):
-        d = u.shape[-1]
-        u = (u[:, :, None, :, None] * local[:, j, None, :, None, :]).reshape(-1, 2 * d, 2 * d)
-    return u
-
-
 def measurement_basis(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal measurement pair along the Bloch direction (theta, phi)."""
-    v1, v2 = _local_bases(np.array([theta, phi], dtype=float))
-    return v1, v2
+    """Orthonormal measurement pair along the Bloch directions n(theta, phi) and -n(theta, phi)."""
+    return tuple(_local_bases(np.array([theta, phi], dtype=float)).conj())
 
 
 def projector(theta: float, phi: float, outcome: int) -> np.ndarray:
@@ -164,27 +144,39 @@ def _check_frame(frame: np.ndarray, n: int) -> np.ndarray:
 
 
 def dephase(rho: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Projector-sum pinching of ``rho`` in the product frame."""
+    """Projector-sum pinching of ``rho`` in the product frame, one qubit at a time."""
     n = assert_density_matrix(rho)
-    u = _product_bases(_local_bases(_check_frame(frame, n)[None]))[0]
-    probs = np.einsum("kl,lm,mk->k", u, rho, u.conj().T).real
-    return u.conj().T @ np.diag(probs.astype(complex)) @ u
+    for j, (theta, phi) in enumerate(_check_frame(frame, n)):
+        pair = np.stack([projector(theta, phi, k) for k in (0, 1)])
+        t = rho.reshape(2**j, 2, 2 ** (n - 1 - j), 2**j, 2, 2 ** (n - 1 - j))
+        rho = np.einsum("kab,xbycdz,kde->xaycez", pair, t, pair).reshape(2**n, 2**n)
+    return rho
+
+
+def _pauli_tensor(rho: np.ndarray, n: int) -> np.ndarray:
+    """Real ``Tr(rho sigma_mu0 (x) ... (x) sigma_mu(n-1))``, mu in {I, X, Y, Z}**n, flattened."""
+    t = rho.reshape((2,) * (2 * n))
+    for rest in range(n, 0, -1):  # trace the leading qubit against sigma_mu, append mu
+        t = np.tensordot(t, _PAULIS, axes=([0, rest], [2, 1]))
+    return t.real.reshape(-1)
 
 
 class _GlobalObjective:
     """Discord objective of frames on a stack of states, frame-independent pieces precomputed.
 
-    Frame ``b`` of a batch is measured on state ``owner[b]``.  Each frame's
+    A state is held as its Pauli tensor and each qubit's ``(1, r_j)``.  Frame
+    ``b`` of a batch is measured on state ``owner[b]``.  Each frame's
     arithmetic is the same whatever batch it lands in, so its value is too.
     """
 
     def __init__(self, rhos: np.ndarray, n: int) -> None:
-        self.rho = rhos
+        self.coefficients = np.stack([_pauli_tensor(rho, n) for rho in rhos])
+        self.bloch = np.stack([self.coefficients.reshape(len(rhos), 4**j, 4, -1)[:, 0, :, 0]
+                               for j in range(n)], axis=1)
         self.state_entropy = np.array([von_neumann_entropy(rho) for rho in rhos])
-        self.marginals = np.array([[partial_trace(rho, (j,)) for j in range(n)] for rho in rhos])
         self.marginal_entropies = np.array(
-            [[von_neumann_entropy(m) for m in marginals] for marginals in self.marginals])
-        self.batch = max(1, _BATCH_ENTRIES // rhos[0].size)
+            [[von_neumann_entropy(partial_trace(rho, (j,))) for j in range(n)] for rho in rhos])
+        self.batch = max(1, _BATCH_ENTRIES // self.coefficients.shape[1])
 
     def __call__(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Objective values of ``(B, n, 2)`` frames on states ``owner``, ``batch`` at a time."""
@@ -192,17 +184,17 @@ class _GlobalObjective:
                                for i in range(0, len(frames), self.batch)])
 
     def _evaluate(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        local = _local_bases(frames)
-        u = _product_bases(local)
-        probs = ((u @ self.rho[owner]) * u.conj()).sum(axis=-1).real
-        total = shannon_entropies(probs) - self.state_entropy[owner]
-        first = local[:, :, 0]
-        p1 = np.einsum("bji,bjik,bjk->bj", first.conj(), self.marginals[owner], first).real
-        local_entropies = shannon_entropies(np.stack([p1, 1.0 - p1], axis=-1))
-        marginal_entropies = self.marginal_entropies[owner]
-        for j in range(frames.shape[1]):
-            total -= local_entropies[:, j] - marginal_entropies[:, j]
-        return total
+        count, n = frames.shape[:2]
+        theta, phi = frames[..., 0], frames[..., 1]
+        s = np.sin(theta)
+        axes = np.stack([np.ones_like(s), s * np.cos(phi), s * np.sin(phi), np.cos(theta)], -1)
+        rows = 0.5 * axes[..., None, :] * _OUTCOME_SIGNS  # 0.5 * (1, +-n_j) per qubit
+        probs = self.coefficients[owner]
+        for j in range(n):
+            probs = rows[:, j, None] @ probs.reshape(count, 2**j, 4, -1)
+        total = shannon_entropies(probs.reshape(count, -1)) - self.state_entropy[owner]
+        local = shannon_entropies((rows @ self.bloch[owner][..., None])[..., 0])
+        return total - (local - self.marginal_entropies[owner]).sum(axis=1)
 
 
 def gqd_objective(rho: np.ndarray, frame: np.ndarray) -> float:
@@ -235,71 +227,57 @@ class _ConditionalEntropy:
 
 
 def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: OptimizerConfig):
-    """Cyclic coordinate descent with golden refinement from every start, all in lockstep.
+    """Coordinate descent with golden line searches from every start, all in lockstep.
 
-    Each line search scans one angle at ``_SCAN_POINTS`` points, then
-    golden-section searches the bracket around the scan minimum, and keeps
-    the better of the two minima if it beats the descent's best.  A descent
-    stops after ``refine_sweeps`` sweeps over all angles, or after a sweep
-    that gains less than ``tolerance``.  Descent state lives in arrays, and
-    each round evaluates the pending trials of every live descent as one
-    batch: a scan, a new bracket's two inner points, or one golden point.
-    Start ``i`` descends on state ``owners[i]`` and sees exactly the
-    evaluations it would see alone.  Returns the ``(value, frame)`` of every
-    descent and its evaluation count, both in start order.
+    A line search scans one angle at ``_SCAN_POINTS`` points, golden-section
+    searches the bracket around the scan minimum, and keeps the better minimum
+    if it beats the descent's best.  A descent ends after ``refine_sweeps``
+    sweeps, or after a sweep that gains less than ``tolerance``.  Each round
+    evaluates every live descent's pending trials as one batch.  Start ``i``
+    descends on state ``owners[i]`` exactly as it would alone.  Returns each
+    descent's ``(value, frame)`` and evaluation count, in start order.
     """
     frames = np.array(starts, dtype=float)
     count, n = frames.shape[:2]
-    angles = frames.reshape(count, 2 * n)  # a view: angle 2j + k is frames[:, j, k]
+    angles = frames.reshape(count, 2 * n)  # a view; line search l moves angle l % 2n
     owners = np.asarray(owners)
-    hi = np.array([math.pi, 2.0 * math.pi])
-    scans = np.stack([np.linspace(0.0, h, _SCAN_POINTS) for h in hi])
+    scans = np.linspace(0.0, [math.pi, 2.0 * math.pi], _SCAN_POINTS, axis=1)  # theta, phi
     best = objective(frames, owners)
     evals = np.ones(count, dtype=int)
-    sweep_start = best.copy()
-    line = np.zeros(count, dtype=int)  # line searches begun; each moves angle line % 2n
-    # Descents scanning, opening a bracket, and golden stepping, by index.
-    # A golden descent holds its bracket [a, b], inner points c < d with
-    # values fc, fd, and its scan minimum (x0, f0); ``left`` marks a pending
-    # point c.  ``opened`` holds the same rows for the opening descents.
+    sweep_start, line = best.copy(), np.zeros(count, dtype=int)
+    x0, f0 = np.zeros((2, count))  # each descent's latest scan minimum
+    # Descents scanning and golden stepping, by index.  A golden descent holds its
+    # bracket [a, b], inner points c < d valued fc and fd, and whether its pending
+    # point is c (``left``); the first ``fresh`` have a new bracket, so c is too.
     scan = np.arange(count if config.refine_sweeps else 0)
-    pair = golden = scan[:0]
-    a = b = c = d = fc = fd = x0 = f0 = np.zeros(0)
-    opened = np.zeros((8, 0))
-    left = np.zeros(0, dtype=bool)
-    regroup = True  # the batch's rows changed since the last round
-    while len(scan) + len(pair) + len(golden):
+    golden = scan[:0]
+    a = b = c = d = fc = fd = np.zeros(0)
+    left, fresh, regroup = np.zeros(0, dtype=bool), 0, True
+    while len(scan) + len(golden):
         xs = np.where(left, c, d)
-        if regroup:
-            rows = np.concatenate([np.repeat(scan, _SCAN_POINTS), np.repeat(pair, 2), golden])
+        if regroup:  # the batch's rows changed since the last round
+            rows = np.concatenate([np.repeat(scan, _SCAN_POINTS), golden[:fresh], golden])
             trials, owned, counts = angles[rows], owners[rows], np.bincount(rows, minlength=count)
-            moving = np.arange(len(rows)), line[rows] % (2 * n)
-            xs = np.concatenate([scans[line[scan] % 2].reshape(-1), opened[2:4].T.reshape(-1), xs])
-        trials[moving] = xs
+            pending = np.arange(len(rows)), line[rows] % (2 * n)
+            xs = np.concatenate([scans[line[scan] % 2].reshape(-1), c[:fresh], xs])
+        trials[pending] = xs
         values = objective(trials.reshape(-1, n, 2), owned)
         evals += counts
         f = values[len(values) - len(golden):]
         fc, fd = np.where(left, f, fc), np.where(left, fd, f)
-        if len(pair):
-            opened[4:6] = values[len(scan) * _SCAN_POINTS:len(values) - len(golden)].reshape(-1, 2).T
-            a, b, c, d, fc, fd, x0, f0 = (np.concatenate(rows_of)
-                                          for rows_of in zip(opened, (a, b, c, d, fc, fd, x0, f0)))
-            golden = np.concatenate([pair, golden])
+        fc[:fresh] = values[len(scan) * _SCAN_POINTS:len(scan) * _SCAN_POINTS + fresh]
 
         going = b - a > _ANGLE_TOL
-        regroup = len(scan) + len(pair) or not going.all()
         done = golden[~going]
+        regroup = len(scan) + fresh + len(done)
         if len(done):
             end = ~going
-            lt = fc[end] < fd[end]
-            x, fx = np.where(lt, c[end], d[end]), np.where(lt, fc[end], fd[end])
-            take = fx <= f0[end]
-            x, fx = np.where(take, x, x0[end]), np.where(take, fx, f0[end])
-            better = fx < best[done] - 1e-15
-            moved = done[better]
-            angles[moved, line[moved] % (2 * n)] = x[better]
-            best[moved] = fx[better]
-            a, b, c, d, fc, fd, x0, f0 = (v[going] for v in (a, b, c, d, fc, fd, x0, f0))
+            x, fx = np.where(fc[end] < fd[end], (c[end], fc[end]), (d[end], fd[end]))
+            x, fx = np.where(fx <= f0[done], (x, fx), (x0[done], f0[done]))
+            better, at = fx < best[done] - 1e-15, (done, line[done] % (2 * n))
+            angles[at] = np.where(better, x, angles[at])
+            best[done] = np.where(better, fx, best[done])
+            a, b, c, d, fc, fd = (v[going] for v in (a, b, c, d, fc, fd))
             golden = golden[going]
             line[done] += 1
             ended = line[done] % (2 * n) == 0
@@ -315,18 +293,17 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: Op
         c, d = np.where(left, b - shift, d), np.where(left, c, a + shift)
         fc = fd = np.minimum(fc, fd)
 
-        opened = opened[:, :0]
-        if len(scan):
-            f_scan = values[:len(scan) * _SCAN_POINTS].reshape(-1, _SCAN_POINTS)
-            k = np.argmin(f_scan, axis=1)
-            coord = line[scan] % 2
-            x_min, f_min = scans[coord, k], f_scan[np.arange(len(scan)), k]
-            step = hi[coord] / (_SCAN_POINTS - 1)
-            lo, up = np.maximum(0.0, x_min - step), np.minimum(hi[coord], x_min + step)
-            # fc and fd (rows 4, 5) are filled when the inner points are evaluated.
-            opened = np.array([lo, up, up - _GOLDEN * (up - lo), lo + _GOLDEN * (up - lo),
-                               f_min, f_min, x_min, f_min])
-        scan, pair = done, scan
+        fresh = len(scan)
+        if fresh:  # open a bracket around each scan minimum; fc and fd are filled next round
+            coord, f_scan = line[scan] % 2, values[:fresh * _SCAN_POINTS].reshape(fresh, -1)
+            x0[scan], f0[scan] = scans[coord, f_scan.argmin(axis=1)], f_scan.min(axis=1)
+            step, top = scans[coord, 1], scans[coord, -1]
+            lo, up = np.maximum(0.0, x0[scan] - step), np.minimum(top, x0[scan] + step)
+            new = lo, up, up - _GOLDEN * (up - lo), lo + _GOLDEN * (up - lo), f0[scan], f0[scan]
+            a, b, c, d, fc, fd = map(np.concatenate, zip(new, (a, b, c, d, fc, fd)))
+            golden = np.concatenate([scan, golden])
+            left = np.concatenate([np.zeros(fresh, dtype=bool), left])
+        scan = done
     return [(float(v), f) for v, f in zip(best, frames)], evals.tolist()
 
 

@@ -7,9 +7,9 @@ normalised so that the 4-qubit GHZ state scores sqrt(2):
   ``F = L0 tensor ... tensor L0`` (one factor per qubit) and applies the
   Wootters recipe ``max(0, 2*lam_max - sum(lam))`` to the square roots of
   the eigenvalues of ``rho @ F rho* F``.  This is the quantity whose
-  closed forms :func:`analytic_tau` reproduces, and it is informative
-  only for even register sizes: for odd N the flip form is antisymmetric
-  and the bound collapses to zero on pure states.
+  closed forms :func:`analytic_tau` reproduces, and it is defined only
+  for even register sizes: for odd N the flip form is antisymmetric,
+  ``F rho* F`` is negative semidefinite, and the call raises ``ValueError``.
 
 * :func:`tau_generator_bound` enumerates all SO(2**(N-1)) x SO(2)
   generator pairs for each one-versus-rest cut (see :func:`cut_terms`)
@@ -139,6 +139,8 @@ def tau_lower_bound(rho: np.ndarray) -> TauResult:
     ``convention_scale`` times the common Wootters value.
     """
     n = assert_density_matrix(rho)
+    if n % 2:
+        raise ValueError(f"the spin-flip bound needs an even number of qubits, got {n}")
     flip = np.array([[1.0]])
     for _ in range(n):
         flip = np.kron(flip, L0)

@@ -6,7 +6,15 @@ from hypothesis import given, strategies as st
 
 from conftest import bell_state, random_density
 import ghzdyn.discord as discord
-from ghzdyn.channels import Channel, closed_form_spectrum, closed_form_state, ghz_state
+from ghzdyn.channels import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    Channel,
+    closed_form_spectrum,
+    closed_form_state,
+    ghz_state,
+)
 from ghzdyn.discord import (
     DiscordResult,
     OptimizerConfig,
@@ -62,6 +70,25 @@ def test_projectors_form_a_measurement(pair):
     assert np.allclose(p0 @ p0, p0, atol=1e-12)
     assert np.abs(p0 @ p1).max() < 1e-12
     assert abs(np.trace(p0) - 1.0) < 1e-12
+
+
+@given(angles)
+def test_projectors_point_along_the_bloch_direction(pair):
+    theta, phi = pair
+    axis = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                     math.cos(theta)])
+    for outcome, sign in ((0, 1.0), (1, -1.0)):
+        p = projector(theta, phi, outcome)
+        bloch = [np.trace(p @ sigma).real for sigma in (PAULI_X, PAULI_Y, PAULI_Z)]
+        assert np.abs(bloch - sign * axis).max() < 1e-12
+
+
+def test_dephase_pinches_one_qubit_by_the_frame_projectors(rng):
+    rho = random_density(1, rng)
+    for frame in _random_frames(1, 8, rng):
+        pair = [projector(theta, phi, k) for (theta, phi) in frame for k in (0, 1)]
+        expected = sum(p @ rho @ p for p in pair)
+        assert np.abs(dephase(rho, frame) - expected).max() < 1e-15
 
 
 def test_named_frames():
@@ -146,6 +173,25 @@ def test_global_discord_vanishes_on_uncorrelated_states():
     for _ in range(4):
         product = np.kron(product, plus)
     assert global_discord(product).value < 1e-9
+
+
+def test_one_qubit_objective_vanishes_on_every_frame(rng):
+    # The register is its own only marginal, so the two terms cancel.
+    rho = random_density(1, rng)
+    for frame in _random_frames(1, 24, rng):
+        assert abs(gqd_objective(rho, frame)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_global_discord_vanishes_on_random_product_states(n):
+    # Full-rank factors with Bloch vectors off the poles: every frame costs 0.
+    rng = np.random.default_rng(n)
+    rho = np.array([[1.0 + 0j]])
+    for _ in range(n):
+        rho = np.kron(rho, random_density(1, rng))
+    for frame in _random_frames(n, 6, rng):
+        assert abs(gqd_objective(rho, frame)) < 1e-12
+    assert global_discord(rho).value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_global_discord_matches_closed_forms_pointwise():
@@ -253,22 +299,19 @@ def test_discord_result_shape():
 
 
 def _reference_objective(rho: np.ndarray, frame: np.ndarray) -> float:
-    """One-frame discord objective: Kronecker basis, scalar entropies."""
+    """One-frame discord objective: Kronecker basis, scalar entropies, marginals of the joint."""
     n = frame.shape[0]
     u = np.array([[1.0 + 0j]])
-    pairs = []
     for theta, phi in frame:
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
         e = np.exp(-1j * phi)
-        pair = np.array([[c, e * s], [-s, e * c]], dtype=complex)
-        pairs.append(pair)
-        u = np.kron(u, pair)
+        u = np.kron(u, np.array([[c, e * s], [-s, e * c]], dtype=complex))
     probs = ((u @ rho) * u.conj()).sum(axis=1).real
     total = shannon_entropy(probs) - von_neumann_entropy(rho)
-    for j, pair in enumerate(pairs):
-        marginal = partial_trace(rho, (j,))
-        p1 = float((pair[0].conj() @ marginal @ pair[0]).real)
-        total -= shannon_entropy([p1, 1.0 - p1]) - von_neumann_entropy(marginal)
+    joint = probs.reshape((2,) * n)
+    for j in range(n):
+        marginal = joint.sum(axis=tuple(k for k in range(n) if k != j))
+        total -= shannon_entropy(marginal) - von_neumann_entropy(partial_trace(rho, (j,)))
     return total
 
 

@@ -199,6 +199,14 @@ def test_tau_is_permutation_invariant(rng):
     )
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_tau_lower_bound_rejects_odd_registers(n):
+    # For odd N the flip form is antisymmetric and F rho* F is negative semidefinite.
+    rho = random_density(n, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="even number of qubits, got " + str(n)):
+        tau_lower_bound(rho)
+
+
 def test_tau_vanishes_on_unentangled_states():
     assert tau_lower_bound(np.eye(16, dtype=complex) / 16).value == 0.0
     zero = np.zeros((16, 16), dtype=complex)
