@@ -297,7 +297,7 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: Op
         if fresh:  # open a bracket around each scan minimum; fc and fd are filled next round
             coord, f_scan = line[scan] % 2, values[:fresh * _SCAN_POINTS].reshape(fresh, -1)
             x0[scan], f0[scan] = scans[coord, f_scan.argmin(axis=1)], f_scan.min(axis=1)
-            step, top = scans[coord, 1], scans[coord, -1]
+            step, top = scans[coord, 1], scans[coord, -1]  # the scan's spacing and end
             lo, up = np.maximum(0.0, x0[scan] - step), np.minimum(top, x0[scan] + step)
             new = lo, up, up - _GOLDEN * (up - lo), lo + _GOLDEN * (up - lo), f0[scan], f0[scan]
             a, b, c, d, fc, fd = map(np.concatenate, zip(new, (a, b, c, d, fc, fd)))

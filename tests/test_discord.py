@@ -397,13 +397,60 @@ def test_search_round_count_is_pinned(monkeypatch):
     assert sum(batches) == result.optimizer_evals == 1402
 
 
+def _reference_descent(objective, frame: np.ndarray, config: OptimizerConfig):
+    """One descent at a time, in scalar arithmetic: what each lockstep descent must reproduce."""
+    frame, golden, evals = frame.copy(), discord._GOLDEN, [0]
+
+    def f(j, coord, values):
+        trials = np.repeat(frame[None], len(values), axis=0)
+        trials[:, j, coord] = values
+        evals[0] += len(values)
+        return objective(trials, np.zeros(len(values), dtype=int))
+
+    best = objective(frame[None], np.zeros(1, dtype=int))[0]
+    evals[0] = 1
+    for _ in range(config.refine_sweeps):
+        sweep_start = best
+        for j in range(frame.shape[0]):
+            for coord in range(2):
+                hi = math.pi if coord == 0 else 2.0 * math.pi
+                scan = np.linspace(0.0, hi, discord._SCAN_POINTS)
+                values = f(j, coord, scan)
+                k = int(np.argmin(values))
+                step = hi / (discord._SCAN_POINTS - 1)
+                a, b = max(0.0, scan[k] - step), min(hi, scan[k] + step)
+                c, d = b - golden * (b - a), a + golden * (b - a)
+                fc, fd = f(j, coord, (c, d))
+                while b - a > discord._ANGLE_TOL:
+                    if fc < fd:
+                        b, d, fd = d, c, fc
+                        c = b - golden * (b - a)
+                        (fc,) = f(j, coord, (c,))
+                    else:
+                        a, c, fc = c, d, fd
+                        d = a + golden * (b - a)
+                        (fd,) = f(j, coord, (d,))
+                x, fx = (c, fc) if fc < fd else (d, fd)
+                if min(fx, values[k]) < best - 1e-15:
+                    frame[j, coord], best = (x, fx) if fx <= values[k] else (scan[k], values[k])
+        if sweep_start - best < config.tolerance:
+            break
+    return float(best), frame, evals[0]
+
+
 def test_lockstep_descents_match_lone_descents():
     states = [closed_form_state(Channel.X, 0.2), closed_form_state(Channel.ISO, 0.15)]
     config = OptimizerConfig()
     starts = [uniform_frame(4, 0.3, 1.0), z_frame(4), x_frame(4), y_frame(4)]
-    # alone[s][i]: start i descending by itself on state s.
+    # alone[s][i]: start i descending by itself on state s, equal to the scalar reference.
     alone = [[_lockstep(_GlobalObjective(rho[None], 4), [start], [0], config) for start in starts]
              for rho in states]
+    for rho, lone in zip(states, alone):
+        for start, (((value, frame),), (evals,)) in zip(starts, lone):
+            ref_value, ref_frame, ref_evals = _reference_descent(
+                _GlobalObjective(rho[None], 4), start, config)
+            assert (value, evals) == (ref_value, ref_evals)
+            assert np.array_equal(frame, ref_frame)
     # All starts on one state, then starts owned by two states.
     for stack, owners in ((states[:1], [0, 0, 0, 0]), (states, [0, 1, 1, 0])):
         together, evals = _lockstep(_GlobalObjective(np.stack(stack), 4), starts, owners, config)
