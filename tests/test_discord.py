@@ -184,7 +184,7 @@ def test_one_qubit_objective_vanishes_on_every_frame(rng):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_global_discord_vanishes_on_random_product_states(n):
-    # Full-rank factors with Bloch vectors off the poles: every frame costs 0.
+    # Full-rank factors whose marginals are not I/2; a product state costs 0 in every frame.
     rng = np.random.default_rng(n)
     rho = np.array([[1.0 + 0j]])
     for _ in range(n):
