@@ -30,7 +30,6 @@ from .discord import (
     bipartite_discord,
     dephase,
     global_discord,
-    gqd_objective,
     measurement_basis,
     projector,
     sudden_change_point,
@@ -54,14 +53,11 @@ from .entanglement import (
 from .linalg import (
     MAX_QUBITS,
     assert_density_matrix,
-    hermitian_eigenvalues,
     num_qubits,
     partial_trace,
     partial_transpose,
     permute_qubits,
-    relative_entropy,
     shannon_entropy,
-    tensor,
     trace_distance,
     von_neumann_entropy,
 )
@@ -106,8 +102,6 @@ __all__ = [
     "ghz_ket",
     "ghz_state",
     "global_discord",
-    "gqd_objective",
-    "hermitian_eigenvalues",
     "lindblad_generator",
     "measurement_basis",
     "num_qubits",
@@ -117,7 +111,6 @@ __all__ = [
     "ppt_min_eigenvalue",
     "projector",
     "pure_concurrence",
-    "relative_entropy",
     "run_checks",
     "run_sweep",
     "shannon_entropy",
@@ -125,7 +118,6 @@ __all__ = [
     "tau_generator_bound",
     "tau_lower_bound",
     "tau_vanishing_time",
-    "tensor",
     "trace_distance",
     "uniform_frame",
     "von_neumann_entropy",

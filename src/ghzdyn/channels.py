@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, assert_density_matrix, num_qubits, trace_distance
+from .linalg import MAX_QUBITS, NORM_TOL, assert_density_matrix, num_qubits, trace_distance
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -239,7 +239,7 @@ def evolve_numeric(
     Fixed-step RK4 with Richardson control: the step count doubles until
     the trace distance between consecutive refinements, divided by 15,
     drops below ``step_tolerance``.  The result is re-hermitized and its
-    trace renormalised; drift beyond 1e-10 raises.
+    trace renormalised; drift beyond ``NORM_TOL`` (1e-10) raises.
     """
     channel = Channel(channel)
     n = assert_density_matrix(rho0, name="initial state")
@@ -272,6 +272,6 @@ def evolve_numeric(
 
     rho = 0.5 * (fine + fine.conj().T)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > NORM_TOL:
         raise RuntimeError(f"trace drifted to {tr:.15g} during integration")
     return rho / tr

@@ -34,8 +34,8 @@ import numpy as np
 
 from .channels import PAULI_X, PAULI_Y, PAULI_Z, Channel, closed_form_spectrum, coefficients
 from .entanglement import _bisect_root
-from .linalg import (assert_density_matrix, partial_trace, shannon_entropies, shannon_entropy,
-                     von_neumann_entropy)
+from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, assert_density_matrix, partial_trace,
+                     shannon_entropies, shannon_entropy, von_neumann_entropy)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 9
@@ -43,9 +43,6 @@ _ANGLE_TOL = 1e-7
 _TIE_TOL = 1e-12
 # Outcome probabilities at or below this are outcomes that never occur.
 _PROB_FLOOR = 1e-14
-# Pauli-tensor entries (4**n per frame) per objective batch: 64 frames at
-# 4 qubits, one frame from 7 qubits up, so memory stays flat in N.
-_BATCH_ENTRIES = 2**14
 _PAULIS = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z])
 _OUTCOME_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
 
@@ -136,17 +133,13 @@ def y_frame(n: int) -> np.ndarray:
     return uniform_frame(n, math.pi / 2.0, math.pi / 2.0)
 
 
-def _check_frame(frame: np.ndarray, n: int) -> np.ndarray:
-    frame = np.asarray(frame, dtype=float)
-    if frame.shape != (n, 2):
-        raise ValueError(f"frame shape {frame.shape} does not match ({n}, 2)")
-    return frame
-
-
 def dephase(rho: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Projector-sum pinching of ``rho`` in the product frame, one qubit at a time."""
     n = assert_density_matrix(rho)
-    for j, (theta, phi) in enumerate(_check_frame(frame, n)):
+    frame = np.asarray(frame, dtype=float)
+    if frame.shape != (n, 2):
+        raise ValueError(f"frame shape {frame.shape} does not match ({n}, 2)")
+    for j, (theta, phi) in enumerate(frame):
         pair = np.stack([projector(theta, phi, k) for k in (0, 1)])
         t = rho.reshape(2**j, 2, 2 ** (n - 1 - j), 2**j, 2, 2 ** (n - 1 - j))
         rho = np.einsum("kab,xbycdz,kde->xaycez", pair, t, pair).reshape(2**n, 2**n)
@@ -176,7 +169,7 @@ class _GlobalObjective:
         self.state_entropy = np.array([von_neumann_entropy(rho) for rho in rhos])
         self.marginal_entropies = np.array(
             [[von_neumann_entropy(partial_trace(rho, (j,))) for j in range(n)] for rho in rhos])
-        self.batch = max(1, _BATCH_ENTRIES // self.coefficients.shape[1])
+        self.batch = max(1, BATCH_ENTRIES // self.coefficients.shape[1])  # 4**n entries a frame
 
     def __call__(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Objective values of ``(B, n, 2)`` frames on states ``owner``, ``batch`` at a time."""
@@ -195,13 +188,6 @@ class _GlobalObjective:
         total = shannon_entropies(probs.reshape(count, -1)) - self.state_entropy[owner]
         local = shannon_entropies((rows @ self.bloch[owner][..., None])[..., 0])
         return total - (local - self.marginal_entropies[owner]).sum(axis=1)
-
-
-def gqd_objective(rho: np.ndarray, frame: np.ndarray) -> float:
-    """Discord objective of a single frame (no optimisation)."""
-    n = assert_density_matrix(rho)
-    objective = _GlobalObjective(rho[None], n)
-    return float(objective(_check_frame(frame, n)[None], np.zeros(1, dtype=int))[0])
 
 
 class _ConditionalEntropy:
@@ -373,7 +359,7 @@ def _global_discords(states: list[np.ndarray],
                        config or OptimizerConfig())
     results = []
     for value, frame, branch_values, evals in searched:
-        if value < -1e-9:
+        if value < -DISCORD_FLOOR:
             raise RuntimeError(f"discord objective minimised to {value:.3e} < 0")
         frame = frame.copy()
         frame.setflags(write=False)
@@ -411,7 +397,7 @@ def bipartite_discord(rho: np.ndarray, config: OptimizerConfig | None = None) ->
     best = _search(objective, 1, 1, config or OptimizerConfig())[0][0]
 
     value = mutual + best  # best == -max J
-    if value < -1e-9:
+    if value < -DISCORD_FLOOR:
         raise RuntimeError(f"bipartite discord evaluated to {value:.3e} < 0")
     return max(0.0, value)
 

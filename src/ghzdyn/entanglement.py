@@ -10,6 +10,9 @@ normalised so that the 4-qubit GHZ state scores sqrt(2):
   closed forms :func:`analytic_tau` reproduces, and it is defined only
   for even register sizes: for odd N the flip form is antisymmetric,
   ``F rho* F`` is negative semidefinite, and the call raises ``ValueError``.
+  F is never built: it is the signed anti-diagonal
+  ``F[i, d-1-i] = (-1)**popcount(i)``, so for even N
+  ``F rho* F = s s^T * rho*[::-1, ::-1]`` with ``s_i = (-1)**popcount(i)``.
 
 * :func:`tau_generator_bound` enumerates all SO(2**(N-1)) x SO(2)
   generator pairs for each one-versus-rest cut (see :func:`cut_terms`)
@@ -21,6 +24,8 @@ normalised so that the 4-qubit GHZ state scores sqrt(2):
   (W-type, for instance) that the spin flip misses.
 
 Both share ``TAU_SCALE = sqrt(2)``, fixed once by the GHZ calibration.
+The spin-flip bound and the PPT witness run on stacks of validated states,
+one batched eigenproblem each; the public functions pass a stack of one.
 """
 
 from __future__ import annotations
@@ -32,12 +37,14 @@ import numpy as np
 
 from .channels import Channel, coefficients
 from .linalg import (
-    EIGENVALUE_FLOOR,
+    FLIP_IMAG_LIMIT,
+    FLIP_NEGATIVE_LIMIT,
+    FLIP_NOISE_FLOOR,
+    NORM_TOL,
     assert_density_matrix,
-    hermitian_eigenvalues,
     num_qubits,
+    _partial_transposes,
     partial_trace,
-    partial_transpose,
     permute_qubits,
 )
 
@@ -49,10 +56,6 @@ L0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # The conjugator kron(G_pq, L0) of generator pair (p, q), restricted to the
 # basis states (2p, 2p+1, 2q, 2q+1) it acts on; the same for every pair.
 _PAIR_FLIP = np.kron(L0, L0)
-
-_EIG_NOISE_FLOOR = 1e-15
-_EIG_NEGATIVE_LIMIT = -1e-8
-_EIG_IMAG_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ def pure_concurrence(psi: np.ndarray) -> float:
     if psi.ndim != 1:
         raise ValueError(f"expected a state vector, got shape {psi.shape}")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector norm is {norm:.12g}, expected 1")
     rho = np.outer(psi, psi.conj())
     n = num_qubits(rho)
@@ -108,27 +111,43 @@ def _wootters_lambdas(products: np.ndarray) -> np.ndarray:
     ``products`` is one square matrix or a stack of them (the last two
     axes); roots come back row by row.  Each product is similar to a
     positive matrix, so its spectrum is real and nonnegative up to
-    roundoff.  An eigenvalue in any row below ``_EIG_NEGATIVE_LIMIT``
-    (-1e-8) or with an imaginary part above ``_EIG_IMAG_LIMIT`` (1e-8)
-    aborts, values in [-1e-8, 0) clamp to zero, and residue under
-    ``_EIG_NOISE_FLOOR`` (1e-15) is zeroed so null-space noise cannot leak
-    through sqrt.
+    roundoff.  An eigenvalue in any row below ``-FLIP_NEGATIVE_LIMIT`` or
+    with an imaginary part above ``FLIP_IMAG_LIMIT`` aborts, smaller
+    negatives clamp to zero, and residue under ``FLIP_NOISE_FLOOR`` is
+    zeroed so null-space noise cannot leak through sqrt.
     """
     ev = np.linalg.eigvals(products)
-    if float(np.abs(ev.imag).max()) > _EIG_IMAG_LIMIT:
+    if float(np.abs(ev.imag).max()) > FLIP_IMAG_LIMIT:
         raise RuntimeError("flip eigenproblem produced complex eigenvalues")
     real = ev.real
     lo = float(real.min())
-    if lo < _EIG_NEGATIVE_LIMIT:
+    if lo < -FLIP_NEGATIVE_LIMIT:
         raise RuntimeError(f"flip eigenproblem produced negative eigenvalue {lo:.3e}")
     real = np.clip(real, 0.0, None)
-    real[real < _EIG_NOISE_FLOOR] = 0.0
+    real[real < FLIP_NOISE_FLOOR] = 0.0
     return np.sort(np.sqrt(real), axis=-1)[..., ::-1]
 
 
 def _aggregate(per_cut: list[float]) -> TauResult:
     value = TAU_SCALE * math.sqrt(sum(c**2 for c in per_cut) / len(per_cut))
     return TauResult(value, tuple(per_cut), TAU_SCALE)
+
+
+def _flip_signs(n: int) -> np.ndarray:
+    """``s[i] = (-1)**popcount(i) = F[i, d-1-i]``, the only nonzeros of ``F = L0^(x)n``."""
+    return np.array([(-1.0) ** bin(i).count("1") for i in range(2**n)])
+
+
+def _spin_flip_values(rhos: np.ndarray) -> np.ndarray:
+    """``max(0, 2*lam_max - sum(lam))`` of each validated state, ``F rho* F`` as in the module doc."""
+    n = rhos.shape[-1].bit_length() - 1
+    if n % 2:
+        raise ValueError(f"the spin-flip bound needs an even number of qubits, got {n}")
+    signs = _flip_signs(n)
+    tilde = rhos[:, ::-1, ::-1].conj()  # signed in place below: one stack, not two
+    tilde *= np.outer(signs, signs)
+    lam = _wootters_lambdas(rhos @ tilde)
+    return np.maximum(0.0, 2.0 * lam[:, 0] - lam.sum(axis=-1))
 
 
 def tau_lower_bound(rho: np.ndarray) -> TauResult:
@@ -139,15 +158,7 @@ def tau_lower_bound(rho: np.ndarray) -> TauResult:
     ``convention_scale`` times the common Wootters value.
     """
     n = assert_density_matrix(rho)
-    if n % 2:
-        raise ValueError(f"the spin-flip bound needs an even number of qubits, got {n}")
-    flip = np.array([[1.0]])
-    for _ in range(n):
-        flip = np.kron(flip, L0)
-    tilde = flip @ rho.conj() @ flip
-    lam = _wootters_lambdas(rho @ tilde)
-    c = max(0.0, 2.0 * lam[0] - lam.sum())
-    return _aggregate([c] * n)
+    return _aggregate([_spin_flip_values(rho[None])[0]] * n)
 
 
 def _cut_arrays(rho: np.ndarray, n: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,10 +255,16 @@ def tau_vanishing_time(channel: Channel) -> float | None:
     return _bisect_root(signed, 0.0, 2.0)
 
 
+def _ppt_min_eigenvalues(rhos: np.ndarray, subset: tuple[int, ...] | list[int]) -> np.ndarray:
+    """Smallest eigenvalue of each validated state in a stack after transposing ``subset``."""
+    # A partial transpose keeps the state's entrywise hermiticity deviation.
+    return np.linalg.eigvalsh(_partial_transposes(rhos, subset)).min(axis=-1)
+
+
 def ppt_min_eigenvalue(rho: np.ndarray, subset: tuple[int, ...] | list[int]) -> float:
     """Smallest eigenvalue after partially transposing ``subset``.
 
     Negative values witness entanglement across the subset/rest split.
     """
     assert_density_matrix(rho)
-    return float(hermitian_eigenvalues(partial_transpose(rho, subset)).min())
+    return float(_ppt_min_eigenvalues(rho[None], subset)[0])

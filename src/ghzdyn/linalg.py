@@ -5,9 +5,8 @@ Conventions used throughout the package:
 * Qubit 0 is the slowest-varying (leftmost) tensor factor, so the basis
   state ``|b_0 b_1 ... b_{n-1}>`` sits at index ``sum_j b_j 2**(n-1-j)``.
 * Entropies are measured in bits (logarithms base 2).
-* Eigenvalues with magnitude below ``EIGENVALUE_FLOOR`` are treated as
-  exact zeros; density matrices may carry numerical negatives down to
-  ``-PSD_FLOOR`` before validation rejects them.
+* The tolerances of state validation and of the measures sit in one
+  table below; README *Conventions* lists the same values.
 
 States are plain complex ndarrays.  Helpers here validate shape and
 physicality but never wrap arrays in custom classes, so results compose
@@ -16,15 +15,24 @@ directly with numpy.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 MAX_QUBITS = 10
-EIGENVALUE_FLOOR = 1e-12
-PSD_FLOOR = 1e-10
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-12
+# Entries (4**n per n-qubit frame or state) per batched call: 64 discord
+# frames or sweep states at 4 qubits, so memory stays flat in the batch size.
+BATCH_ENTRIES = 2**14
+
+# Tolerances (README *Conventions* lists the same table).
+TRACE_TOL = 1e-12            # density matrices: entrywise hermiticity and |trace - 1|
+HERMITICITY_TOL = 1e-10      # other hermitian inputs: entropy, trace-distance differences
+PSD_FLOOR = 1e-10            # eigenvalues and probabilities may dip to -PSD_FLOOR
+EIGENVALUE_FLOOR = 1e-12     # eigenvalues and probabilities at or below it are zeros
+PROBABILITY_SUM_TOL = 1e-9   # |sum - 1| of a row of outcome probabilities
+NORM_TOL = 1e-10             # |norm - 1| of a state vector; integrator trace drift
+DISCORD_FLOOR = 1e-9         # a minimised discord may dip to -DISCORD_FLOOR, then clamps to 0
+FLIP_NEGATIVE_LIMIT = 1e-8   # Wootters eigenvalues may dip to -FLIP_NEGATIVE_LIMIT (clamp to 0),
+FLIP_IMAG_LIMIT = 1e-8       # carry imaginary parts up to FLIP_IMAG_LIMIT,
+FLIP_NOISE_FLOOR = 1e-15     # and are zeroed below FLIP_NOISE_FLOOR before the square root
 
 
 def num_qubits(mat: np.ndarray) -> int:
@@ -40,14 +48,23 @@ def num_qubits(mat: np.ndarray) -> int:
     return n
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a guard on the combined register size."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    dim = a.shape[0] * b.shape[0]
-    if dim > 2**MAX_QUBITS:
-        raise ValueError(f"tensor product dimension {dim} exceeds 2**{MAX_QUBITS}")
-    return np.kron(a, b)
+def _density_spectra(rhos: np.ndarray, name: str = "state") -> np.ndarray:
+    """Ascending spectra of a ``(B, d, d)`` stack of density matrices, one eigvalsh call.
+
+    Checks each state as :func:`assert_density_matrix`; the first bad one raises its own error.
+    """
+    herm = np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    traces = np.trace(rhos, axis1=-2, axis2=-1)
+    spectra = np.linalg.eigvalsh(rhos)
+    bad = (herm > TRACE_TOL) | (np.abs(traces - 1.0) > TRACE_TOL) | (spectra[:, 0] < -PSD_FLOOR)
+    if bad.any():
+        k = int(bad.argmax())
+        if herm[k] > TRACE_TOL:
+            raise ValueError(f"{name} is not hermitian: max deviation {herm[k]:.3e}")
+        if abs(traces[k] - 1.0) > TRACE_TOL:
+            raise ValueError(f"{name} has trace {complex(traces[k]):.15g}, expected 1")
+        raise ValueError(f"{name} has negative eigenvalue {spectra[k, 0]:.3e}")
+    return spectra
 
 
 def assert_density_matrix(rho: np.ndarray, *, name: str = "state") -> int:
@@ -57,15 +74,7 @@ def assert_density_matrix(rho: np.ndarray, *, name: str = "state") -> int:
     to ``TRACE_TOL``, and eigenvalues may only dip to ``-PSD_FLOOR``.
     """
     n = num_qubits(rho)
-    herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > TRACE_TOL:
-        raise ValueError(f"{name} is not hermitian: max deviation {herm:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} has trace {tr:.15g}, expected 1")
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -PSD_FLOOR:
-        raise ValueError(f"{name} has negative eigenvalue {lo:.3e}")
+    _density_spectra(rho[None], name)
     return n
 
 
@@ -107,25 +116,23 @@ def permute_qubits(rho: np.ndarray, perm: tuple[int, ...] | list[int]) -> np.nda
     return t.reshape(rho.shape)
 
 
-def partial_transpose(rho: np.ndarray, subset: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Transpose the row/column axes of the qubits in ``subset``."""
-    n = num_qubits(rho)
+def _partial_transposes(rhos: np.ndarray, subset: tuple[int, ...] | list[int]) -> np.ndarray:
+    """:func:`partial_transpose` of every matrix in a ``(B, d, d)`` stack, as one copy."""
+    n = rhos.shape[-1].bit_length() - 1
     subset = set(subset)
     if any(q < 0 or q >= n for q in subset):
         raise ValueError(f"subset {sorted(subset)} out of range for {n} qubits")
-    axes = list(range(2 * n))
+    axes = list(range(2 * n + 1))  # axis 0 runs over the stack
     for q in subset:
-        axes[q], axes[q + n] = axes[q + n], axes[q]
-    t = rho.reshape([2] * (2 * n))
-    return np.transpose(t, axes).reshape(rho.shape)
+        axes[q + 1], axes[q + n + 1] = axes[q + n + 1], axes[q + 1]
+    t = rhos.reshape((len(rhos),) + (2,) * (2 * n))
+    return np.transpose(t, axes).reshape(rhos.shape)
 
 
-def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a hermitian matrix, sorted descending."""
-    dev = float(np.abs(mat - mat.conj().T).max())
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not hermitian: max deviation {dev:.3e}")
-    return np.linalg.eigvalsh(mat)[::-1]
+def partial_transpose(rho: np.ndarray, subset: tuple[int, ...] | list[int]) -> np.ndarray:
+    """Transpose the row/column axes of the qubits in ``subset``."""
+    num_qubits(rho)
+    return _partial_transposes(rho[None], subset)[0]
 
 
 def _check_probabilities(p: np.ndarray) -> None:
@@ -134,7 +141,7 @@ def _check_probabilities(p: np.ndarray) -> None:
         raise ValueError(f"probability {p.min():.3e} is negative beyond tolerance")
     sums = p.sum(axis=-1)
     deviation = np.abs(sums - 1.0)
-    if deviation.max() > 1e-9:
+    if deviation.max() > PROBABILITY_SUM_TOL:
         raise ValueError(f"probabilities sum to {sums.flat[deviation.argmax()]:.12g}, expected 1")
 
 
@@ -154,30 +161,24 @@ def shannon_entropies(probs: np.ndarray) -> np.ndarray:
     return -(q * np.log2(q)).sum(axis=-1)
 
 
+def _entropies(spectra: np.ndarray) -> np.ndarray:
+    """Entropies in bits of a ``(B, d)`` stack of ascending spectra (may dip to ``-PSD_FLOOR``).
+
+    Each row sums its eigenvalues above ``EIGENVALUE_FLOOR`` on its own, in descending order.
+    """
+    lo = float(spectra[:, 0].min())
+    if lo < -PSD_FLOOR:
+        raise ValueError(f"state has negative eigenvalue {lo:.3e}")
+    kept = (row[row > EIGENVALUE_FLOOR] for row in spectra[:, ::-1])
+    return np.array([-(lam * np.log2(lam)).sum() for lam in kept])
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr rho log2 rho via the eigenvalue spectrum."""
-    lam = hermitian_eigenvalues(rho)
-    if lam.min() < -PSD_FLOOR:
-        raise ValueError(f"state has negative eigenvalue {lam.min():.3e}")
-    lam = lam[lam > EIGENVALUE_FLOOR]
-    return float(-(lam * np.log2(lam)).sum())
-
-
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """S(rho || sigma) in bits; ``math.inf`` when supp(rho) leaves supp(sigma)."""
-    if rho.shape != sigma.shape:
-        raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    lam, vecs = np.linalg.eigh(sigma)
-    overlap = np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs).real
-    kernel_mass = float(overlap[lam <= EIGENVALUE_FLOOR].sum())
-    if kernel_mass > PSD_FLOOR:
-        return math.inf
-    support = lam > EIGENVALUE_FLOOR
-    cross = float(-(overlap[support] * np.log2(lam[support])).sum())
-    value = cross - von_neumann_entropy(rho)
-    if value < -1e-9:
-        raise ValueError(f"relative entropy evaluated to {value:.3e} < 0")
-    return max(0.0, value)
+    dev = float(np.abs(rho - rho.conj().T).max())
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not hermitian: max deviation {dev:.3e}")
+    return float(_entropies(np.linalg.eigvalsh(rho)[None])[0])
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,8 +10,14 @@ Output is byte-reproducible: records are ordered channel-major, floats
 are rendered with 12 significant digits, rows end with a bare newline,
 and the file is written atomically.  ``jobs`` splits the grid into that
 many contiguous blocks of cells, one per worker process; the record order
-never depends on the job count.  The numeric discord of a block's cells
-is searched in one batch (:func:`ghzdyn.discord._global_discords`).
+never depends on the job count.
+
+A block builds its closed-form states in chunks of at most 64 (the
+``BATCH_ENTRIES`` budget) and measures each chunk as one stack: one
+``eigvalsh`` validates the states and gives their entropy spectra, one
+``eigvals`` the Wootters roots of the spin flip (a signed index reversal),
+one ``eigvalsh`` the partial transposes, one search the discord
+(:func:`ghzdyn.discord._global_discords`).  No value depends on the chunk.
 """
 
 from __future__ import annotations
@@ -25,13 +31,14 @@ import numpy as np
 
 from .channels import Channel, closed_form_state
 from .discord import OptimizerConfig, _global_discords, analytic_gqd
-from .entanglement import analytic_tau, ppt_min_eigenvalue, tau_lower_bound
-from .linalg import von_neumann_entropy
+from .entanglement import _aggregate, _ppt_min_eigenvalues, _spin_flip_values, analytic_tau
+from .linalg import BATCH_ENTRIES, _density_spectra, _entropies
 
 CSV_HEADER = "channel,kappa_t,tau_analytic,tau_numeric,gqd_analytic,gqd_numeric,ppt_min_eig,entropy"
 MEASURES = ("tau", "gqd", "ppt", "entropy")
 METHODS = ("analytic", "numeric", "both")
 ALL_CHANNELS = (Channel.X, Channel.Y, Channel.Z, Channel.ISO)
+_CHUNK = BATCH_ENTRIES // 4**4  # closed-form states have 4 qubits: 4**4 entries each
 
 
 @dataclass(frozen=True)
@@ -92,38 +99,35 @@ class SweepRecord:
 
 def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str, OptimizerConfig]
                    ) -> list[SweepRecord]:
-    """Records of a block of (channel, kappa_t) cells; their discord is searched in one batch."""
+    """Records of a block of (channel, kappa_t) cells, measured ``_CHUNK`` cells at a time."""
     cells, measures, method, optimizer = args
     analytic = method in ("analytic", "both")
     numeric = method in ("numeric", "both")
-    needs_state = ("ppt" in measures or "entropy" in measures
-                   or (numeric and ("tau" in measures or "gqd" in measures)))
+    tau_numeric = numeric and "tau" in measures
     searched = numeric and "gqd" in measures
-    rows: list[dict[str, float | None]] = []
-    states = []  # kept only for the discord search
-    for channel_value, kt in cells:
-        channel = Channel(channel_value)
-        state = closed_form_state(channel, kt) if needs_state else None
-        fields: dict[str, float | None] = {}
-        if "tau" in measures:
-            if analytic:
-                fields["tau_analytic"] = analytic_tau(channel, kt)
-            if numeric:
-                fields["tau_numeric"] = tau_lower_bound(state).value
-        if "gqd" in measures and analytic:
-            fields["gqd_analytic"] = analytic_gqd(channel, kt)
-        if "ppt" in measures:
-            fields["ppt_min_eig"] = ppt_min_eigenvalue(state, (0,))
-        if "entropy" in measures:
-            fields["entropy"] = von_neumann_entropy(state)
-        rows.append(fields)
+    needs_state = tau_numeric or searched or "ppt" in measures or "entropy" in measures
+    records = []
+    for lo in range(0, len(cells), _CHUNK):
+        chunk = cells[lo:lo + _CHUNK]
+        columns: dict[str, list[float]] = {}
+        if analytic and "tau" in measures:
+            columns["tau_analytic"] = [analytic_tau(channel, kt) for channel, kt in chunk]
+        if analytic and "gqd" in measures:
+            columns["gqd_analytic"] = [analytic_gqd(channel, kt) for channel, kt in chunk]
+        if needs_state:
+            states = np.stack([closed_form_state(channel, kt) for channel, kt in chunk])
+            spectra = _density_spectra(states)
+        if tau_numeric:
+            columns["tau_numeric"] = [_aggregate([c] * 4).value for c in _spin_flip_values(states)]
         if searched:
-            states.append(state)
-    if searched:
-        for fields, result in zip(rows, _global_discords(states, optimizer)):
-            fields["gqd_numeric"] = result.value
-    return [SweepRecord(channel_value, kt, **fields)
-            for (channel_value, kt), fields in zip(cells, rows)]
+            columns["gqd_numeric"] = [r.value for r in _global_discords(list(states), optimizer)]
+        if "ppt" in measures:
+            columns["ppt_min_eig"] = _ppt_min_eigenvalues(states, (0,)).tolist()
+        if "entropy" in measures:
+            columns["entropy"] = _entropies(spectra).tolist()
+        records += [SweepRecord(channel, kt, **dict(zip(columns, values)))
+                    for (channel, kt), *values in zip(chunk, *columns.values())]
+    return records
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:

@@ -24,7 +24,6 @@ from ghzdyn.discord import (
     bipartite_discord,
     dephase,
     global_discord,
-    gqd_objective,
     measurement_basis,
     projector,
     sudden_change_point,
@@ -41,6 +40,12 @@ angles = st.tuples(
 )
 
 KINK = 0.136666181320
+
+
+def _one_frame(rho: np.ndarray, frame: np.ndarray) -> float:
+    """The discord objective of a single frame on a single state."""
+    objective = _GlobalObjective(rho[None], frame.shape[0])
+    return float(objective(frame[None], np.zeros(1, dtype=int))[0])
 
 
 @given(angles)
@@ -134,14 +139,14 @@ def test_objective_branch_structure_of_x_channel():
     for kt in (0.0, 0.1, 0.3):
         rho = closed_form_state(Channel.X, kt)
         entropy = von_neumann_entropy(rho)
-        assert gqd_objective(rho, z_frame(4)) == pytest.approx(1.0, abs=1e-10)
-        assert gqd_objective(rho, x_frame(4)) == pytest.approx(3.0 - entropy, abs=1e-10)
+        assert _one_frame(rho, z_frame(4)) == pytest.approx(1.0, abs=1e-10)
+        assert _one_frame(rho, x_frame(4)) == pytest.approx(3.0 - entropy, abs=1e-10)
 
 
 def test_objective_y_channel_mirrors_x_channel():
     for kt in (0.05, 0.2):
-        vx = gqd_objective(closed_form_state(Channel.X, kt), x_frame(4))
-        vy = gqd_objective(closed_form_state(Channel.Y, kt), y_frame(4))
+        vx = _one_frame(closed_form_state(Channel.X, kt), x_frame(4))
+        vy = _one_frame(closed_form_state(Channel.Y, kt), y_frame(4))
         assert vx == pytest.approx(vy, abs=1e-12)
 
 
@@ -149,7 +154,7 @@ def test_objective_y_channel_mirrors_x_channel():
 def test_objective_is_nonnegative(pair):
     theta, phi = pair
     rho = closed_form_state(Channel.X, 0.1)
-    assert gqd_objective(rho, uniform_frame(4, theta, phi)) > -1e-10
+    assert _one_frame(rho, uniform_frame(4, theta, phi)) > -1e-10
 
 
 def test_global_discord_ghz():
@@ -179,7 +184,7 @@ def test_one_qubit_objective_vanishes_on_every_frame(rng):
     # The register is its own only marginal, so the two terms cancel.
     rho = random_density(1, rng)
     for frame in _random_frames(1, 24, rng):
-        assert abs(gqd_objective(rho, frame)) < 1e-13
+        assert abs(_one_frame(rho, frame)) < 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -190,7 +195,7 @@ def test_global_discord_vanishes_on_random_product_states(n):
     for _ in range(n):
         rho = np.kron(rho, random_density(1, rng))
     for frame in _random_frames(n, 6, rng):
-        assert abs(gqd_objective(rho, frame)) < 1e-12
+        assert abs(_one_frame(rho, frame)) < 1e-12
     assert global_discord(rho).value == pytest.approx(0.0, abs=1e-10)
 
 

@@ -9,6 +9,9 @@ from ghzdyn.channels import Channel, closed_form_state, ghz_ket, ghz_state
 from ghzdyn.entanglement import (
     L0,
     TAU_SCALE,
+    _flip_signs,
+    _ppt_min_eigenvalues,
+    _spin_flip_values,
     _wootters_lambdas,
     analytic_tau,
     cut_terms,
@@ -18,7 +21,7 @@ from ghzdyn.entanglement import (
     tau_lower_bound,
     tau_vanishing_time,
 )
-from ghzdyn.linalg import num_qubits, permute_qubits
+from ghzdyn.linalg import num_qubits, partial_transpose, permute_qubits
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -308,3 +311,52 @@ def test_ppt_nonnegative_on_product_mixtures(seed):
         rho += w * np.outer(psi, psi.conj())
     assert ppt_min_eigenvalue(rho, (0,)) > -1e-10
     assert tau_lower_bound(rho).value < 1e-6
+
+
+def _kron_flip(n: int) -> np.ndarray:
+    flip = np.array([[1.0]])
+    for _ in range(n):
+        flip = np.kron(flip, L0)
+    return flip
+
+
+def _reference_flip_value(rho: np.ndarray) -> float:
+    """Per-state spin-flip Wootters value, with F built from Kronecker products."""
+    flip = _kron_flip(num_qubits(rho))
+    lam = _wootters_lambdas(rho @ (flip @ rho.conj() @ flip))
+    return max(0.0, 2.0 * lam[0] - lam.sum())
+
+
+def _reference_ppt(rho: np.ndarray) -> float:
+    """Per-state PPT witness: descending spectrum of one partial transpose."""
+    return float(np.linalg.eigvalsh(partial_transpose(rho, (0,)))[::-1].min())
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_signed_index_reversal_is_the_kronecker_flip(n, rng):
+    d = 2**n
+    flip = _kron_flip(n)
+    signs = _flip_signs(n)
+    signed = np.zeros((d, d))
+    signed[np.arange(d), d - 1 - np.arange(d)] = signs
+    assert np.array_equal(signed, flip)
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    assert np.array_equal(np.outer(signs, signs) * x.conj()[::-1, ::-1], flip @ x.conj() @ flip)
+
+
+def _stack_test_states() -> np.ndarray:
+    """The 52 channel states on kappa*t = 0, 0.05, ..., 0.6 and 12 seeded full-rank states."""
+    rng = np.random.default_rng(52)
+    states = [closed_form_state(c, kt) for c in Channel for kt in np.linspace(0.0, 0.6, 13)]
+    return np.stack(states + [random_density(4, rng) for _ in range(12)])
+
+
+def test_stack_cores_match_the_per_state_reference():
+    states = _stack_test_states()
+    flip = np.array([_reference_flip_value(rho) for rho in states])
+    ppt = np.array([_reference_ppt(rho) for rho in states])
+    assert np.array_equal(_spin_flip_values(states), flip)
+    assert np.array_equal(_ppt_min_eigenvalues(states, (0,)), ppt)
+    for rho, value, witness in zip(states, flip, ppt):
+        assert tau_lower_bound(rho).per_cut == (value,) * 4
+        assert ppt_min_eigenvalue(rho, (0,)) == witness

@@ -5,39 +5,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import bell_state, random_density, random_product_state, random_pure, random_unitary
-from ghzdyn.channels import PAULI_X, PAULI_Z, Channel, closed_form_state, ghz_state
+from ghzdyn.channels import Channel, closed_form_state, ghz_state
 from ghzdyn.linalg import (
     MAX_QUBITS,
+    _density_spectra,
+    _entropies,
     assert_density_matrix,
-    hermitian_eigenvalues,
     num_qubits,
     partial_trace,
     partial_transpose,
     permute_qubits,
-    relative_entropy,
     shannon_entropy,
-    tensor,
     trace_distance,
     von_neumann_entropy,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-def test_tensor_matches_hand_expansion():
-    expected = np.array([
-        [0, 0, 1, 0],
-        [0, 0, 0, -1],
-        [1, 0, 0, 0],
-        [0, -1, 0, 0],
-    ], dtype=complex)
-    assert np.array_equal(tensor(PAULI_X, PAULI_Z), expected)
-
-
-def test_tensor_rejects_oversized_register():
-    big = np.eye(2**6)
-    with pytest.raises(ValueError, match="exceeds"):
-        tensor(big, np.eye(2**5))
 
 
 def test_num_qubits():
@@ -74,7 +57,7 @@ def test_partial_trace_splits_product_states(seed):
     rng = np.random.default_rng(seed)
     rho_a = random_density(2, rng)
     rho_b = random_density(1, rng)
-    joint = tensor(rho_a, rho_b)
+    joint = np.kron(rho_a, rho_b)
     assert np.allclose(partial_trace(joint, (0, 1)), rho_a, atol=1e-12)
     assert np.allclose(partial_trace(joint, (2,)), rho_b, atol=1e-12)
 
@@ -143,7 +126,7 @@ def test_partial_transpose_complement_has_same_spectrum(rng):
 
 
 def test_bell_partial_transpose_floor():
-    lam = hermitian_eigenvalues(partial_transpose(bell_state(), (0,)))
+    lam = np.linalg.eigvalsh(partial_transpose(bell_state(), (0,)))
     assert abs(lam.min() + 0.5) < 1e-12
 
 
@@ -158,12 +141,11 @@ def test_separable_states_stay_positive_under_partial_transpose(seed):
     assert np.linalg.eigvalsh(partial_transpose(rho, (0,))).min() > -1e-10
 
 
-def test_hermitian_eigenvalues_sorted_and_validated(rng):
-    rho = random_density(2, rng)
-    lam = hermitian_eigenvalues(rho)
-    assert np.all(np.diff(lam) <= 0)
+def test_von_neumann_entropy_validates_its_input():
     with pytest.raises(ValueError, match="not hermitian"):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        von_neumann_entropy(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        von_neumann_entropy(np.diag([1.5, -0.5]))
 
 
 def test_shannon_entropy_reference_points():
@@ -196,29 +178,12 @@ def test_entropy_is_unitarily_invariant(seed):
     ) < 1e-10
 
 
-def test_relative_entropy_reference_points(rng):
-    rho = random_density(2, rng)
-    assert abs(relative_entropy(rho, rho)) < 1e-9
-    assert abs(relative_entropy(ghz_state(4), np.eye(16) / 16) - 4.0) < 1e-12
-    zero = np.zeros((16, 16), dtype=complex)
-    zero[0, 0] = 1.0
-    assert relative_entropy(ghz_state(4), zero) == math.inf
-
-
-@given(seeds)
-def test_relative_entropy_nonnegative(seed):
-    rng = np.random.default_rng(seed)
-    a = random_density(2, rng)
-    b = random_density(2, rng)
-    assert relative_entropy(a, b) >= 0.0
-
-
-def test_relative_entropy_to_diagonal_pinching():
-    # Wiping the coherences of the X-channel state costs exactly one bit.
+def test_pinching_the_x_channel_state_costs_one_bit():
+    # Wiping the coherences of the X-channel state raises its entropy by exactly one bit.
     for kt in (0.02, 0.08, 0.3):
         rho = closed_form_state(Channel.X, kt)
         pinched = np.diag(np.diag(rho))
-        assert abs(relative_entropy(rho, pinched) - 1.0) < 1e-9
+        assert abs(von_neumann_entropy(pinched) - von_neumann_entropy(rho) - 1.0) < 1e-9
 
 
 def test_trace_distance_properties(rng):
@@ -233,3 +198,40 @@ def test_trace_distance_properties(rng):
     assert abs(trace_distance(e0, e1) - 1.0) < 1e-12
     with pytest.raises(ValueError, match="shape"):
         trace_distance(np.eye(2), np.eye(4))
+
+
+def _reference_entropy(rho: np.ndarray) -> float:
+    """Per-state entropy: descending spectrum, eigenvalues above 1e-12, one sum."""
+    lam = np.linalg.eigvalsh(rho)[::-1]
+    lam = lam[lam > 1e-12]
+    return float(-(lam * np.log2(lam)).sum())
+
+
+def test_stacked_spectra_and_entropies_match_the_per_state_reference():
+    # Random ranks below 8 make each row's summation order matter.
+    rng = np.random.default_rng(52)
+    states = [closed_form_state(c, kt) for c in Channel for kt in np.linspace(0.0, 0.6, 13)]
+    states += [random_density(4, rng, rank=r) for r in (3, 5, 7, 16) for _ in range(3)]
+    states = np.stack(states)
+    spectra = _density_spectra(states)
+    assert np.array_equal(spectra, np.stack([np.linalg.eigvalsh(rho) for rho in states]))
+    entropies = np.array([_reference_entropy(rho) for rho in states])
+    assert np.array_equal(_entropies(spectra), entropies)
+    assert [von_neumann_entropy(rho) for rho in states] == entropies.tolist()
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "trace", "negative eigenvalue"])
+def test_a_bad_state_inside_a_stack_raises_its_own_error(kind):
+    bad = ghz_state(4)
+    if kind == "hermitian":
+        bad[0, 1] = 0.3
+    elif kind == "trace":
+        bad = 1.5 * bad
+    else:
+        bad = np.diag(np.r_[1.5, -0.5, np.zeros(14)]).astype(complex)
+    with pytest.raises(ValueError, match=kind) as alone:
+        assert_density_matrix(bad)
+    good = [closed_form_state(Channel.X, kt) for kt in (0.1, 0.2, 0.3)]
+    with pytest.raises(ValueError) as stacked:
+        _density_spectra(np.stack(good[:2] + [bad] + good[2:]))
+    assert str(stacked.value) == str(alone.value)

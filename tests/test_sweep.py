@@ -14,6 +14,7 @@ import pytest
 import ghzdyn.sweep as sweep
 from ghzdyn.channels import Channel
 from ghzdyn.cli import main
+from ghzdyn.discord import OptimizerConfig
 from ghzdyn.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -345,3 +346,35 @@ def test_sweep_reproduces_the_golden_csv(tmp_path, jobs):
             assert deviation <= 1e-14, deviation
         else:
             assert got == want, name
+
+
+@pytest.mark.parametrize("size", [65, 129])
+def test_block_records_equal_one_cell_blocks(size):
+    # 65 and 129 cells end one cell into a new 64-state chunk.
+    grid = np.linspace(0.0, 0.6, 33)
+    cells = [(c.value, float(kt)) for c in sweep.ALL_CHANNELS for kt in grid][:size]
+    measures = ("tau", "ppt", "entropy")
+    block = sweep._compute_block((cells, measures, "both", OptimizerConfig()))
+    alone = [sweep._compute_block(([cell], measures, "both", OptimizerConfig()))[0] for cell in cells]
+    assert block == alone
+
+
+def test_state_sweep_eigenproblem_count_is_pinned(monkeypatch):
+    # 4 channels x 40 steps = 160 cells = chunks of 64, 64 and 32 states.  Each
+    # chunk makes one eigvalsh for validation and entropy, one for the partial
+    # transposes and one eigvals for the spin flip; per-cell calls would read 160+.
+    calls = {"eigvalsh": 0, "eigvals": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    records = run_sweep(SweepConfig(measures=("tau", "ppt", "entropy"), steps=40))
+    assert len(records) == 160
+    assert calls == {"eigvalsh": 6, "eigvals": 3}
