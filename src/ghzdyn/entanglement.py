@@ -138,16 +138,17 @@ def _flip_signs(n: int) -> np.ndarray:
     return np.array([(-1.0) ** bin(i).count("1") for i in range(2**n)])
 
 
-def _spin_flip_values(rhos: np.ndarray) -> np.ndarray:
-    """``max(0, 2*lam_max - sum(lam))`` of each validated state, ``F rho* F`` as in the module doc."""
+def _tau_lower_bounds(rhos: np.ndarray) -> list[TauResult]:
+    """Stacked :func:`tau_lower_bound` of validated states; ``F rho* F`` as in the module doc."""
     n = rhos.shape[-1].bit_length() - 1
     if n % 2:
         raise ValueError(f"the spin-flip bound needs an even number of qubits, got {n}")
     signs = _flip_signs(n)
-    tilde = rhos[:, ::-1, ::-1].conj()  # signed in place below: one stack, not two
+    tilde = np.conj(rhos[:, ::-1, ::-1])  # a new array even for real input: signed in place
     tilde *= np.outer(signs, signs)
     lam = _wootters_lambdas(rhos @ tilde)
-    return np.maximum(0.0, 2.0 * lam[:, 0] - lam.sum(axis=-1))
+    values = np.maximum(0.0, 2.0 * lam[:, 0] - lam.sum(axis=-1))
+    return [_aggregate([c] * n) for c in values]
 
 
 def tau_lower_bound(rho: np.ndarray) -> TauResult:
@@ -157,8 +158,8 @@ def tau_lower_bound(rho: np.ndarray) -> TauResult:
     ``per_cut`` holds N equal entries and ``value`` equals
     ``convention_scale`` times the common Wootters value.
     """
-    n = assert_density_matrix(rho)
-    return _aggregate([_spin_flip_values(rho[None])[0]] * n)
+    assert_density_matrix(rho)
+    return _tau_lower_bounds(rho[None])[0]
 
 
 def _cut_arrays(rho: np.ndarray, n: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,17 +211,19 @@ def tau_generator_bound(rho: np.ndarray) -> TauResult:
                        for cut in range(n)])
 
 
-def analytic_tau(channel: Channel, kt: float) -> float:
-    """Closed-form value of :func:`tau_lower_bound` on a 4-qubit GHZ register."""
-    channel = Channel(channel)
+def _signed_tau(channel: Channel, kt: float) -> float:
+    """The closed form of :func:`analytic_tau` before scaling and clamping at zero."""
     co = coefficients(channel, kt)
     if channel in (Channel.X, Channel.Y):
-        raw = 2.0 * co.alpha - 8.0 * co.beta - 6.0 * co.gamma
-    elif channel is Channel.Z:
-        raw = 2.0 * co.corner
-    else:
-        raw = 2.0 * co.corner - 8.0 * co.beta - 6.0 * co.gamma
-    return TAU_SCALE * max(0.0, raw)
+        return 2.0 * co.alpha - 8.0 * co.beta - 6.0 * co.gamma
+    if channel is Channel.Z:
+        return 2.0 * co.corner
+    return 2.0 * co.corner - 8.0 * co.beta - 6.0 * co.gamma
+
+
+def analytic_tau(channel: Channel, kt: float) -> float:
+    """Closed-form value of :func:`tau_lower_bound` on a 4-qubit GHZ register."""
+    return TAU_SCALE * max(0.0, _signed_tau(Channel(channel), kt))
 
 
 def _bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -239,20 +242,12 @@ def _bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 def tau_vanishing_time(channel: Channel) -> float | None:
     """First kappa*t where the closed-form bound hits zero; None if it never does.
 
-    Found by bisection on the signed expression inside the closed form.
-    The Z-channel bound sqrt(2) * exp(-8 kt) stays positive for all times.
+    Found by bisection; the Z-channel bound sqrt(2) * exp(-8 kt) stays positive.
     """
     channel = Channel(channel)
     if channel is Channel.Z:
         return None
-
-    def signed(kt: float) -> float:
-        co = coefficients(channel, kt)
-        if channel in (Channel.X, Channel.Y):
-            return 2.0 * co.alpha - 8.0 * co.beta - 6.0 * co.gamma
-        return 2.0 * co.corner - 8.0 * co.beta - 6.0 * co.gamma
-
-    return _bisect_root(signed, 0.0, 2.0)
+    return _bisect_root(lambda kt: _signed_tau(channel, kt), 0.0, 2.0)
 
 
 def _ppt_min_eigenvalues(rhos: np.ndarray, subset: tuple[int, ...] | list[int]) -> np.ndarray:

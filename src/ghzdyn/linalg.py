@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 MAX_QUBITS = 10
-# Entries (4**n per n-qubit frame or state) per batched call: 64 discord
-# frames or sweep states at 4 qubits, so memory stays flat in the batch size.
+# Entries (4**n per n-qubit frame or state) per batched call: 64 discord frames at
+# 4 qubits, and a sweep chunk takes a quarter, so memory stays flat in the batch size.
 BATCH_ENTRIES = 2**14
 
 # Tolerances (README *Conventions* lists the same table).

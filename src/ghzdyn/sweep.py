@@ -12,11 +12,11 @@ and the file is written atomically.  ``jobs`` splits the grid into that
 many contiguous blocks of cells, one per worker process; the record order
 never depends on the job count.
 
-A block builds its closed-form states in chunks of at most 64 (the
-``BATCH_ENTRIES`` budget) and measures each chunk as one stack: one
+A block builds its closed-form states in chunks of at most 16 (a quarter
+of the ``BATCH_ENTRIES`` budget) and measures each chunk as one stack: one
 ``eigvalsh`` validates the states and gives their entropy spectra, one
 ``eigvals`` the Wootters roots of the spin flip (a signed index reversal),
-one ``eigvalsh`` the partial transposes, one search the discord
+one ``eigvalsh`` the partial transposes; the block's discord is one search
 (:func:`ghzdyn.discord._global_discords`).  No value depends on the chunk.
 """
 
@@ -25,20 +25,22 @@ from __future__ import annotations
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channels import Channel, closed_form_state
 from .discord import OptimizerConfig, _global_discords, analytic_gqd
-from .entanglement import _aggregate, _ppt_min_eigenvalues, _spin_flip_values, analytic_tau
+from .entanglement import _ppt_min_eigenvalues, _tau_lower_bounds, analytic_tau
 from .linalg import BATCH_ENTRIES, _density_spectra, _entropies
 
 CSV_HEADER = "channel,kappa_t,tau_analytic,tau_numeric,gqd_analytic,gqd_numeric,ppt_min_eig,entropy"
 MEASURES = ("tau", "gqd", "ppt", "entropy")
 METHODS = ("analytic", "numeric", "both")
 ALL_CHANNELS = (Channel.X, Channel.Y, Channel.Z, Channel.ISO)
-_CHUNK = BATCH_ENTRIES // 4**4  # closed-form states have 4 qubits: 4**4 entries each
+# A quarter of the batch budget, 16 states at 4 qubits: a chunk's measures hold about three
+# complex temporaries of its size, and 64-state chunks raised a state sweep's peak RSS 0.7 MiB.
+_CHUNK = BATCH_ENTRIES // (4 * closed_form_state(Channel.Z, 0.0).size)
 
 
 @dataclass(frozen=True)
@@ -99,14 +101,14 @@ class SweepRecord:
 
 def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str, OptimizerConfig]
                    ) -> list[SweepRecord]:
-    """Records of a block of (channel, kappa_t) cells, measured ``_CHUNK`` cells at a time."""
+    """Records of a block of cells, measured ``_CHUNK`` at a time; one discord search per block."""
     cells, measures, method, optimizer = args
     analytic = method in ("analytic", "both")
     numeric = method in ("numeric", "both")
     tau_numeric = numeric and "tau" in measures
     searched = numeric and "gqd" in measures
     needs_state = tau_numeric or searched or "ppt" in measures or "entropy" in measures
-    records = []
+    records, searched_states = [], []
     for lo in range(0, len(cells), _CHUNK):
         chunk = cells[lo:lo + _CHUNK]
         columns: dict[str, list[float]] = {}
@@ -118,15 +120,18 @@ def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str, Op
             states = np.stack([closed_form_state(channel, kt) for channel, kt in chunk])
             spectra = _density_spectra(states)
         if tau_numeric:
-            columns["tau_numeric"] = [_aggregate([c] * 4).value for c in _spin_flip_values(states)]
+            columns["tau_numeric"] = [r.value for r in _tau_lower_bounds(states)]
         if searched:
-            columns["gqd_numeric"] = [r.value for r in _global_discords(list(states), optimizer)]
+            searched_states += list(states)
         if "ppt" in measures:
             columns["ppt_min_eig"] = _ppt_min_eigenvalues(states, (0,)).tolist()
         if "entropy" in measures:
             columns["entropy"] = _entropies(spectra).tolist()
         records += [SweepRecord(channel, kt, **dict(zip(columns, values)))
                     for (channel, kt), *values in zip(chunk, *columns.values())]
+    if searched:
+        discords = _global_discords(searched_states, optimizer)
+        records = [replace(r, gqd_numeric=d.value) for r, d in zip(records, discords)]
     return records
 
 

@@ -11,7 +11,7 @@ from ghzdyn.entanglement import (
     TAU_SCALE,
     _flip_signs,
     _ppt_min_eigenvalues,
-    _spin_flip_values,
+    _tau_lower_bounds,
     _wootters_lambdas,
     analytic_tau,
     cut_terms,
@@ -355,8 +355,26 @@ def test_stack_cores_match_the_per_state_reference():
     states = _stack_test_states()
     flip = np.array([_reference_flip_value(rho) for rho in states])
     ppt = np.array([_reference_ppt(rho) for rho in states])
-    assert np.array_equal(_spin_flip_values(states), flip)
+    stacked = _tau_lower_bounds(states)
+    assert np.array_equal([r.per_cut for r in stacked], np.repeat(flip[:, None], 4, axis=1))
     assert np.array_equal(_ppt_min_eigenvalues(states, (0,)), ppt)
-    for rho, value, witness in zip(states, flip, ppt):
+    for rho, value, witness, result in zip(states, flip, ppt, stacked):
+        assert tau_lower_bound(rho) == result
         assert tau_lower_bound(rho).per_cut == (value,) * 4
         assert ppt_min_eigenvalue(rho, (0,)) == witness
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_tau_lower_bound_leaves_real_states_alone(n, rng):
+    # The flip conjugates a reversed view; on a real state it must still copy
+    # before signing, or it writes S rho S into the caller's array.
+    plus = np.full(2**n, 2 ** (-n / 2))
+    a = rng.normal(size=(2**n, 2**n))
+    for rho in (np.outer(plus, plus), a @ a.T / np.trace(a @ a.T)):
+        kept = rho.copy()
+        assert rho.dtype == float
+        # Real and complex eigensolvers agree to rounding, not bit for bit.
+        got, want = tau_lower_bound(rho), tau_lower_bound(rho.astype(complex))
+        assert np.allclose(got.per_cut, want.per_cut, rtol=0.0, atol=1e-12)
+        assert np.array_equal(rho, kept)
+    assert tau_lower_bound(np.outer(plus, plus)).value == 0.0
