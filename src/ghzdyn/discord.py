@@ -15,14 +15,15 @@ frame's outcome probabilities contract C with one row pair
 for its Bloch vector r_j, along the same axes.
 
 :func:`global_discord` minimises it with a deterministic three-stage search:
-the named z/x/y frames, a uniform-frame grid, then coordinate descent with
-golden-section line searches from the best starts.  The descents keep their
-state in arrays and run in lockstep, each round one objective batch, and
-one search carries a block of states together (each frame is measured on
-the state that owns it), so a sweep pays a round's fixed cost once per
-block of cells.  A frame's value does not depend on its batch, so each state
-gets the result it gets when searched alone.  :func:`analytic_gqd` gives
-the closed-form values for the 4-qubit channel states to cross-check.
+the named z/x/y frames, a uniform-frame grid, then coordinate descent from
+the best starts.  Along one angle x of one qubit every outcome probability
+is ``A + B cos x + C sin x``, so a line search contracts C once and then
+prices each trial at O(2**N): a few 9-point scans over a shrinking bracket.
+The descents run in lockstep, one scan a round, and one search carries a
+block of states (each frame is measured on the state that owns it), so a
+sweep pays a round's fixed cost once per block of cells.  No value depends
+on its batch, so each state gets the result it gets when searched alone.
+:func:`analytic_gqd` gives the closed forms of the 4-qubit channel states.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ import numpy as np
 
 from .channels import PAULI_X, PAULI_Y, PAULI_Z, Channel, closed_form_spectrum, coefficients
 from .entanglement import _bisect_root
-from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, assert_density_matrix, partial_trace,
-                     shannon_entropies, shannon_entropy, von_neumann_entropy)
+from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, _density_spectra, _entropies,
+                     assert_density_matrix, num_qubits, partial_trace, shannon_entropies,
+                     shannon_entropy, von_neumann_entropy)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 9
 _ANGLE_TOL = 1e-7
 _TIE_TOL = 1e-12
@@ -53,8 +54,9 @@ class OptimizerConfig:
 
     ``theta_grid`` points span [0, pi] inclusive and ``phi_grid`` points
     span [0, 2*pi) in the uniform-frame scan; ``refine_sweeps`` bounds the
-    coordinate-descent passes, each stopping early once a full sweep
-    improves the objective by less than ``tolerance``.
+    coordinate-descent sweeps (one line search per angle), stopping early
+    once a sweep improves the objective by less than ``tolerance``.  A line
+    search rescans 9 points until their spacing is 1e-7; it has no knob.
     """
 
     theta_grid: int = 21
@@ -87,20 +89,10 @@ class DiscordResult:
     optimizer_evals: int
 
 
-def _local_bases(angles: np.ndarray) -> np.ndarray:
-    """Measurement pairs for ``(..., 2)`` Bloch angles; ``out[..., k, :]`` is vector k."""
-    theta, phi = angles[..., 0], angles[..., 1]
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    e = np.exp(-1j * phi)
-    out = np.empty(theta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1] = c, e * s
-    out[..., 1, 0], out[..., 1, 1] = -s, e * c
-    return out
-
-
 def measurement_basis(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal measurement pair along the Bloch directions n(theta, phi) and -n(theta, phi)."""
-    return tuple(_local_bases(np.array([theta, phi], dtype=float)).conj())
+    c, s, e = math.cos(theta / 2.0), math.sin(theta / 2.0), np.exp(1j * phi)
+    return np.array([c, e * s]), np.array([-s, e * c])
 
 
 def projector(theta: float, phi: float, outcome: int) -> np.ndarray:
@@ -154,22 +146,46 @@ def _pauli_tensor(rho: np.ndarray, n: int) -> np.ndarray:
     return t.real.reshape(-1)
 
 
+def _rows(frames: np.ndarray) -> np.ndarray:
+    """Row pairs ``0.5 * (1, +-n_j)`` over (I, X, Y, Z) of ``(..., n, 2)`` frames."""
+    theta, phi = frames[..., 0], frames[..., 1]
+    s = np.sin(theta)
+    axes = np.stack([np.ones_like(s), s * np.cos(phi), s * np.sin(phi), np.cos(theta)], -1)
+    return 0.5 * axes[..., None, :] * _OUTCOME_SIGNS
+
+
 class _GlobalObjective:
     """Discord objective of frames on a stack of states, frame-independent pieces precomputed.
 
-    A state is held as its Pauli tensor and each qubit's ``(1, r_j)``.  Frame
+    A state is held as its Pauli tensor, each qubit's ``(1, r_j)`` and the
+    entropies of the state (from ``spectra``, its ascending spectrum, when
+    given) and of its marginals (eigenvalues ``(1 +- |r_j|) / 2``).  Frame
     ``b`` of a batch is measured on state ``owner[b]``.  Each frame's
     arithmetic is the same whatever batch it lands in, so its value is too.
     """
 
-    def __init__(self, rhos: np.ndarray, n: int) -> None:
+    def __init__(self, rhos: np.ndarray, n: int, spectra: np.ndarray | None = None) -> None:
         self.coefficients = np.stack([_pauli_tensor(rho, n) for rho in rhos])
         self.bloch = np.stack([self.coefficients.reshape(len(rhos), 4**j, 4, -1)[:, 0, :, 0]
                                for j in range(n)], axis=1)
-        self.state_entropy = np.array([von_neumann_entropy(rho) for rho in rhos])
-        self.marginal_entropies = np.array(
-            [[von_neumann_entropy(partial_trace(rho, (j,))) for j in range(n)] for rho in rhos])
+        self.state_entropy = _entropies(np.linalg.eigvalsh(rhos) if spectra is None else spectra)
+        radius = np.linalg.norm(self.bloch[..., 1:], axis=-1)
+        halves = 0.5 * (self.bloch[..., :1] + np.stack([-radius, radius], -1))
+        self.marginal_entropies = _entropies(halves.reshape(-1, 2)).reshape(len(rhos), n)
         self.batch = max(1, BATCH_ENTRIES // self.coefficients.shape[1])  # 4**n entries a frame
+
+    def _contract(self, rows: list[np.ndarray], owner: np.ndarray) -> np.ndarray:
+        """States ``owner``'s Pauli tensors contracted on qubit j with ``(B, m_j, 4)`` ``rows[j]``."""
+        t, lead = self.coefficients[owner], 1
+        for r in rows:
+            t = r[:, None] @ t.reshape(len(owner), lead, 4, -1)
+            lead *= r.shape[1]
+        return t.reshape(len(owner), -1)
+
+    def _local(self, rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """``S(Phi_j(rho_j)) - S(rho_j)`` of every qubit for ``(B, n, 2, 4)`` row pairs."""
+        probs = (rows @ self.bloch[owner][..., None])[..., 0]
+        return shannon_entropies(probs) - self.marginal_entropies[owner]
 
     def __call__(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Objective values of ``(B, n, 2)`` frames on states ``owner``, ``batch`` at a time."""
@@ -177,119 +193,125 @@ class _GlobalObjective:
                                for i in range(0, len(frames), self.batch)])
 
     def _evaluate(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        count, n = frames.shape[:2]
-        theta, phi = frames[..., 0], frames[..., 1]
-        s = np.sin(theta)
-        axes = np.stack([np.ones_like(s), s * np.cos(phi), s * np.sin(phi), np.cos(theta)], -1)
-        rows = 0.5 * axes[..., None, :] * _OUTCOME_SIGNS  # 0.5 * (1, +-n_j) per qubit
-        probs = self.coefficients[owner]
-        for j in range(n):
-            probs = rows[:, j, None] @ probs.reshape(count, 2**j, 4, -1)
-        total = shannon_entropies(probs.reshape(count, -1)) - self.state_entropy[owner]
-        local = shannon_entropies((rows @ self.bloch[owner][..., None])[..., 0])
-        return total - (local - self.marginal_entropies[owner]).sum(axis=1)
+        rows = _rows(frames)
+        total = shannon_entropies(self._contract(list(rows.swapaxes(0, 1)), owner))
+        return total - self.state_entropy[owner] - self._local(rows, owner).sum(axis=1)
+
+    def line(self, frames: np.ndarray, owners: np.ndarray, qubit: int, coord: int):
+        """Evaluator of the objective along angle ``coord`` of ``qubit`` from each of ``frames``.
+
+        On the line the qubit's direction is ``a + b cos x + c sin x``, so every
+        outcome probability is ``A + B cos x + C sin x``.  One contraction per
+        frame (``batch`` at a time) gives the coefficients; ``evaluate(xs, sel)``
+        then values ``(R, K)`` angles of frames ``sel`` at O(2**n) a trial.
+        """
+        count, width = len(frames), 2 ** frames.shape[1]
+        # Theta: n = cos x z + sin x (cos phi, sin phi, 0); phi: n = cos theta z + sin theta
+        # (cos x, sin x, 0).  Either way the row pairs r0, r1, r2 at x = 0, pi/2, pi give the
+        # line's rows: 0.5 (1, +-a) = (r0 + r2) / 2, 0.5 (0, +-b) = (r0 - r2) / 2 and
+        # 0.5 (0, +-c) = r1 - (r0 + r2) / 2.
+        ends = np.repeat(frames[:, qubit, None], 3, axis=1)
+        ends[..., coord] = 0.0, 0.5 * math.pi, math.pi
+        r0, r1, r2 = np.moveaxis(_rows(ends), 1, 0)
+        basis = np.stack([r0 + r2, r0 - r2, 2.0 * r1 - r0 - r2], 2).reshape(count, 6, 4) / 2.0
+        rows = _rows(frames)
+        legs = list(rows.swapaxes(0, 1))
+        legs[qubit] = basis
+        joint = np.concatenate([self._contract([leg[i:i + self.batch] for leg in legs],
+                                               owners[i:i + self.batch])
+                                for i in range(0, count, self.batch)])
+        # Rows (1, cos x, sin x) of the joint outcomes, then of the qubit's own padded to as
+        # many, so that one shannon_entropies call takes both.
+        joint = np.moveaxis(joint.reshape(count, 2**qubit, 2, 3, -1), 3, 1).reshape(count, 3, -1)
+        own = (basis @ self.bloch[owners, qubit][..., None]).reshape(count, 2, 3).swapaxes(1, 2)
+        coef = np.concatenate([joint, own, np.zeros((count, 3, width - 2))], axis=2)
+        shift = (self.marginal_entropies[owners, qubit] - self.state_entropy[owners]
+                 - np.delete(self._local(rows, owners), qubit, axis=1).sum(axis=1))
+
+        def evaluate(xs: np.ndarray, sel: np.ndarray) -> np.ndarray:
+            out, step = np.empty(xs.shape), max(1, BATCH_ENTRIES // (2 * width * xs.shape[1]))
+            for i in range(0, len(sel), step):
+                x, part = xs[i:i + step], sel[i:i + step]
+                trig = np.empty(x.shape + (3,))
+                trig[..., 0] = 1.0
+                np.cos(x, out=trig[..., 1])
+                np.sin(x, out=trig[..., 2])
+                h = shannon_entropies((trig @ coef[part]).reshape(x.shape + (2, width)))
+                out[i:i + step] = h[..., 0] - h[..., 1] + shift[part, None]
+            return out
+
+        return evaluate
 
 
 class _ConditionalEntropy:
-    """Objective of :func:`bipartite_discord` on 1-qubit frames for qubit 1.
+    """Objective of :func:`bipartite_discord` on 1-qubit frames for qubit 1 (owner 0).
 
-    Value: sum_k p_k S(rho_0 given outcome k) - S(rho_0), which is -J.
-    It holds one state, so every frame's ``owner`` is 0.
+    Value: sum_k p_k S(rho_0 given outcome k) - S(rho_0), which is -J, for
+    the outcomes of :func:`projector`.  Outcome k leaves qubit 0 in
+    ``(u_0 + u . sigma) / 2``, ``u = C . 0.5 (1, +-n)`` for the Pauli tensor
+    C, of eigenvalues ``(u_0 +- |u|) / 2``: the value is H(those four) - H(p) - S(rho_0).
     """
 
     def __init__(self, rho: np.ndarray) -> None:
-        self.t = rho.reshape(2, 2, 2, 2)
+        self.c = _pauli_tensor(rho, 2).reshape(4, 4)
         self.s_a = von_neumann_entropy(partial_trace(rho, (0,)))
 
     def __call__(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        v = _local_bases(frames[:, 0])
-        m = np.einsum("bkx,axcy,bky->bkac", v.conj(), self.t, v)
-        p = np.trace(m, axis1=-2, axis2=-1).real
-        seen = p > _PROB_FLOOR
-        weighted = np.zeros_like(p)
-        lam = np.linalg.eigvalsh(m[seen] / p[seen, None, None])
-        weighted[seen] = p[seen] * shannon_entropies(lam)
-        return weighted.sum(axis=-1) - self.s_a
+        u = _rows(frames[:, 0]) @ self.c.T
+        radius = np.linalg.norm(u[..., 1:], axis=-1)
+        lam = 0.5 * (u[..., :1] + np.stack([-radius, radius], -1))
+        return shannon_entropies(lam.reshape(-1, 4)) - shannon_entropies(u[..., 0]) - self.s_a
+
+    def line(self, frames: np.ndarray, owners: np.ndarray, qubit: int, coord: int):
+        """Evaluator of ``(R, K)`` angles of frames ``sel``, as whole trial frames."""
+        def evaluate(xs: np.ndarray, sel: np.ndarray) -> np.ndarray:
+            trials = np.repeat(frames[sel, None], xs.shape[1], axis=1)
+            trials[..., qubit, coord] = xs
+            return self(trials.reshape(-1, 1, 2), owners[sel].repeat(xs.shape[1])).reshape(xs.shape)
+        return evaluate
 
 
 def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: OptimizerConfig):
-    """Coordinate descent with golden line searches from every start, all in lockstep.
+    """Coordinate descent by repeated line scans from every start, all in lockstep.
 
-    A line search scans one angle at ``_SCAN_POINTS`` points, golden-section
-    searches the bracket around the scan minimum, and keeps the better minimum
-    if it beats the descent's best.  A descent ends after ``refine_sweeps``
-    sweeps, or after a sweep that gains less than ``tolerance``.  Each round
-    evaluates every live descent's pending trials as one batch.  Start ``i``
-    descends on state ``owners[i]`` exactly as it would alone.  Returns each
-    descent's ``(value, frame)`` and evaluation count, in start order.
+    A sweep searches each angle in turn, qubit by qubit: scan ``_SCAN_POINTS``
+    points over [0, pi] or [0, 2 pi], then rescan one spacing either side of
+    the scan minimum until the spacing is at most ``_ANGLE_TOL``.  Brackets
+    are not clipped: an angle past either end is a valid frame, and a minimum
+    just across the phi seam stays in reach.  The best point scanned replaces
+    the angle if it beats the descent's best by 1e-15.  A descent ends after
+    ``refine_sweeps`` sweeps, or after a sweep that gains less than
+    ``tolerance``.  Each round is one scan, on ``objective.line``, of every
+    live descent whose bracket is open.  Start ``i`` descends on state
+    ``owners[i]`` exactly as it would alone.  Returns each descent's
+    ``(value, frame)`` and evaluation count, in start order.
     """
     frames = np.array(starts, dtype=float)
-    count, n = frames.shape[:2]
-    angles = frames.reshape(count, 2 * n)  # a view; line search l moves angle l % 2n
     owners = np.asarray(owners)
-    scans = np.linspace(0.0, [math.pi, 2.0 * math.pi], _SCAN_POINTS, axis=1)  # theta, phi
     best = objective(frames, owners)
-    evals = np.ones(count, dtype=int)
-    sweep_start, line = best.copy(), np.zeros(count, dtype=int)
-    x0, f0 = np.zeros((2, count))  # each descent's latest scan minimum
-    # Descents scanning and golden stepping, by index.  A golden descent holds its
-    # bracket [a, b], inner points c < d valued fc and fd, and whether its pending
-    # point is c (``left``); the first ``fresh`` have a new bracket, so c is too.
-    scan = np.arange(count if config.refine_sweeps else 0)
-    golden = scan[:0]
-    a = b = c = d = fc = fd = np.zeros(0)
-    left, fresh, regroup = np.zeros(0, dtype=bool), 0, True
-    while len(scan) + len(golden):
-        xs = np.where(left, c, d)
-        if regroup:  # the batch's rows changed since the last round
-            rows = np.concatenate([np.repeat(scan, _SCAN_POINTS), golden[:fresh], golden])
-            trials, owned, counts = angles[rows], owners[rows], np.bincount(rows, minlength=count)
-            pending = np.arange(len(rows)), line[rows] % (2 * n)
-            xs = np.concatenate([scans[line[scan] % 2].reshape(-1), c[:fresh], xs])
-        trials[pending] = xs
-        values = objective(trials.reshape(-1, n, 2), owned)
-        evals += counts
-        f = values[len(values) - len(golden):]
-        fc, fd = np.where(left, f, fc), np.where(left, fd, f)
-        fc[:fresh] = values[len(scan) * _SCAN_POINTS:len(scan) * _SCAN_POINTS + fresh]
-
-        going = b - a > _ANGLE_TOL
-        done = golden[~going]
-        regroup = len(scan) + fresh + len(done)
-        if len(done):
-            end = ~going
-            x, fx = np.where(fc[end] < fd[end], (c[end], fc[end]), (d[end], fd[end]))
-            x, fx = np.where(fx <= f0[done], (x, fx), (x0[done], f0[done]))
-            better, at = fx < best[done] - 1e-15, (done, line[done] % (2 * n))
-            angles[at] = np.where(better, x, angles[at])
-            best[done] = np.where(better, fx, best[done])
-            a, b, c, d, fc, fd = (v[going] for v in (a, b, c, d, fc, fd))
-            golden = golden[going]
-            line[done] += 1
-            ended = line[done] % (2 * n) == 0
-            stop = ended & ((sweep_start[done] - best[done] < config.tolerance)
-                            | (line[done] >= 2 * n * config.refine_sweeps))
-            sweep_start[done[ended]] = best[done[ended]]
-            done = done[~stop]
-
-        # Golden step: drop the bracket end beyond the worse inner point.
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        shift = _GOLDEN * (b - a)
-        c, d = np.where(left, b - shift, d), np.where(left, c, a + shift)
-        fc = fd = np.minimum(fc, fd)
-
-        fresh = len(scan)
-        if fresh:  # open a bracket around each scan minimum; fc and fd are filled next round
-            coord, f_scan = line[scan] % 2, values[:fresh * _SCAN_POINTS].reshape(fresh, -1)
-            x0[scan], f0[scan] = scans[coord, f_scan.argmin(axis=1)], f_scan.min(axis=1)
-            step, top = scans[coord, 1], scans[coord, -1]  # the scan's spacing and end
-            lo, up = np.maximum(0.0, x0[scan] - step), np.minimum(top, x0[scan] + step)
-            new = lo, up, up - _GOLDEN * (up - lo), lo + _GOLDEN * (up - lo), f0[scan], f0[scan]
-            a, b, c, d, fc, fd = map(np.concatenate, zip(new, (a, b, c, d, fc, fd)))
-            golden = np.concatenate([scan, golden])
-            left = np.concatenate([np.zeros(fresh, dtype=bool), left])
-        scan = done
+    evals, live = np.ones(len(frames), dtype=int), np.arange(len(frames))
+    for _ in range(config.refine_sweeps):
+        sweep_start = best[live]
+        for qubit, coord in np.ndindex(frames.shape[1:]):
+            evaluate = objective.line(frames[live], owners[live], qubit, coord)
+            lo, x, fx = np.zeros(len(live)), np.zeros(len(live)), np.full(len(live), np.inf)
+            hi = np.full(len(live), (1 + coord) * math.pi)
+            bracket = np.arange(len(live))  # the descents still scanning
+            while len(bracket):
+                start, step = lo[bracket], (hi[bracket] - lo[bracket]) / (_SCAN_POINTS - 1)
+                values = evaluate(start[:, None] + step[:, None] * np.arange(_SCAN_POINTS), bracket)
+                evals[live[bracket]] += _SCAN_POINTS
+                xk, fk = start + step * values.argmin(axis=1), values.min(axis=1)
+                gain = fk < fx[bracket]
+                x[bracket[gain]], fx[bracket[gain]] = xk[gain], fk[gain]
+                lo[bracket], hi[bracket] = xk - step, xk + step
+                bracket = bracket[step > _ANGLE_TOL]
+            better = fx < best[live] - 1e-15
+            frames[live[better], qubit, coord] = x[better]
+            best[live[better]] = fx[better]
+        live = live[sweep_start - best[live] >= config.tolerance]
+        if not len(live):
+            break
     return [(float(v), f) for v, f in zip(best, frames)], evals.tolist()
 
 
@@ -351,11 +373,12 @@ def _global_discords(states: list[np.ndarray],
     The states must share their qubit count.  Each result is the one
     :func:`global_discord` gives for that state alone.
     """
-    sizes = {assert_density_matrix(rho) for rho in states}
+    sizes = {num_qubits(rho) for rho in states}
     if len(sizes) != 1:
         raise ValueError(f"states must share one qubit count, got {sorted(sizes)}")
     n = sizes.pop()
-    searched = _search(_GlobalObjective(np.stack(states), n), len(states), n,
+    rhos = np.stack(states)  # validated with their spectra in one eigvalsh call
+    searched = _search(_GlobalObjective(rhos, n, _density_spectra(rhos)), len(states), n,
                        config or OptimizerConfig())
     results = []
     for value, frame, branch_values, evals in searched:
@@ -392,8 +415,7 @@ def bipartite_discord(rho: np.ndarray, config: OptimizerConfig | None = None) ->
     if n != 2:
         raise ValueError(f"bipartite discord needs exactly 2 qubits, got {n}")
     objective = _ConditionalEntropy(rho)
-    s_b = von_neumann_entropy(partial_trace(rho, (1,)))
-    mutual = objective.s_a + s_b - von_neumann_entropy(rho)
+    mutual = objective.s_a + von_neumann_entropy(partial_trace(rho, (1,))) - von_neumann_entropy(rho)
     best = _search(objective, 1, 1, config or OptimizerConfig())[0][0]
 
     value = mutual + best  # best == -max J

@@ -181,18 +181,9 @@ def _format(value: float | None) -> str:
 
 def emit_csv(records: list[SweepRecord], path: str) -> None:
     """Write records atomically with fixed header, digits and line endings."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            r.channel,
-            _format(r.kappa_t),
-            _format(r.tau_analytic),
-            _format(r.tau_numeric),
-            _format(r.gqd_analytic),
-            _format(r.gqd_numeric),
-            _format(r.ppt_min_eig),
-            _format(r.entropy),
-        ]))
+    columns = CSV_HEADER.split(",")[1:]
+    lines = [CSV_HEADER] + [",".join([r.channel] + [_format(getattr(r, c)) for c in columns])
+                            for r in records]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -232,13 +223,8 @@ def emit_plot_script(records: list[SweepRecord], csv_path: str, script_path: str
     the script stays readable and editable.  Returns the script path.
     """
     def column_for(prefix: str) -> str | None:
-        numeric = f"{prefix}_numeric"
-        analytic = f"{prefix}_analytic"
-        if any(getattr(r, numeric) is not None for r in records):
-            return numeric
-        if any(getattr(r, analytic) is not None for r in records):
-            return analytic
-        return None
+        return next((c for c in (f"{prefix}_numeric", f"{prefix}_analytic")
+                     if any(getattr(r, c) is not None for r in records)), None)
 
     panels = [(m, col, label) for m, label in (("tau", "concurrence bound"), ("gqd", "global discord"))
               if (col := column_for(m)) is not None]
@@ -252,19 +238,11 @@ def emit_plot_script(records: list[SweepRecord], csv_path: str, script_path: str
     body = [f"fig, axes = plt.subplots(1, {len(panels)}, figsize=({5.5 * len(panels):.1f}, 4.2), squeeze=False)"]
     for idx, (_, column, label) in enumerate(panels):
         body.append(f"ax = axes[0][{idx}]")
-        for ch in channels:
-            style = styles.get(ch, "-")
-            name = names.get(ch, ch)
-            body.append(
-                f'ax.plot(*series(rows, "{ch}", "{column}"), "{style}", label="{name}")'
-            )
-        body.append('ax.set_xlabel("kappa * t")')
-        body.append(f'ax.set_ylabel("{label}")')
-        body.append("ax.legend()")
-        body.append("ax.grid(alpha=0.3)")
-    body.append("fig.tight_layout()")
-    body.append("fig.savefig(OUT_PATH, dpi=150)")
-    body.append('print(f"wrote {OUT_PATH}")')
+        body += [f'ax.plot(*series(rows, "{ch}", "{column}"), "{styles.get(ch, "-")}", '
+                 f'label="{names.get(ch, ch)}")' for ch in channels]
+        body += ['ax.set_xlabel("kappa * t")', f'ax.set_ylabel("{label}")', "ax.legend()",
+                 "ax.grid(alpha=0.3)"]
+    body += ["fig.tight_layout()", "fig.savefig(OUT_PATH, dpi=150)", 'print(f"wrote {OUT_PATH}")']
 
     if script_path is None:
         script_path = os.path.splitext(csv_path)[0] + "_plot.py"

@@ -75,7 +75,7 @@ def check_tau_vanishing() -> list[CheckResult]:
     """Bisection roots agree with the quadratic roots; Z never vanishes."""
     root_xy = -math.log(math.sqrt(12.0) - 3.0) / 4.0
     root_iso = -math.log((2.0 * math.sqrt(2.0) - 1.0) / 3.0) / 8.0
-    results = [
+    return [
         _result("tau-vanishing", "X-channel root vs quadratic solution",
                 tau_vanishing_time(Channel.X), root_xy, 1e-5),
         _result("tau-vanishing", "Y-channel root vs quadratic solution",
@@ -85,7 +85,6 @@ def check_tau_vanishing() -> list[CheckResult]:
         _flag("tau-vanishing", "Z-channel bound never vanishes (root is None)",
               tau_vanishing_time(Channel.Z) is None),
     ]
-    return results
 
 
 def check_sudden_change() -> list[CheckResult]:

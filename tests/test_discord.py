@@ -163,7 +163,7 @@ def test_global_discord_ghz():
     assert result.branch_values["z"] == pytest.approx(1.0, abs=1e-9)
     assert result.branch_values["x"] == pytest.approx(3.0, abs=1e-9)
     assert result.branch_values["y"] == pytest.approx(3.0, abs=1e-9)
-    assert result.optimizer_evals == 1402
+    assert result.optimizer_evals == 3042
     for theta, _ in result.frame:
         assert min(abs(theta), abs(math.pi - theta)) < 1e-3
     assert result.value <= min(result.branch_values.values()) + 1e-12
@@ -383,64 +383,63 @@ def test_row_entropies_match_the_scalar_entropy(rng):
     *(closed_form_state(channel, 0.3) for channel in Channel),
 ], ids=["ghz", *(f"{c.value}-0.3" for c in Channel)])
 def test_evaluation_count_is_pinned(state):
-    # 3 named frames + 21 x 16 grid + the descents from 3 distinct starts.
-    assert global_discord(state).optimizer_evals == 1402
+    # 3 named frames + 21 x 16 grid + 3 distinct starts, each descending for one
+    # sweep: its start, then 4 x (12 + 13) scans of 9 points (see the round count).
+    assert global_discord(state).optimizer_evals == 3042
 
 
 def test_search_round_count_is_pinned(monkeypatch):
-    # The named frames, the grid, then one call per lockstep round.
+    # The named frames, the grid and the starts, then one line scan per round:
+    # per sweep 4 theta lines of 12 scans and 4 phi lines of 13 (the spacing starts
+    # at pi/8 or pi/4 and falls 4x a scan to 1e-7); the GHZ descents stop after one.
     batches = []
-    call = _GlobalObjective.__call__
+    call, line = _GlobalObjective.__call__, _GlobalObjective.line
 
     def counting(self, frames, owner):
         batches.append(len(frames))
         return call(self, frames, owner)
 
+    def counting_line(self, *args):
+        evaluate = line(self, *args)
+
+        def scan(xs, sel):
+            batches.append(xs.size)
+            return evaluate(xs, sel)
+        return scan
+
     monkeypatch.setattr(_GlobalObjective, "__call__", counting)
+    monkeypatch.setattr(_GlobalObjective, "line", counting_line)
     result = global_discord(ghz_state(4))
-    assert len(batches) == 291
-    assert sum(batches) == result.optimizer_evals == 1402
+    assert len(batches) == 103
+    assert sum(batches) == result.optimizer_evals == 3042
 
 
 def _reference_descent(objective, frame: np.ndarray, config: OptimizerConfig):
-    """One descent at a time, in scalar arithmetic: what each lockstep descent must reproduce."""
-    frame, golden, evals = frame.copy(), discord._GOLDEN, [0]
-
-    def f(j, coord, values):
-        trials = np.repeat(frame[None], len(values), axis=0)
-        trials[:, j, coord] = values
-        evals[0] += len(values)
-        return objective(trials, np.zeros(len(values), dtype=int))
-
-    best = objective(frame[None], np.zeros(1, dtype=int))[0]
-    evals[0] = 1
+    """One descent at a time, scalar control flow: what each lockstep descent must reproduce."""
+    frame, own, points = frame.copy(), np.zeros(1, dtype=int), discord._SCAN_POINTS
+    best, evals = objective(frame[None], own)[0], 1
     for _ in range(config.refine_sweeps):
         sweep_start = best
         for j in range(frame.shape[0]):
             for coord in range(2):
-                hi = math.pi if coord == 0 else 2.0 * math.pi
-                scan = np.linspace(0.0, hi, discord._SCAN_POINTS)
-                values = f(j, coord, scan)
-                k = int(np.argmin(values))
-                step = hi / (discord._SCAN_POINTS - 1)
-                a, b = max(0.0, scan[k] - step), min(hi, scan[k] + step)
-                c, d = b - golden * (b - a), a + golden * (b - a)
-                fc, fd = f(j, coord, (c, d))
-                while b - a > discord._ANGLE_TOL:
-                    if fc < fd:
-                        b, d, fd = d, c, fc
-                        c = b - golden * (b - a)
-                        (fc,) = f(j, coord, (c,))
-                    else:
-                        a, c, fc = c, d, fd
-                        d = a + golden * (b - a)
-                        (fd,) = f(j, coord, (d,))
-                x, fx = (c, fc) if fc < fd else (d, fd)
-                if min(fx, values[k]) < best - 1e-15:
-                    frame[j, coord], best = (x, fx) if fx <= values[k] else (scan[k], values[k])
+                evaluate = objective.line(frame[None], own, j, coord)
+                lo, hi, x, fx = 0.0, (1 + coord) * math.pi, 0.0, math.inf
+                while True:
+                    step = (hi - lo) / (points - 1)
+                    scan = [lo + step * k for k in range(points)]
+                    values = evaluate(np.array([scan]), own)[0].tolist()
+                    evals += points
+                    k = min(range(points), key=values.__getitem__)  # the first minimum
+                    if values[k] < fx:
+                        x, fx = scan[k], values[k]
+                    lo, hi = scan[k] - step, scan[k] + step
+                    if step <= discord._ANGLE_TOL:
+                        break
+                if fx < best - 1e-15:
+                    frame[j, coord], best = x, fx
         if sweep_start - best < config.tolerance:
             break
-    return float(best), frame, evals[0]
+    return float(best), frame, evals
 
 
 def test_lockstep_descents_match_lone_descents():
@@ -465,6 +464,65 @@ def test_lockstep_descents_match_lone_descents():
             assert together[i][0] == lone_value
             assert np.array_equal(together[i][1], lone_frame)
             assert evals[i] == lone_evals
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_line_model_equals_whole_frames(n):
+    rng = np.random.default_rng(100 + n)
+    states = np.stack([random_density(n, rng) for _ in range(2)])
+    objective = _GlobalObjective(states, n)
+    frames = _random_frames(n, 6, rng)
+    frames[::2, :, 0] = 0.0  # pole frames, where phi does not move the direction
+    owners = np.arange(len(frames)) % 2
+    sel = np.arange(len(frames))
+    for qubit in range(n):
+        for coord, top in ((0, math.pi), (1, 2.0 * math.pi)):
+            xs = np.concatenate([np.tile([0.0, math.pi, 2.0 * math.pi], (len(frames), 1)),
+                                 rng.uniform(0.0, top, size=(len(frames), 5))], axis=1)
+            trials = np.repeat(frames[:, None], xs.shape[1], axis=1)
+            trials[..., qubit, coord] = xs
+            whole = objective(trials.reshape(-1, n, 2), owners.repeat(xs.shape[1]))
+            evaluate = objective.line(frames, owners, qubit, coord)
+            assert np.abs(evaluate(xs, sel).reshape(-1) - whole).max() < 1e-12
+            # A subset of the line's frames, in another order, gets the same values.
+            part = sel[::-2]
+            assert np.array_equal(evaluate(xs[part], part), evaluate(xs, sel)[part])
+
+
+def test_objective_entropies_match_the_partial_trace_route():
+    for n in (2, 3, 4, 5):
+        rng = np.random.default_rng(n)
+        states = np.stack([random_density(n, rng) for _ in range(3)] + [random_density(n, rng, 1)])
+        objective = _GlobalObjective(states, n, discord._density_spectra(states))
+        expected = [[von_neumann_entropy(partial_trace(rho, (j,))) for j in range(n)]
+                    for rho in states]
+        assert np.abs(objective.marginal_entropies - expected).max() < 1e-12
+        assert np.abs(objective.state_entropy
+                      - [von_neumann_entropy(rho) for rho in states]).max() < 1e-12
+
+
+@pytest.mark.parametrize("fault, message", [
+    (1e-6j * np.triu(np.ones((16, 16)), 1), "not hermitian"),
+    (np.eye(16) / 32, "trace"),
+    (np.diag([0.0, 0.1, -0.1] + [0.0] * 13), "negative eigenvalue"),
+], ids=["hermiticity", "trace", "positivity"])
+def test_a_bad_state_in_a_search_raises_its_own_error(fault, message):
+    good = closed_form_state(Channel.Z, 0.1)
+    with pytest.raises(ValueError, match=message):
+        discord._global_discords([good, good + fault])
+
+
+@pytest.mark.parametrize("channel", list(Channel), ids=lambda c: c.value)
+def test_no_random_start_descends_below_the_closed_form(channel):
+    # kt = 0.10 and 0.17 sit either side of the X/Y kink at 0.1367.
+    rng = np.random.default_rng(7)
+    kts = (0.10, 0.17, 0.40)
+    objective = _GlobalObjective(np.stack([closed_form_state(channel, kt) for kt in kts]), 4)
+    starts = np.concatenate([_random_frames(4, 16, rng) for _ in kts])
+    owners = np.repeat(np.arange(len(kts)), 16)
+    results, _ = _lockstep(objective, list(starts), owners, OptimizerConfig())
+    floor = np.array([analytic_gqd(channel, kt) for kt in kts])[owners]
+    assert np.min([value for value, _ in results] - floor) > -1e-10
 
 
 def _search_states() -> list[np.ndarray]:
@@ -501,11 +559,41 @@ def _xlog2x(v: float) -> float:
     return 0.0 if v <= 0.0 else v * math.log2(v)
 
 
+def test_conditional_entropy_measures_along_the_projector_direction(rng):
+    rho = random_density(2, rng)
+    objective = discord._ConditionalEntropy(rho)
+    s_a = von_neumann_entropy(partial_trace(rho, (0,)))
+    for theta, phi in ((0.7, 0.4), (1.1, 2.5), (2.0, 5.3)):
+        expected = -s_a
+        for k in (0, 1):
+            slab = np.kron(np.eye(2), projector(theta, phi, k))
+            cond = partial_trace(slab @ rho @ slab, (0,))
+            p = np.trace(cond).real
+            expected += p * von_neumann_entropy(cond / p)
+        value = objective(np.array([[[theta, phi]]]), np.zeros(1, dtype=int))[0]
+        assert value == pytest.approx(expected, abs=1e-12)
+
+
 @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
 def test_bipartite_discord_of_werner_states(z):
     # Ollivier and Zurek, PRL 88, 017901 (2001).
     expected = 0.25 * (_xlog2x(1.0 - z) - 2.0 * _xlog2x(1.0 + z) + _xlog2x(1.0 + 3.0 * z))
     assert bipartite_discord(_werner(z)) == pytest.approx(expected, abs=1e-9)
+
+
+def test_bipartite_discord_finds_a_minimum_just_below_phi_two_pi():
+    # This state's best frame sits near (0.534, 2 pi - 0.157).  The phi scan's minimum is
+    # its first point, phi = 0, so a bracket clipped to [0, 2 pi] would miss it and stop
+    # at 0.0804.  No frame of a dense grid may beat the search.
+    rng = np.random.default_rng(3)
+    random_density(2, rng)
+    rho = random_density(2, rng)
+    objective = discord._ConditionalEntropy(rho)
+    grid = np.stack(np.meshgrid(np.linspace(0.0, math.pi, 181), np.linspace(0.0, 2.0 * math.pi, 361),
+                                indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    mutual = objective.s_a + von_neumann_entropy(partial_trace(rho, (1,))) - von_neumann_entropy(rho)
+    dense = mutual + objective(grid, np.zeros(len(grid), dtype=int)).min()
+    assert dense - 1e-3 < bipartite_discord(rho) <= dense
 
 
 def test_bipartite_discord_descends_once_per_distinct_start(monkeypatch):
