@@ -41,6 +41,8 @@ from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, _density_spectra, _entropies,
 
 _SCAN_POINTS = 9
 _ANGLE_TOL = 1e-7
+# A descent stops after a sweep that improves its objective by less than this.
+_SWEEP_TOL = 1e-7
 _TIE_TOL = 1e-12
 # Outcome probabilities at or below this are outcomes that never occur.
 _PROB_FLOOR = 1e-14
@@ -55,14 +57,13 @@ class OptimizerConfig:
     ``theta_grid`` points span [0, pi] inclusive and ``phi_grid`` points
     span [0, 2*pi) in the uniform-frame scan; ``refine_sweeps`` bounds the
     coordinate-descent sweeps (one line search per angle), stopping early
-    once a sweep improves the objective by less than ``tolerance``.  A line
-    search rescans 9 points until their spacing is 1e-7; it has no knob.
+    once a sweep improves the objective by less than 1e-7.  A line search
+    rescans 9 points until their spacing is 1e-7; neither has a knob.
     """
 
     theta_grid: int = 21
     phi_grid: int = 16
     refine_sweeps: int = 3
-    tolerance: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.theta_grid < 2:
@@ -71,8 +72,6 @@ class OptimizerConfig:
             raise ValueError(f"phi_grid must be >= 1, got {self.phi_grid}")
         if self.refine_sweeps < 0:
             raise ValueError(f"refine_sweeps must be >= 0, got {self.refine_sweeps}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,17 +157,17 @@ class _GlobalObjective:
     """Discord objective of frames on a stack of states, frame-independent pieces precomputed.
 
     A state is held as its Pauli tensor, each qubit's ``(1, r_j)`` and the
-    entropies of the state (from ``spectra``, its ascending spectrum, when
-    given) and of its marginals (eigenvalues ``(1 +- |r_j|) / 2``).  Frame
-    ``b`` of a batch is measured on state ``owner[b]``.  Each frame's
-    arithmetic is the same whatever batch it lands in, so its value is too.
+    entropies of the state (from ``spectra``, its ascending spectrum) and of
+    its marginals (eigenvalues ``(1 +- |r_j|) / 2``).  Frame ``b`` of a batch
+    is measured on state ``owner[b]``.  Each frame's arithmetic is the same
+    whatever batch it lands in, so its value is too.
     """
 
-    def __init__(self, rhos: np.ndarray, n: int, spectra: np.ndarray | None = None) -> None:
+    def __init__(self, rhos: np.ndarray, n: int, spectra: np.ndarray) -> None:
         self.coefficients = np.stack([_pauli_tensor(rho, n) for rho in rhos])
         self.bloch = np.stack([self.coefficients.reshape(len(rhos), 4**j, 4, -1)[:, 0, :, 0]
                                for j in range(n)], axis=1)
-        self.state_entropy = _entropies(np.linalg.eigvalsh(rhos) if spectra is None else spectra)
+        self.state_entropy = _entropies(spectra)
         radius = np.linalg.norm(self.bloch[..., 1:], axis=-1)
         halves = 0.5 * (self.bloch[..., :1] + np.stack([-radius, radius], -1))
         self.marginal_entropies = _entropies(halves.reshape(-1, 2)).reshape(len(rhos), n)
@@ -281,7 +280,7 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: Op
     just across the phi seam stays in reach.  The best point scanned replaces
     the angle if it beats the descent's best by 1e-15.  A descent ends after
     ``refine_sweeps`` sweeps, or after a sweep that gains less than
-    ``tolerance``.  Each round is one scan, on ``objective.line``, of every
+    ``_SWEEP_TOL``.  Each round is one scan, on ``objective.line``, of every
     live descent whose bracket is open.  Start ``i`` descends on state
     ``owners[i]`` exactly as it would alone.  Returns each descent's
     ``(value, frame)`` and evaluation count, in start order.
@@ -309,7 +308,7 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: Op
             better = fx < best[live] - 1e-15
             frames[live[better], qubit, coord] = x[better]
             best[live[better]] = fx[better]
-        live = live[sweep_start - best[live] >= config.tolerance]
+        live = live[sweep_start - best[live] >= _SWEEP_TOL]
         if not len(live):
             break
     return [(float(v), f) for v, f in zip(best, frames)], evals.tolist()
@@ -432,8 +431,8 @@ def _xlg(v: float) -> float:
 def analytic_gqd(channel: Channel, kt: float) -> float:
     """Closed-form global discord of the evolved 4-qubit GHZ state."""
     channel = Channel(channel)
-    if kt < 0:
-        raise ValueError(f"kappa*t must be nonnegative, got {kt}")
+    if not 0.0 <= kt < math.inf:
+        raise ValueError(f"kappa*t must be finite and nonnegative, got {kt}")
     if channel in (Channel.X, Channel.Y):
         entropy = shannon_entropy(closed_form_spectrum(channel, kt))
         return min(1.0, 3.0 - entropy)

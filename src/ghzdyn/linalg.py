@@ -29,6 +29,7 @@ PSD_FLOOR = 1e-10            # eigenvalues and probabilities may dip to -PSD_FLO
 EIGENVALUE_FLOOR = 1e-12     # eigenvalues and probabilities at or below it are zeros
 PROBABILITY_SUM_TOL = 1e-9   # |sum - 1| of a row of outcome probabilities
 NORM_TOL = 1e-10             # |norm - 1| of a state vector; integrator trace drift
+INTEGRATOR_TOL = 1e-9        # a-priori RK4 trace-distance bound; steps double above it
 DISCORD_FLOOR = 1e-9         # a minimised discord may dip to -DISCORD_FLOOR, then clamps to 0
 FLIP_NEGATIVE_LIMIT = 1e-8   # Wootters eigenvalues may dip to -FLIP_NEGATIVE_LIMIT (clamp to 0),
 FLIP_IMAG_LIMIT = 1e-8       # carry imaginary parts up to FLIP_IMAG_LIMIT,

@@ -9,8 +9,8 @@ CSV carries both columns when ``method = "both"``; ``ppt`` and
 Output is byte-reproducible: records are ordered channel-major, floats
 are rendered with 12 significant digits, rows end with a bare newline,
 and the file is written atomically.  ``jobs`` splits the grid into that
-many contiguous blocks of cells, one per worker process; the record order
-never depends on the job count.
+many contiguous blocks of cells, on at most one worker process per CPU;
+the record order never depends on the job count.
 
 A block builds its closed-form states in chunks of at most 16 (a quarter
 of the ``BATCH_ENTRIES`` budget) and measures each chunk as one stack: one
@@ -22,6 +22,7 @@ one ``eigvalsh`` the partial transposes; the block's discord is one search
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -73,8 +74,8 @@ class SweepConfig:
             problems.append(f"duplicate measures in {self.measures}")
         if len(set(self.channels)) != len(self.channels):
             problems.append(f"duplicate channels in {tuple(c.value for c in self.channels)}")
-        if not self.kt_max > 0:
-            problems.append(f"kt_max must be positive, got {self.kt_max}")
+        if not 0.0 < self.kt_max < math.inf:
+            problems.append(f"kt_max must be finite and positive, got {self.kt_max}")
         if self.steps < 2:
             problems.append(f"steps must be >= 2, got {self.steps}")
         if self.method not in METHODS:
@@ -139,7 +140,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured grid, channel-major, in deterministic order.
 
     The cells are split into ``config.jobs`` contiguous blocks; with more
-    than one non-empty block, each goes to its own worker process.
+    than one non-empty block, they go to a pool of at most ``os.cpu_count()``
+    worker processes.
     """
     config.validate()
     grid = np.linspace(0.0, config.kt_max, config.steps)
@@ -149,7 +151,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
               for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if len(blocks) == 1:
         return _compute_block(blocks[0])
-    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
         return [record for block in pool.map(_compute_block, blocks) for record in block]
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_density
+import ghzdyn.channels as channels
 from ghzdyn.channels import (
+    BASE_STEP,
     Channel,
     closed_form_spectrum,
     closed_form_state,
@@ -15,7 +17,9 @@ from ghzdyn.channels import (
     ghz_state,
     lindblad_generator,
 )
-from ghzdyn.linalg import assert_density_matrix, partial_trace, trace_distance
+from ghzdyn.discord import analytic_gqd
+from ghzdyn.entanglement import analytic_tau
+from ghzdyn.linalg import INTEGRATOR_TOL, assert_density_matrix, partial_trace, trace_distance
 
 times = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -64,6 +68,16 @@ def test_coefficients_rejects_negative_time():
     for channel in Channel:
         with pytest.raises(ValueError, match="nonnegative"):
             coefficients(channel, -0.1)
+
+
+@pytest.mark.parametrize("kt", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_rejected(kt):
+    for channel in Channel:
+        for closed_form in (coefficients, analytic_tau, analytic_gqd):
+            with pytest.raises(ValueError, match="finite"):
+                closed_form(channel, kt)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_numeric(ghz_state(2), channel, kt)
 
 
 def test_closed_form_starts_at_ghz():
@@ -214,8 +228,6 @@ def test_evolve_numeric_validation():
     rho = ghz_state(4)
     with pytest.raises(ValueError, match="nonnegative"):
         evolve_numeric(rho, Channel.X, -0.1)
-    with pytest.raises(ValueError, match="positive"):
-        evolve_numeric(rho, Channel.X, 0.1, step_tolerance=0.0)
     with pytest.raises(ValueError, match="hermitian"):
         evolve_numeric(np.ones((16, 16)) * 1j, Channel.X, 0.1)
     frozen = evolve_numeric(rho, Channel.X, 0.0)
@@ -253,3 +265,61 @@ def test_isotropic_channel_forgets_everything():
     gap = trace_distance(evolve_numeric(ghz_state(4), Channel.ISO, 1.0),
                          closed_form_state(Channel.ISO, 1.0))
     assert gap < 1e-8
+
+
+def _paired_generator(channel, n):
+    """The dense 4**n x 4**n generator of the paired layout, acting on row-major vec(V)."""
+    a, b = channels._split_generator(channels._site_generator(channel), n)
+    return np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_paired_generator_is_hermitian_with_a_binomial_ladder_spectrum(n):
+    for channel in Channel:
+        dense = _paired_generator(channel, n)
+        assert np.array_equal(dense, dense.conj().T)
+        site = np.linalg.eigvalsh(channels._site_generator(channel))
+        rate = -site[0]
+        assert rate == pytest.approx(4.0 if channel is Channel.ISO else 2.0, abs=1e-14)
+        decaying = int(np.sum(np.abs(site + rate) < 1e-12))  # the site's -rate multiplicity
+        assert decaying + int(np.sum(np.abs(site) < 1e-12)) == 4
+        expected = np.concatenate([
+            np.full(math.comb(n, k) * decaying**k * (4 - decaying) ** (n - k), -rate * k)
+            for k in range(n, -1, -1)])
+        assert np.abs(np.linalg.eigvalsh(dense) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("kt", [0.02, 0.0474, 0.3, 0.6])
+def test_rk4_error_bound_covers_the_distance_to_the_exact_flow(kt):
+    rng = np.random.default_rng(round(1e4 * kt))
+    steps = 2 * math.ceil(kt / BASE_STEP)
+    for n in range(2, 7):
+        for channel in Channel:
+            rho = random_density(n, rng)
+            rate = 4.0 if channel is Channel.ISO else 2.0
+            bound = channels._rk4_error_bound(rate, n, kt, steps)
+            gap = trace_distance(evolve_numeric(rho, channel, kt), _exact_flow(rho, channel, kt))
+            assert gap <= bound <= INTEGRATOR_TOL, (n, channel, gap, bound)
+
+
+def test_one_rk4_run_per_integration_up_to_six_qubits(monkeypatch):
+    runs = []
+
+    def record(v0, a, b, t, steps):
+        runs.append(steps)
+        return v0  # the state itself: only the call and its step count matter here
+
+    monkeypatch.setattr(channels, "_rk4", record)
+    for n in range(2, 7):
+        for channel in Channel:
+            for kt in (1e-13, 0.003, 0.0474, 0.1, 0.6, 3.0):
+                runs.clear()
+                evolve_numeric(ghz_state(n), channel, kt)
+                assert runs == [2 * math.ceil(kt / BASE_STEP)], (n, channel, kt)
+
+
+def test_rk4_error_bound_doubles_the_steps_for_seven_isotropic_qubits():
+    steps = 2 * math.ceil(0.0336 / BASE_STEP)
+    bound = channels._rk4_error_bound(4.0, 7, 0.0336, steps)
+    assert bound == pytest.approx(1.62e-9, rel=0.01)
+    assert bound > INTEGRATOR_TOL >= channels._rk4_error_bound(4.0, 7, 0.0336, 2 * steps)

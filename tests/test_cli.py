@@ -116,6 +116,9 @@ def test_main_maps_usage_errors_to_exit_one(tmp_path, capsys):
     assert cli.main(["--steps", "1"]) == 1
     assert "steps" in capsys.readouterr().err
     assert cli.main(["--kt-max", "-0.5"]) == 1
+    assert cli.main(["--kt-max", "inf"]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert cli.main(["--kt-max", "nan"]) == 1
     assert cli.main(["--channel", "x", "--channel", "x"]) == 1
     assert cli.main(["--config", str(tmp_path / "absent.cfg")]) == 1
     assert cli.main(["--grid-theta", "1"]) == 1

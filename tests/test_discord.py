@@ -42,9 +42,14 @@ angles = st.tuples(
 KINK = 0.136666181320
 
 
+def _objective(rhos: np.ndarray, n: int) -> _GlobalObjective:
+    """The search objective of a stack of states, with their validated spectra."""
+    return _GlobalObjective(rhos, n, discord._density_spectra(rhos))
+
+
 def _one_frame(rho: np.ndarray, frame: np.ndarray) -> float:
     """The discord objective of a single frame on a single state."""
-    objective = _GlobalObjective(rho[None], frame.shape[0])
+    objective = _objective(rho[None], frame.shape[0])
     return float(objective(frame[None], np.zeros(1, dtype=int))[0])
 
 
@@ -237,8 +242,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(phi_grid=0)
     with pytest.raises(ValueError, match="refine_sweeps"):
         OptimizerConfig(refine_sweeps=-1)
-    with pytest.raises(ValueError, match="tolerance"):
-        OptimizerConfig(tolerance=0.0)
 
 
 def test_bipartite_discord_reference_states():
@@ -334,14 +337,14 @@ def test_batched_objective_matches_one_frame_reference(n, rng):
     rho = random_density(n, rng)
     frames = _random_frames(n, 12, rng)
     frames = np.concatenate([frames, z_frame(n)[None], uniform_frame(n, math.pi, 1.0)[None]])
-    batched = _GlobalObjective(rho[None], n)(frames, np.zeros(len(frames), dtype=int))
+    batched = _objective(rho[None], n)(frames, np.zeros(len(frames), dtype=int))
     reference = np.array([_reference_objective(rho, f) for f in frames])
     assert np.abs(batched - reference).max() < 1e-13
 
 
 def test_batch_beyond_the_cap_equals_one_frame_at_a_time(rng):
     rho = random_density(4, rng)
-    objective = _GlobalObjective(rho[None], 4)
+    objective = _objective(rho[None], 4)
     assert objective.batch == 64
     frames = _random_frames(4, 3 * objective.batch + 5, rng)
     together = objective(frames, np.zeros(len(frames), dtype=int))
@@ -353,15 +356,16 @@ def test_batch_beyond_the_cap_equals_one_frame_at_a_time(rng):
 def test_batch_cap_bounds_large_registers():
     for n, batch in ((1, 4096), (4, 64), (6, 4), (7, 1), (9, 1)):
         rho = np.eye(2**n, dtype=complex) / 2**n
-        assert _GlobalObjective(rho[None], n).batch == batch
+        assert _objective(rho[None], n).batch == batch
 
 
 def test_batched_objective_rejects_out_of_range_probabilities():
     doubled = np.zeros((4, 4), dtype=complex)
     doubled[0, 0] = doubled[1, 1] = 1.0  # trace 2: rows sum to 2
     with pytest.raises(ValueError, match="sum to 2"):
-        _GlobalObjective(doubled[None], 2)(np.stack([z_frame(2), x_frame(2)]),
-                                           np.zeros(2, dtype=int))
+        # Unvalidated spectra: the state is invalid on purpose.
+        _GlobalObjective(doubled[None], 2, np.linalg.eigvalsh(doubled[None]))(
+            np.stack([z_frame(2), x_frame(2)]), np.zeros(2, dtype=int))
     good = np.full((3, 2), 0.5)
     with pytest.raises(ValueError, match="negative beyond tolerance"):
         shannon_entropies(np.vstack([good, [[1.0 + 1e-9, -1e-9]]]))
@@ -437,7 +441,7 @@ def _reference_descent(objective, frame: np.ndarray, config: OptimizerConfig):
                         break
                 if fx < best - 1e-15:
                     frame[j, coord], best = x, fx
-        if sweep_start - best < config.tolerance:
+        if sweep_start - best < discord._SWEEP_TOL:
             break
     return float(best), frame, evals
 
@@ -447,17 +451,17 @@ def test_lockstep_descents_match_lone_descents():
     config = OptimizerConfig()
     starts = [uniform_frame(4, 0.3, 1.0), z_frame(4), x_frame(4), y_frame(4)]
     # alone[s][i]: start i descending by itself on state s, equal to the scalar reference.
-    alone = [[_lockstep(_GlobalObjective(rho[None], 4), [start], [0], config) for start in starts]
+    alone = [[_lockstep(_objective(rho[None], 4), [start], [0], config) for start in starts]
              for rho in states]
     for rho, lone in zip(states, alone):
         for start, (((value, frame),), (evals,)) in zip(starts, lone):
             ref_value, ref_frame, ref_evals = _reference_descent(
-                _GlobalObjective(rho[None], 4), start, config)
+                _objective(rho[None], 4), start, config)
             assert (value, evals) == (ref_value, ref_evals)
             assert np.array_equal(frame, ref_frame)
     # All starts on one state, then starts owned by two states.
     for stack, owners in ((states[:1], [0, 0, 0, 0]), (states, [0, 1, 1, 0])):
-        together, evals = _lockstep(_GlobalObjective(np.stack(stack), 4), starts, owners, config)
+        together, evals = _lockstep(_objective(np.stack(stack), 4), starts, owners, config)
         assert len(together) == len(evals) == len(starts)
         for i, owner in enumerate(owners):
             ((lone_value, lone_frame),), (lone_evals,) = alone[owner][i]
@@ -470,7 +474,7 @@ def test_lockstep_descents_match_lone_descents():
 def test_line_model_equals_whole_frames(n):
     rng = np.random.default_rng(100 + n)
     states = np.stack([random_density(n, rng) for _ in range(2)])
-    objective = _GlobalObjective(states, n)
+    objective = _objective(states, n)
     frames = _random_frames(n, 6, rng)
     frames[::2, :, 0] = 0.0  # pole frames, where phi does not move the direction
     owners = np.arange(len(frames)) % 2
@@ -493,7 +497,7 @@ def test_objective_entropies_match_the_partial_trace_route():
     for n in (2, 3, 4, 5):
         rng = np.random.default_rng(n)
         states = np.stack([random_density(n, rng) for _ in range(3)] + [random_density(n, rng, 1)])
-        objective = _GlobalObjective(states, n, discord._density_spectra(states))
+        objective = _objective(states, n)
         expected = [[von_neumann_entropy(partial_trace(rho, (j,))) for j in range(n)]
                     for rho in states]
         assert np.abs(objective.marginal_entropies - expected).max() < 1e-12
@@ -517,7 +521,7 @@ def test_no_random_start_descends_below_the_closed_form(channel):
     # kt = 0.10 and 0.17 sit either side of the X/Y kink at 0.1367.
     rng = np.random.default_rng(7)
     kts = (0.10, 0.17, 0.40)
-    objective = _GlobalObjective(np.stack([closed_form_state(channel, kt) for kt in kts]), 4)
+    objective = _objective(np.stack([closed_form_state(channel, kt) for kt in kts]), 4)
     starts = np.concatenate([_random_frames(4, 16, rng) for _ in kts])
     owners = np.repeat(np.arange(len(kts)), 16)
     results, _ = _lockstep(objective, list(starts), owners, OptimizerConfig())

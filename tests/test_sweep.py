@@ -40,6 +40,8 @@ def test_config_validation_rejects_bad_fields():
         replace(FAST, measures=()),
         replace(FAST, measures=("tau", "tau")),
         replace(FAST, kt_max=0.0),
+        replace(FAST, kt_max=math.inf),
+        replace(FAST, kt_max=math.nan),
         replace(FAST, steps=1),
         replace(FAST, method="guess"),
         replace(FAST, jobs=0),
@@ -127,8 +129,8 @@ def test_csv_bytes_do_not_depend_on_the_blocks(tmp_path, channels, steps, jobs):
     assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
 
-@pytest.mark.parametrize("steps, jobs, sizes", [(2, 3, [1, 1]), (2, 5, [1, 1]), (5, 2, [2, 3])])
-def test_no_empty_block_reaches_the_pool(monkeypatch, steps, jobs, sizes):
+def _inline_pool(monkeypatch, cpus):
+    """Run pool blocks in-process on a host reporting ``cpus`` CPUs; returns what the pool saw."""
     seen = []
 
     class InlinePool:
@@ -149,10 +151,26 @@ def test_no_empty_block_reaches_the_pool(monkeypatch, steps, jobs, sizes):
             return map(fn, blocks)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    return seen
+
+
+@pytest.mark.parametrize("steps, jobs, sizes", [(2, 3, [1, 1]), (2, 5, [1, 1]), (5, 2, [2, 3])])
+def test_no_empty_block_reaches_the_pool(monkeypatch, steps, jobs, sizes):
+    seen = _inline_pool(monkeypatch, cpus=64)
     config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3,
                          steps=steps, jobs=jobs)
     assert len(run_sweep(config)) == steps
     assert seen == [len(sizes), sizes]
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (1, 1), (None, 1)])
+def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
+    seen = _inline_pool(monkeypatch, cpus)
+    config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3, steps=5)
+    records = run_sweep(replace(config, jobs=5))
+    assert seen == [workers, [1] * 5]  # the blocks do not depend on the pool size
+    assert records == run_sweep(config)
 
 
 def test_a_single_block_runs_without_a_pool(monkeypatch):
