@@ -25,7 +25,6 @@ from .channels import (
 )
 from .discord import (
     DiscordResult,
-    OptimizerConfig,
     analytic_gqd,
     bipartite_discord,
     dephase,
@@ -82,7 +81,6 @@ __all__ = [
     "CutTerm",
     "CutTermSet",
     "DiscordResult",
-    "OptimizerConfig",
     "SweepConfig",
     "SweepRecord",
     "TauResult",

@@ -19,7 +19,6 @@ import argparse
 import sys
 
 from .channels import Channel
-from .discord import OptimizerConfig
 from .sweep import MEASURES, METHODS, SweepConfig, emit_csv, emit_plot_script, run_sweep
 from .verify import format_report, run_checks
 
@@ -32,9 +31,6 @@ _DEFAULTS = {
     "kt-max": _SWEEP_DEFAULTS.kt_max,
     "steps": _SWEEP_DEFAULTS.steps,
     "method": _SWEEP_DEFAULTS.method,
-    "grid-theta": _SWEEP_DEFAULTS.optimizer.theta_grid,
-    "grid-phi": _SWEEP_DEFAULTS.optimizer.phi_grid,
-    "refine": _SWEEP_DEFAULTS.optimizer.refine_sweeps,
     "out": _SWEEP_DEFAULTS.out,
     "plot": _SWEEP_DEFAULTS.plot,
     "jobs": _SWEEP_DEFAULTS.jobs,
@@ -67,12 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"number of grid points including both ends (default {_DEFAULTS['steps']})")
     parser.add_argument("--method", choices=METHODS, default=None,
                         help=f"analytic, numeric, or both columns (default {_DEFAULTS['method']})")
-    parser.add_argument("--grid-theta", type=int, default=None,
-                        help=f"theta points in the discord optimiser grid (default {_DEFAULTS['grid-theta']})")
-    parser.add_argument("--grid-phi", type=int, default=None,
-                        help=f"phi points in the discord optimiser grid (default {_DEFAULTS['grid-phi']})")
-    parser.add_argument("--refine", type=int, default=None,
-                        help=f"coordinate-descent sweeps in the optimiser (default {_DEFAULTS['refine']})")
     parser.add_argument("--out", default=None,
                         help=f"CSV output path (default {_DEFAULTS['out']})")
     parser.add_argument("--plot", action="store_true", default=None,
@@ -112,7 +102,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 def _coerce(key: str, text: str):
     if key in ("channel", "measure"):
         return [item.strip() for item in text.split(",") if item.strip()]
-    if key in ("steps", "grid-theta", "grid-phi", "refine", "jobs"):
+    if key in ("steps", "jobs"):
         try:
             return int(text)
         except ValueError:
@@ -146,18 +136,12 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     bad = [c for c in merged["channel"] if c not in _CHANNEL_VALUES]
     if bad:
         raise ValueError(f"unknown channel values {bad} (expected {list(_CHANNEL_VALUES)})")
-    optimizer = OptimizerConfig(
-        theta_grid=merged["grid-theta"],
-        phi_grid=merged["grid-phi"],
-        refine_sweeps=merged["refine"],
-    )
     config = SweepConfig(
         channels=tuple(Channel(c) for c in merged["channel"]),
         measures=tuple(merged["measure"]),
         kt_max=merged["kt-max"],
         steps=merged["steps"],
         method=merged["method"],
-        optimizer=optimizer,
         out=merged["out"],
         plot=bool(merged["plot"]),
         jobs=merged["jobs"],

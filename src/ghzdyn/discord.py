@@ -14,15 +14,16 @@ frame's outcome probabilities contract C with one row pair
 ``0.5 * (1, +-n_j)`` per qubit, and qubit j's own are ``(1 +- r_j . n_j) / 2``
 for its Bloch vector r_j, along the same axes.
 
-:func:`global_discord` minimises it with a deterministic three-stage search:
-the named z/x/y frames, a uniform-frame grid, then coordinate descent from
-the best starts.  Along one angle x of one qubit every outcome probability
-is ``A + B cos x + C sin x``, so a line search contracts C once and then
-prices each trial at O(2**N): a few 9-point scans over a shrinking bracket.
-The descents run in lockstep, one scan a round, and one search carries a
-block of states (each frame is measured on the state that owns it), so a
-sweep pays a round's fixed cost once per block of cells.  No value depends
-on its batch, so each state gets the result it gets when searched alone.
+:func:`global_discord` minimises it with one fixed, deterministic search:
+the named z/x/y frames, a 21 x 16 uniform-frame grid, then at most 3 sweeps
+of coordinate descent from the best starts.  Along one angle x of one qubit
+every outcome probability is ``A + B cos x + C sin x``, so a line search
+contracts C once and then prices each trial at O(2**N): a few 9-point scans
+over a shrinking bracket.  The descents run in lockstep, one scan a round,
+and one search carries a block of states (each frame is measured on the
+state that owns it), so a sweep pays a round's fixed cost once per block of
+cells.  No value depends on its batch, so each state gets the result it gets
+when searched alone.
 :func:`analytic_gqd` gives the closed forms of the 4-qubit channel states.
 """
 
@@ -39,39 +40,19 @@ from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, _density_spectra, _entropies,
                      assert_density_matrix, num_qubits, partial_trace, shannon_entropies,
                      shannon_entropy, von_neumann_entropy)
 
+# The uniform-frame grid: theta over [0, pi] inclusive, phi over [0, 2 pi) exclusive.
+_GRID_THETA = 21
+_GRID_PHI = 16
 _SCAN_POINTS = 9
 _ANGLE_TOL = 1e-7
-# A descent stops after a sweep that improves its objective by less than this.
+# A descent stops after _MAX_SWEEPS sweeps, or after one that improves it by less than _SWEEP_TOL.
+_MAX_SWEEPS = 3
 _SWEEP_TOL = 1e-7
 _TIE_TOL = 1e-12
 # Outcome probabilities at or below this are outcomes that never occur.
 _PROB_FLOOR = 1e-14
 _PAULIS = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z])
 _OUTCOME_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Search controls for the measurement-frame minimisation.
-
-    ``theta_grid`` points span [0, pi] inclusive and ``phi_grid`` points
-    span [0, 2*pi) in the uniform-frame scan; ``refine_sweeps`` bounds the
-    coordinate-descent sweeps (one line search per angle), stopping early
-    once a sweep improves the objective by less than 1e-7.  A line search
-    rescans 9 points until their spacing is 1e-7; neither has a knob.
-    """
-
-    theta_grid: int = 21
-    phi_grid: int = 16
-    refine_sweeps: int = 3
-
-    def __post_init__(self) -> None:
-        if self.theta_grid < 2:
-            raise ValueError(f"theta_grid must be >= 2, got {self.theta_grid}")
-        if self.phi_grid < 1:
-            raise ValueError(f"phi_grid must be >= 1, got {self.phi_grid}")
-        if self.refine_sweeps < 0:
-            raise ValueError(f"refine_sweeps must be >= 0, got {self.refine_sweeps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +251,7 @@ class _ConditionalEntropy:
         return evaluate
 
 
-def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: OptimizerConfig):
+def _lockstep(objective, starts: list[np.ndarray], owners: list[int]):
     """Coordinate descent by repeated line scans from every start, all in lockstep.
 
     A sweep searches each angle in turn, qubit by qubit: scan ``_SCAN_POINTS``
@@ -279,7 +260,7 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: Op
     are not clipped: an angle past either end is a valid frame, and a minimum
     just across the phi seam stays in reach.  The best point scanned replaces
     the angle if it beats the descent's best by 1e-15.  A descent ends after
-    ``refine_sweeps`` sweeps, or after a sweep that gains less than
+    ``_MAX_SWEEPS`` sweeps, or after a sweep that gains less than
     ``_SWEEP_TOL``.  Each round is one scan, on ``objective.line``, of every
     live descent whose bracket is open.  Start ``i`` descends on state
     ``owners[i]`` exactly as it would alone.  Returns each descent's
@@ -289,7 +270,7 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: Op
     owners = np.asarray(owners)
     best = objective(frames, owners)
     evals, live = np.ones(len(frames), dtype=int), np.arange(len(frames))
-    for _ in range(config.refine_sweeps):
+    for _ in range(_MAX_SWEEPS):
         sweep_start = best[live]
         for qubit, coord in np.ndindex(frames.shape[1:]):
             evaluate = objective.line(frames[live], owners[live], qubit, coord)
@@ -314,7 +295,7 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int], config: Op
     return [(float(v), f) for v, f in zip(best, frames)], evals.tolist()
 
 
-def _search(objective, states: int, n: int, config: OptimizerConfig):
+def _search(objective, states: int, n: int):
     """Minimise a batched frame objective over ``n``-qubit product frames for ``states`` states.
 
     All states pass the three stages together: the named z/x/y frames, the
@@ -329,9 +310,9 @@ def _search(objective, states: int, n: int, config: OptimizerConfig):
     named_values = objective(np.tile(named_frames, (states, 1, 1)),
                              np.repeat(owners, len(named))).reshape(states, len(named))
 
-    grid = np.empty((config.theta_grid, config.phi_grid, n, 2))
-    grid[..., 0] = np.linspace(0.0, math.pi, config.theta_grid)[:, None, None]
-    grid[..., 1] = np.linspace(0.0, 2.0 * math.pi, config.phi_grid, endpoint=False)[:, None]
+    grid = np.empty((_GRID_THETA, _GRID_PHI, n, 2))
+    grid[..., 0] = np.linspace(0.0, math.pi, _GRID_THETA)[:, None, None]
+    grid[..., 1] = np.linspace(0.0, 2.0 * math.pi, _GRID_PHI, endpoint=False)[:, None]
     grid = grid.reshape(-1, n, 2)
     grid_values = objective(np.tile(grid, (states, 1, 1)),
                             np.repeat(owners, len(grid))).reshape(states, len(grid))
@@ -350,7 +331,7 @@ def _search(objective, states: int, n: int, config: OptimizerConfig):
         candidates.append(own)
         starts += distinct.values()
         start_owners += [s] * len(distinct)
-    refined, descent_evals = _lockstep(objective, starts, start_owners, config)
+    refined, descent_evals = _lockstep(objective, starts, start_owners)
 
     evals = [len(named) + len(grid)] * states
     for s, result, count in zip(start_owners, refined, descent_evals):
@@ -365,8 +346,7 @@ def _search(objective, states: int, n: int, config: OptimizerConfig):
     return results
 
 
-def _global_discords(states: list[np.ndarray],
-                     config: OptimizerConfig | None = None) -> list[DiscordResult]:
+def _global_discords(states: list[np.ndarray]) -> list[DiscordResult]:
     """:func:`global_discord` of every state, all searched together.
 
     The states must share their qubit count.  Each result is the one
@@ -377,8 +357,7 @@ def _global_discords(states: list[np.ndarray],
         raise ValueError(f"states must share one qubit count, got {sorted(sizes)}")
     n = sizes.pop()
     rhos = np.stack(states)  # validated with their spectra in one eigvalsh call
-    searched = _search(_GlobalObjective(rhos, n, _density_spectra(rhos)), len(states), n,
-                       config or OptimizerConfig())
+    searched = _search(_GlobalObjective(rhos, n, _density_spectra(rhos)), len(states), n)
     results = []
     for value, frame, branch_values, evals in searched:
         if value < -DISCORD_FLOOR:
@@ -389,7 +368,7 @@ def _global_discords(states: list[np.ndarray],
     return results
 
 
-def global_discord(rho: np.ndarray, config: OptimizerConfig | None = None) -> DiscordResult:
+def global_discord(rho: np.ndarray) -> DiscordResult:
     """Minimise the discord objective over product measurement frames.
 
     Deterministic by construction: named frames and the uniform grid are
@@ -400,10 +379,10 @@ def global_discord(rho: np.ndarray, config: OptimizerConfig | None = None) -> Di
     :func:`analytic_gqd` on the channel states; for other states it is an
     upper bound on the global discord, not a certified minimum.
     """
-    return _global_discords([rho], config)[0]
+    return _global_discords([rho])[0]
 
 
-def bipartite_discord(rho: np.ndarray, config: OptimizerConfig | None = None) -> float:
+def bipartite_discord(rho: np.ndarray) -> float:
     """Measurement-based discord of a 2-qubit state, measuring qubit 1.
 
     D = I(rho) - max over (theta, phi) of J, with mutual information
@@ -415,7 +394,7 @@ def bipartite_discord(rho: np.ndarray, config: OptimizerConfig | None = None) ->
         raise ValueError(f"bipartite discord needs exactly 2 qubits, got {n}")
     objective = _ConditionalEntropy(rho)
     mutual = objective.s_a + von_neumann_entropy(partial_trace(rho, (1,))) - von_neumann_entropy(rho)
-    best = _search(objective, 1, 1, config or OptimizerConfig())[0][0]
+    best = _search(objective, 1, 1)[0][0]
 
     value = mutual + best  # best == -max J
     if value < -DISCORD_FLOOR:

@@ -52,10 +52,17 @@ def num_qubits(mat: np.ndarray) -> int:
 def _density_spectra(rhos: np.ndarray, name: str = "state") -> np.ndarray:
     """Ascending spectra of a ``(B, d, d)`` stack of density matrices, one eigvalsh call.
 
-    Checks each state as :func:`assert_density_matrix`; the first bad one raises its own error.
+    Checks each state as :func:`assert_density_matrix`; the first bad one raises its own error,
+    except that a state with a NaN or infinite entry raises before the eigensolve, which would
+    not converge on it.
     """
     herm = np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     traces = np.trace(rhos, axis1=-2, axis2=-1)
+    finite = np.isfinite(herm) & np.isfinite(traces)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise ValueError(f"{name} is not finite: hermiticity deviation {herm[k]:.3e}, "
+                         f"trace {complex(traces[k]):.15g}")
     spectra = np.linalg.eigvalsh(rhos)
     bad = (herm > TRACE_TOL) | (np.abs(traces - 1.0) > TRACE_TOL) | (spectra[:, 0] < -PSD_FLOOR)
     if bad.any():
@@ -72,7 +79,8 @@ def assert_density_matrix(rho: np.ndarray, *, name: str = "state") -> int:
     """Validate hermiticity, unit trace and positivity; return the qubit count.
 
     Hermiticity is checked entrywise to ``TRACE_TOL`` in max-abs, the trace
-    to ``TRACE_TOL``, and eigenvalues may only dip to ``-PSD_FLOOR``.
+    to ``TRACE_TOL``, and eigenvalues may only dip to ``-PSD_FLOOR``; a NaN or infinite
+    entry fails too.
     """
     n = num_qubits(rho)
     _density_spectra(rho[None], name)
@@ -137,12 +145,13 @@ def partial_transpose(rho: np.ndarray, subset: tuple[int, ...] | list[int]) -> n
 
 
 def _check_probabilities(p: np.ndarray) -> None:
-    """Reject entries below ``-PSD_FLOOR`` and rows (last axis) not summing to 1."""
-    if p.min() < -PSD_FLOOR:
-        raise ValueError(f"probability {p.min():.3e} is negative beyond tolerance")
+    """Reject entries below ``-PSD_FLOOR`` and rows (last axis) not summing to 1; NaN fails both."""
+    lo = p.min()
+    if not lo >= -PSD_FLOOR:
+        raise ValueError(f"probability {lo:.3e} is negative beyond tolerance or not a number")
     sums = p.sum(axis=-1)
     deviation = np.abs(sums - 1.0)
-    if deviation.max() > PROBABILITY_SUM_TOL:
+    if not deviation.max() <= PROBABILITY_SUM_TOL:
         raise ValueError(f"probabilities sum to {sums.flat[deviation.argmax()]:.12g}, expected 1")
 
 
@@ -177,7 +186,7 @@ def _entropies(spectra: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr rho log2 rho via the eigenvalue spectrum."""
     dev = float(np.abs(rho - rho.conj().T).max())
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:  # NaN fails: eigvalsh reads one triangle
         raise ValueError(f"matrix is not hermitian: max deviation {dev:.3e}")
     return float(_entropies(np.linalg.eigvalsh(rho)[None])[0])
 
@@ -188,6 +197,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
     dev = float(np.abs(diff - diff.conj().T).max())
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:  # NaN fails: eigvalsh reads one triangle
         raise ValueError(f"difference is not hermitian: max deviation {dev:.3e}")
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())

@@ -26,12 +26,12 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channels import Channel, closed_form_state
-from .discord import OptimizerConfig, _global_discords, analytic_gqd
+from .discord import _global_discords, analytic_gqd
 from .entanglement import _ppt_min_eigenvalues, _tau_lower_bounds, analytic_tau
 from .linalg import BATCH_ENTRIES, _density_spectra, _entropies
 
@@ -53,7 +53,6 @@ class SweepConfig:
     kt_max: float = 0.6
     steps: int = 121
     method: str = "both"
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     out: str = "sweep.csv"
     plot: bool = False
     jobs: int = 1
@@ -100,10 +99,9 @@ class SweepRecord:
     entropy: float | None = None
 
 
-def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str, OptimizerConfig]
-                   ) -> list[SweepRecord]:
+def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -> list[SweepRecord]:
     """Records of a block of cells, measured ``_CHUNK`` at a time; one discord search per block."""
-    cells, measures, method, optimizer = args
+    cells, measures, method = args
     analytic = method in ("analytic", "both")
     numeric = method in ("numeric", "both")
     tau_numeric = numeric and "tau" in measures
@@ -131,7 +129,7 @@ def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str, Op
         records += [SweepRecord(channel, kt, **dict(zip(columns, values)))
                     for (channel, kt), *values in zip(chunk, *columns.values())]
     if searched:
-        discords = _global_discords(searched_states, optimizer)
+        discords = _global_discords(searched_states)
         records = [replace(r, gqd_numeric=d.value) for r, d in zip(records, discords)]
     return records
 
@@ -147,7 +145,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     grid = np.linspace(0.0, config.kt_max, config.steps)
     cells = [(channel.value, float(kt)) for channel in config.channels for kt in grid]
     bounds = [len(cells) * i // config.jobs for i in range(config.jobs + 1)]
-    blocks = [(cells[lo:hi], config.measures, config.method, config.optimizer)
+    blocks = [(cells[lo:hi], config.measures, config.method)
               for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if len(blocks) == 1:
         return _compute_block(blocks[0])

@@ -230,6 +230,10 @@ def test_evolve_numeric_validation():
         evolve_numeric(rho, Channel.X, -0.1)
     with pytest.raises(ValueError, match="hermitian"):
         evolve_numeric(np.ones((16, 16)) * 1j, Channel.X, 0.1)
+    broken = rho.copy()
+    broken[1, 2] = math.nan
+    with pytest.raises(ValueError, match="initial state is not finite"):
+        evolve_numeric(broken, Channel.X, 0.1)
     frozen = evolve_numeric(rho, Channel.X, 0.0)
     assert np.array_equal(frozen, rho)
     frozen[0, 0] = 0.0

@@ -20,9 +20,6 @@ def test_defaults():
     assert config.kt_max == 0.6
     assert config.steps == 121
     assert config.method == "both"
-    assert config.optimizer.theta_grid == 21
-    assert config.optimizer.phi_grid == 16
-    assert config.optimizer.refine_sweeps == 3
     assert config.out == "sweep.csv"
     assert config.plot is False
     assert config.jobs == 1
@@ -32,7 +29,6 @@ def test_flags_are_parsed():
     config = _config([
         "--channel", "z", "--channel", "x", "--measure", "tau",
         "--kt-max", "0.4", "--steps", "5", "--method", "analytic",
-        "--grid-theta", "7", "--grid-phi", "6", "--refine", "1",
         "--out", "run.csv", "--plot", "--jobs", "2",
     ])
     assert config.channels == (Channel.Z, Channel.X)
@@ -40,9 +36,6 @@ def test_flags_are_parsed():
     assert config.kt_max == 0.4
     assert config.steps == 5
     assert config.method == "analytic"
-    assert config.optimizer.theta_grid == 7
-    assert config.optimizer.phi_grid == 6
-    assert config.optimizer.refine_sweeps == 1
     assert config.out == "run.csv"
     assert config.plot is True
     assert config.jobs == 2
@@ -121,7 +114,15 @@ def test_main_maps_usage_errors_to_exit_one(tmp_path, capsys):
     assert cli.main(["--kt-max", "nan"]) == 1
     assert cli.main(["--channel", "x", "--channel", "x"]) == 1
     assert cli.main(["--config", str(tmp_path / "absent.cfg")]) == 1
-    assert cli.main(["--grid-theta", "1"]) == 1
+    # The discord search takes no flag and no config key.
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--refine", "3"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --refine 3" in capsys.readouterr().err
+    knob = tmp_path / "knob.cfg"
+    knob.write_text("grid-theta = 21\n")
+    assert cli.main(["--config", str(knob)]) == 1
+    assert "unknown key 'grid-theta'" in capsys.readouterr().err
 
 
 def test_main_runs_sweep_and_plot(tmp_path, capsys):

@@ -17,7 +17,6 @@ from ghzdyn.channels import (
 )
 from ghzdyn.discord import (
     DiscordResult,
-    OptimizerConfig,
     _GlobalObjective,
     _lockstep,
     analytic_gqd,
@@ -224,24 +223,9 @@ def test_global_discord_is_deterministic():
     assert not first.frame.flags.writeable
 
 
-def test_global_discord_with_coarse_grid_still_finds_named_branch():
-    config = OptimizerConfig(theta_grid=5, phi_grid=4, refine_sweeps=2)
-    got = global_discord(closed_form_state(Channel.Z, 0.1), config).value
-    assert got == pytest.approx(analytic_gqd(Channel.Z, 0.1), abs=1e-6)
-
-
 def test_global_discord_of_two_qubit_bell_state():
     result = global_discord(bell_state())
     assert result.value == pytest.approx(1.0, abs=1e-6)
-
-
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError, match="theta_grid"):
-        OptimizerConfig(theta_grid=1)
-    with pytest.raises(ValueError, match="phi_grid"):
-        OptimizerConfig(phi_grid=0)
-    with pytest.raises(ValueError, match="refine_sweeps"):
-        OptimizerConfig(refine_sweeps=-1)
 
 
 def test_bipartite_discord_reference_states():
@@ -418,11 +402,11 @@ def test_search_round_count_is_pinned(monkeypatch):
     assert sum(batches) == result.optimizer_evals == 3042
 
 
-def _reference_descent(objective, frame: np.ndarray, config: OptimizerConfig):
+def _reference_descent(objective, frame: np.ndarray):
     """One descent at a time, scalar control flow: what each lockstep descent must reproduce."""
     frame, own, points = frame.copy(), np.zeros(1, dtype=int), discord._SCAN_POINTS
     best, evals = objective(frame[None], own)[0], 1
-    for _ in range(config.refine_sweeps):
+    for _ in range(discord._MAX_SWEEPS):
         sweep_start = best
         for j in range(frame.shape[0]):
             for coord in range(2):
@@ -448,20 +432,18 @@ def _reference_descent(objective, frame: np.ndarray, config: OptimizerConfig):
 
 def test_lockstep_descents_match_lone_descents():
     states = [closed_form_state(Channel.X, 0.2), closed_form_state(Channel.ISO, 0.15)]
-    config = OptimizerConfig()
     starts = [uniform_frame(4, 0.3, 1.0), z_frame(4), x_frame(4), y_frame(4)]
     # alone[s][i]: start i descending by itself on state s, equal to the scalar reference.
-    alone = [[_lockstep(_objective(rho[None], 4), [start], [0], config) for start in starts]
+    alone = [[_lockstep(_objective(rho[None], 4), [start], [0]) for start in starts]
              for rho in states]
     for rho, lone in zip(states, alone):
         for start, (((value, frame),), (evals,)) in zip(starts, lone):
-            ref_value, ref_frame, ref_evals = _reference_descent(
-                _objective(rho[None], 4), start, config)
+            ref_value, ref_frame, ref_evals = _reference_descent(_objective(rho[None], 4), start)
             assert (value, evals) == (ref_value, ref_evals)
             assert np.array_equal(frame, ref_frame)
     # All starts on one state, then starts owned by two states.
     for stack, owners in ((states[:1], [0, 0, 0, 0]), (states, [0, 1, 1, 0])):
-        together, evals = _lockstep(_objective(np.stack(stack), 4), starts, owners, config)
+        together, evals = _lockstep(_objective(np.stack(stack), 4), starts, owners)
         assert len(together) == len(evals) == len(starts)
         for i, owner in enumerate(owners):
             ((lone_value, lone_frame),), (lone_evals,) = alone[owner][i]
@@ -524,7 +506,7 @@ def test_no_random_start_descends_below_the_closed_form(channel):
     objective = _objective(np.stack([closed_form_state(channel, kt) for kt in kts]), 4)
     starts = np.concatenate([_random_frames(4, 16, rng) for _ in kts])
     owners = np.repeat(np.arange(len(kts)), 16)
-    results, _ = _lockstep(objective, list(starts), owners, OptimizerConfig())
+    results, _ = _lockstep(objective, list(starts), owners)
     floor = np.array([analytic_gqd(channel, kt) for kt in kts])[owners]
     assert np.min([value for value, _ in results] - floor) > -1e-10
 
@@ -585,6 +567,44 @@ def test_bipartite_discord_of_werner_states(z):
     assert bipartite_discord(_werner(z)) == pytest.approx(expected, abs=1e-9)
 
 
+def _bell_diagonal(c) -> np.ndarray:
+    """(I + sum_j c_j sigma_j (x) sigma_j) / 4."""
+    correlations = sum(cj * np.kron(s, s) for cj, s in zip(c, (PAULI_X, PAULI_Y, PAULI_Z)))
+    return (np.eye(4) + correlations) / 4.0
+
+
+def _luo_discord(c) -> float:
+    # Luo, PRA 77, 042303 (2008): D = I - C with I = 2 + sum_k lam_k log2 lam_k over the
+    # Bell weights and C = sum_(+-) (1 +- m) / 2 log2(1 +- m), m = max_j |c_j|.
+    c1, c2, c3 = c
+    weights = (1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3, 1 + c1 + c2 - c3)
+    m = max(abs(cj) for cj in c)
+    return 2.0 + sum(_xlog2x(w / 4.0) for w in weights) - 0.5 * (_xlog2x(1 - m) + _xlog2x(1 + m))
+
+
+def test_bipartite_discord_of_random_bell_diagonal_states():
+    rng = np.random.default_rng(11)
+    cs = rng.uniform(-1.0, 1.0, size=(200, 3))
+    signs = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]])
+    cs = cs[(1.0 + cs @ signs.T > 0.0).all(axis=1)][:40]  # inside the tetrahedron of states
+    assert len(cs) == 40
+    worst = max(abs(bipartite_discord(_bell_diagonal(c)) - _luo_discord(c)) for c in cs)
+    assert worst < 1e-12
+
+
+def test_bipartite_discord_of_the_dephasing_family_freezes_then_decays():
+    # c = (e^{-2 gamma t}, -0.6 e^{-2 gamma t}, 0.6) changes branch where e^{-2 gamma t} = 0.6.
+    change = -math.log(0.6) / 2.0
+    family = [(gt, (math.exp(-2.0 * gt), -0.6 * math.exp(-2.0 * gt), 0.6))
+              for gt in np.linspace(0.0, 0.5, 21)]
+    got = {gt: bipartite_discord(_bell_diagonal(c)) for gt, c in family}
+    assert max(abs(got[gt] - _luo_discord(c)) for gt, c in family) < 1e-12
+    before = [d for gt, d in got.items() if gt < change]
+    after = [d for gt, d in got.items() if gt > change]
+    assert max(before) - min(before) < 1e-12  # frozen discord before the sudden change
+    assert all(a > b for a, b in zip(after, after[1:])) and after[0] < before[-1] - 1e-2
+
+
 def test_bipartite_discord_finds_a_minimum_just_below_phi_two_pi():
     # This state's best frame sits near (0.534, 2 pi - 0.157).  The phi scan's minimum is
     # its first point, phi = 0, so a bracket clipped to [0, 2 pi] would miss it and stop
@@ -604,9 +624,9 @@ def test_bipartite_discord_descends_once_per_distinct_start(monkeypatch):
     calls = []
     lockstep = discord._lockstep
 
-    def recording(objective, starts, owners, config):
+    def recording(objective, starts, owners):
         calls.append([tuple(frame.reshape(-1)) for frame in starts])
-        return lockstep(objective, starts, owners, config)
+        return lockstep(objective, starts, owners)
 
     monkeypatch.setattr(discord, "_lockstep", recording)
     bipartite_discord(_werner(0.5))

@@ -15,6 +15,7 @@ from ghzdyn.linalg import (
     partial_trace,
     partial_transpose,
     permute_qubits,
+    shannon_entropies,
     shannon_entropy,
     trace_distance,
     von_neumann_entropy,
@@ -157,6 +158,13 @@ def test_shannon_entropy_reference_points():
         shannon_entropy([0.7, 0.7])
 
 
+def test_nan_probabilities_raise():
+    with pytest.raises(ValueError, match="not a number"):
+        shannon_entropy([math.nan, 1.0])
+    with pytest.raises(ValueError, match="not a number"):
+        shannon_entropies(np.array([[0.5, 0.5], [math.nan, 1.0]]))
+
+
 def test_von_neumann_entropy_reference_points():
     assert abs(von_neumann_entropy(ghz_state(4))) < 1e-12
     assert abs(von_neumann_entropy(np.eye(16) / 16) - 4.0) < 1e-12
@@ -235,3 +243,20 @@ def test_a_bad_state_inside_a_stack_raises_its_own_error(kind):
     with pytest.raises(ValueError) as stacked:
         _density_spectra(np.stack(good[:2] + [bad] + good[2:]))
     assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("entry, value", [
+    ((0, 0), math.nan), ((0, 15), math.nan), ((15, 0), math.inf),
+], ids=["nan-diagonal", "nan-corner", "inf-corner"])
+def test_a_non_finite_state_raises_before_the_eigensolve(entry, value):
+    bad = ghz_state(4)
+    bad[entry] = value
+    with pytest.raises(ValueError, match="state is not finite"):
+        assert_density_matrix(bad)
+    good = closed_form_state(Channel.Z, 0.1)
+    with pytest.raises(ValueError, match="state is not finite"):
+        _density_spectra(np.stack([good, bad]))
+    with pytest.raises(ValueError, match="not hermitian"):
+        von_neumann_entropy(bad)
+    with pytest.raises(ValueError, match="not hermitian"):
+        trace_distance(bad, good)

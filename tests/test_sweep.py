@@ -14,7 +14,6 @@ import pytest
 import ghzdyn.sweep as sweep
 from ghzdyn.channels import Channel
 from ghzdyn.cli import main
-from ghzdyn.discord import OptimizerConfig
 from ghzdyn.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -373,8 +372,8 @@ def test_block_records_equal_one_cell_blocks(size):
     grid = np.linspace(0.0, 0.6, 33)
     cells = [(c.value, float(kt)) for c in sweep.ALL_CHANNELS for kt in grid][:size]
     measures = ("tau", "ppt", "entropy")
-    block = sweep._compute_block((cells, measures, "both", OptimizerConfig()))
-    alone = [sweep._compute_block(([cell], measures, "both", OptimizerConfig()))[0] for cell in cells]
+    block = sweep._compute_block((cells, measures, "both"))
+    alone = [sweep._compute_block(([cell], measures, "both"))[0] for cell in cells]
     assert block == alone
 
 
