@@ -16,11 +16,15 @@ for its Bloch vector r_j, along the same axes.
 
 :func:`global_discord` minimises it with one fixed, deterministic search:
 the named z/x/y frames, a 21 x 16 uniform-frame grid, then at most 3 sweeps
-of coordinate descent from the best starts.  Along one angle x of one qubit
-every outcome probability is ``A + B cos x + C sin x``, so a line search
-contracts C once and then prices each trial at O(2**N): a few 9-point scans
-over a shrinking bracket.  The descents run in lockstep, one scan a round,
-and one search carries a block of states (each frame is measured on the
+of coordinate descent from the best starts.  The named and grid frames are
+uniform, one row pair for every qubit, so each is priced on all states of
+the search at once.  Along one angle x of one qubit every outcome
+probability is ``A + B cos x + C sin x``, so a line search contracts C once,
+checks those probabilities for every x at once, and then prices each trial
+at O(2**N): a few 9-point scans over a shrinking bracket.  The descents run
+in lockstep, one scan a round; their spacings shrink on a schedule that does
+not depend on the state, so all of a line's descents close in the same
+round.  One search carries a block of states (each frame is measured on the
 state that owns it), so a sweep pays a round's fixed cost once per block of
 cells.  No value depends on its batch, so each state gets the result it gets
 when searched alone.
@@ -36,14 +40,16 @@ import numpy as np
 
 from .channels import PAULI_X, PAULI_Y, PAULI_Z, Channel, closed_form_spectrum, coefficients
 from .entanglement import _bisect_root
-from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, _density_spectra, _entropies,
-                     assert_density_matrix, num_qubits, partial_trace, shannon_entropies,
-                     shannon_entropy, von_neumann_entropy)
+from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, PROBABILITY_SUM_TOL, PSD_FLOOR,
+                     _density_spectra, _entropies, _plog2p, assert_density_matrix,
+                     num_qubits, partial_trace, shannon_entropies, shannon_entropy,
+                     von_neumann_entropy)
 
 # The uniform-frame grid: theta over [0, pi] inclusive, phi over [0, 2 pi) exclusive.
 _GRID_THETA = 21
 _GRID_PHI = 16
 _SCAN_POINTS = 9
+_SCAN_OFFSETS = np.arange(_SCAN_POINTS)
 _ANGLE_TOL = 1e-7
 # A descent stops after _MAX_SWEEPS sweeps, or after one that improves it by less than _SWEEP_TOL.
 _MAX_SWEEPS = 3
@@ -118,12 +124,12 @@ def dephase(rho: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _pauli_tensor(rho: np.ndarray, n: int) -> np.ndarray:
-    """Real ``Tr(rho sigma_mu0 (x) ... (x) sigma_mu(n-1))``, mu in {I, X, Y, Z}**n, flattened."""
-    t = rho.reshape((2,) * (2 * n))
+def _pauli_tensors(rhos: np.ndarray, n: int) -> np.ndarray:
+    """Real ``Tr(rho sigma_mu0 (x) ... (x) sigma_mu(n-1))``, mu in {I, X, Y, Z}**n, of a stack."""
+    t = rhos.reshape((len(rhos),) + (2,) * (2 * n))
     for rest in range(n, 0, -1):  # trace the leading qubit against sigma_mu, append mu
-        t = np.tensordot(t, _PAULIS, axes=([0, rest], [2, 1]))
-    return t.real.reshape(-1)
+        t = np.tensordot(t, _PAULIS, axes=([1, rest + 1], [2, 1]))
+    return t.real.reshape(len(rhos), -1)
 
 
 def _rows(frames: np.ndarray) -> np.ndarray:
@@ -145,7 +151,7 @@ class _GlobalObjective:
     """
 
     def __init__(self, rhos: np.ndarray, n: int, spectra: np.ndarray) -> None:
-        self.coefficients = np.stack([_pauli_tensor(rho, n) for rho in rhos])
+        self.coefficients = _pauli_tensors(rhos, n)
         self.bloch = np.stack([self.coefficients.reshape(len(rhos), 4**j, 4, -1)[:, 0, :, 0]
                                for j in range(n)], axis=1)
         self.state_entropy = _entropies(spectra)
@@ -177,15 +183,54 @@ class _GlobalObjective:
         total = shannon_entropies(self._contract(list(rows.swapaxes(0, 1)), owner))
         return total - self.state_entropy[owner] - self._local(rows, owner).sum(axis=1)
 
-    def line(self, frames: np.ndarray, owners: np.ndarray, qubit: int, coord: int):
-        """Evaluator of the objective along angle ``coord`` of ``qubit`` from each of ``frames``.
+    def uniform(self, frames: np.ndarray) -> np.ndarray:
+        """Values ``(states, F)`` of uniform ``(F, n, 2)`` frames on every state.
+
+        Every qubit of a uniform frame takes the same row pair, so all states
+        meet it together: for each qubit before the last, the frame's row pair
+        multiplies every state's Pauli tensor at once, the states side by side
+        as columns, and the last qubit's rows and every state's Bloch rows go
+        through one matrix-vector product per frame and outcome.  Each probability is the four-term sum :meth:`__call__` hands
+        to the same BLAS routine, only inside a larger product; where BLAS sums
+        a row the same way whatever the product's size, as OpenBLAS does, the
+        values are bit for bit those of :meth:`__call__`.  A chunk of frames
+        takes ``4 * BATCH_ENTRIES`` entries beside the states.
+        """
+        states, n = self.bloch.shape[:2]
+        columns = np.ascontiguousarray(self.coefficients.T)  # (4**n, states)
+        half, step = 2 ** (n - 1), max(1, 4 * BATCH_ENTRIES // columns.size)
+        values = []
+        for i in range(0, len(frames), step):
+            rows = _rows(frames[i:i + step, 0])  # (f, 2, 4)
+            count = len(rows)
+            t = np.broadcast_to(columns, (count,) + columns.shape)
+            for j in range(n - 1):
+                t = rows[:, None] @ t.reshape(count, 2**j, 4, -1)
+            # Contiguous rows of 4, so that each (frame, outcome) product is one BLAS gemv.
+            last = np.empty((count, states * (half + n), 4))
+            t = np.moveaxis(t.reshape(count, half, 4, states), 3, 1)
+            last[:, :states * half] = t.reshape(count, -1, 4)
+            last[:, states * half:] = self.bloch.reshape(-1, 4)
+            probs = (last[:, None] @ rows[..., None])[..., 0]  # (f, 2, rows of last)
+            joint = np.moveaxis(probs[..., :states * half].reshape(count, 2, states, half), 1, -1)
+            local = np.moveaxis(probs[..., states * half:].reshape(count, 2, states, n), 1, -1)
+            local = shannon_entropies(local) - self.marginal_entropies
+            values.append(shannon_entropies(joint.reshape(count, states, -1)) - self.state_entropy
+                          - local.sum(axis=-1))
+        return np.concatenate(values).T
+
+    def line_model(self, frames: np.ndarray, owners: np.ndarray, qubit: int, coord: int):
+        """Probabilities and value offset along angle ``coord`` of ``qubit`` from each frame.
 
         On the line the qubit's direction is ``a + b cos x + c sin x``, so every
-        outcome probability is ``A + B cos x + C sin x``.  One contraction per
-        frame (``batch`` at a time) gives the coefficients; ``evaluate(xs, sel)``
-        then values ``(R, K)`` angles of frames ``sel`` at O(2**n) a trial.
+        outcome probability is ``A + B cos x + C sin x``.  Returns the rows
+        ``(A, B, C)`` as ``(F, 3, 2**n + 2)`` coefficients, the joint outcomes
+        first and then the qubit's own two, checked for every x at once (see
+        :func:`_check_line`), and the part of the value that stays put, so that
+        a value is ``H(joint) - H(own) + shift``.  One contraction per frame
+        (``batch`` at a time) gives them.
         """
-        count, width = len(frames), 2 ** frames.shape[1]
+        count = len(frames)
         # Theta: n = cos x z + sin x (cos phi, sin phi, 0); phi: n = cos theta z + sin theta
         # (cos x, sin x, 0).  Either way the row pairs r0, r1, r2 at x = 0, pi/2, pi give the
         # line's rows: 0.5 (1, +-a) = (r0 + r2) / 2, 0.5 (0, +-b) = (r0 - r2) / 2 and
@@ -200,27 +245,62 @@ class _GlobalObjective:
         joint = np.concatenate([self._contract([leg[i:i + self.batch] for leg in legs],
                                                owners[i:i + self.batch])
                                 for i in range(0, count, self.batch)])
-        # Rows (1, cos x, sin x) of the joint outcomes, then of the qubit's own padded to as
-        # many, so that one shannon_entropies call takes both.
         joint = np.moveaxis(joint.reshape(count, 2**qubit, 2, 3, -1), 3, 1).reshape(count, 3, -1)
         own = (basis @ self.bloch[owners, qubit][..., None]).reshape(count, 2, 3).swapaxes(1, 2)
-        coef = np.concatenate([joint, own, np.zeros((count, 3, width - 2))], axis=2)
+        coef = np.concatenate([joint, own], axis=2)
+        _check_line(coef, joint.shape[2])
         shift = (self.marginal_entropies[owners, qubit] - self.state_entropy[owners]
-                 - np.delete(self._local(rows, owners), qubit, axis=1).sum(axis=1))
+                 - self._local(rows, owners)[:, np.arange(frames.shape[1]) != qubit].sum(axis=1))
+        return coef, shift
 
-        def evaluate(xs: np.ndarray, sel: np.ndarray) -> np.ndarray:
-            out, step = np.empty(xs.shape), max(1, BATCH_ENTRIES // (2 * width * xs.shape[1]))
-            for i in range(0, len(sel), step):
-                x, part = xs[i:i + step], sel[i:i + step]
+    def line(self, frames: np.ndarray, owners: np.ndarray, qubit: int, coord: int):
+        """Evaluator of the objective along angle ``coord`` of ``qubit`` from each of ``frames``.
+
+        ``evaluate(xs, sel)`` values ``(R, K)`` angles of frames ``sel`` (an
+        index array, or a slice) on the :meth:`line_model`, at O(2**n) a trial
+        and with no check of its own: the model's probabilities passed theirs
+        for every x.
+        """
+        coef, shift = self.line_model(frames, owners, qubit, coord)
+        width = 2 ** frames.shape[1]
+
+        def evaluate(xs: np.ndarray, sel) -> np.ndarray:
+            rows, offset = coef[sel], shift[sel]
+            out, step = np.empty(xs.shape), max(1, BATCH_ENTRIES // (rows.shape[2] * xs.shape[1]))
+            for i in range(0, len(xs), step):
+                x = xs[i:i + step]
                 trig = np.empty(x.shape + (3,))
                 trig[..., 0] = 1.0
                 np.cos(x, out=trig[..., 1])
                 np.sin(x, out=trig[..., 2])
-                h = shannon_entropies((trig @ coef[part]).reshape(x.shape + (2, width)))
-                out[i:i + step] = h[..., 0] - h[..., 1] + shift[part, None]
+                terms = _plog2p(trig @ rows[i:i + step])  # H(joint) - H(own), as sums of terms
+                own = terms[..., width] + terms[..., width + 1]
+                out[i:i + step] = own - terms[..., :width].sum(axis=-1) + offset[i:i + step, None]
             return out
 
         return evaluate
+
+
+def _check_line(coef: np.ndarray, width: int) -> None:
+    """Reject line probabilities ``A + B cos x + C sin x`` out of range at any x; NaN fails.
+
+    ``coef`` holds ``(F, 3, m)`` rows (A, B, C), columns ``:width`` and
+    ``width:`` each one outcome distribution.  An outcome's least value on
+    the line is ``A - hypot(B, C)``, and a distribution's sum strays from 1
+    by at most ``|sum A - 1| + hypot(sum B, sum C)``, so these bounds are
+    stricter than checking every trial.
+    """
+    low = (coef[:, 0] - np.hypot(coef[:, 1], coef[:, 2])).min()
+    if not low >= -PSD_FLOOR:
+        raise ValueError(f"probability {low:.3e} on a line is negative beyond tolerance "
+                         "or not a number")
+    sums = np.add.reduceat(coef, [0, width], axis=2)  # (F, 3, 2): each distribution's A, B, C
+    swing = np.hypot(sums[:, 1], sums[:, 2])
+    deviation = np.abs(sums[:, 0] - 1.0) + swing
+    if not deviation.max() <= PROBABILITY_SUM_TOL:
+        k = np.unravel_index(deviation.argmax(), deviation.shape)
+        raise ValueError(f"probabilities on a line sum to {sums[k[0], 0, k[1]]:.12g} "
+                         f"+- {swing[k]:.3g}, expected 1")
 
 
 class _ConditionalEntropy:
@@ -233,7 +313,7 @@ class _ConditionalEntropy:
     """
 
     def __init__(self, rho: np.ndarray) -> None:
-        self.c = _pauli_tensor(rho, 2).reshape(4, 4)
+        self.c = _pauli_tensors(rho[None], 2).reshape(4, 4)
         self.s_a = von_neumann_entropy(partial_trace(rho, (0,)))
 
     def __call__(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -242,9 +322,13 @@ class _ConditionalEntropy:
         lam = 0.5 * (u[..., :1] + np.stack([-radius, radius], -1))
         return shannon_entropies(lam.reshape(-1, 4)) - shannon_entropies(u[..., 0]) - self.s_a
 
+    def uniform(self, frames: np.ndarray) -> np.ndarray:
+        """Values ``(1, F)`` of ``(F, 1, 2)`` frames."""
+        return self(frames, np.zeros(len(frames), dtype=int))[None]
+
     def line(self, frames: np.ndarray, owners: np.ndarray, qubit: int, coord: int):
         """Evaluator of ``(R, K)`` angles of frames ``sel``, as whole trial frames."""
-        def evaluate(xs: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        def evaluate(xs: np.ndarray, sel) -> np.ndarray:
             trials = np.repeat(frames[sel, None], xs.shape[1], axis=1)
             trials[..., qubit, coord] = xs
             return self(trials.reshape(-1, 1, 2), owners[sel].repeat(xs.shape[1])).reshape(xs.shape)
@@ -262,9 +346,12 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int]):
     the angle if it beats the descent's best by 1e-15.  A descent ends after
     ``_MAX_SWEEPS`` sweeps, or after a sweep that gains less than
     ``_SWEEP_TOL``.  Each round is one scan, on ``objective.line``, of every
-    live descent whose bracket is open.  Start ``i`` descends on state
-    ``owners[i]`` exactly as it would alone.  Returns each descent's
-    ``(value, frame)`` and evaluation count, in start order.
+    live descent.  The spacing starts at pi/8 or pi/4 and shrinks 4x a scan,
+    whatever the state, up to rounding far below its distance to
+    ``_ANGLE_TOL``, so every descent on a line closes in the same round.
+    Start ``i`` descends on state ``owners[i]`` exactly as it would alone.
+    Returns each descent's ``(value, frame)`` and evaluation count, in start
+    order.
     """
     frames = np.array(starts, dtype=float)
     owners = np.asarray(owners)
@@ -275,17 +362,18 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int]):
         for qubit, coord in np.ndindex(frames.shape[1:]):
             evaluate = objective.line(frames[live], owners[live], qubit, coord)
             lo, x, fx = np.zeros(len(live)), np.zeros(len(live)), np.full(len(live), np.inf)
-            hi = np.full(len(live), (1 + coord) * math.pi)
-            bracket = np.arange(len(live))  # the descents still scanning
-            while len(bracket):
-                start, step = lo[bracket], (hi[bracket] - lo[bracket]) / (_SCAN_POINTS - 1)
-                values = evaluate(start[:, None] + step[:, None] * np.arange(_SCAN_POINTS), bracket)
-                evals[live[bracket]] += _SCAN_POINTS
-                xk, fk = start + step * values.argmin(axis=1), values.min(axis=1)
-                gain = fk < fx[bracket]
-                x[bracket[gain]], fx[bracket[gain]] = xk[gain], fk[gain]
-                lo[bracket], hi[bracket] = xk - step, xk + step
-                bracket = bracket[step > _ANGLE_TOL]
+            hi, scans = np.full(len(live), (1 + coord) * math.pi), 0
+            while True:
+                step = (hi - lo) / (_SCAN_POINTS - 1)
+                values = evaluate(lo[:, None] + step[:, None] * _SCAN_OFFSETS, slice(None))
+                scans += 1
+                xk, fk = lo + step * values.argmin(axis=1), np.minimum.reduce(values, axis=1)
+                gain = fk < fx
+                x, fx = np.where(gain, xk, x), np.where(gain, fk, fx)
+                lo, hi = xk - step, xk + step
+                if step.max() <= _ANGLE_TOL:
+                    break
+            evals[live] += scans * _SCAN_POINTS
             better = fx < best[live] - 1e-15
             frames[live[better], qubit, coord] = x[better]
             best[live[better]] = fx[better]
@@ -295,27 +383,30 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int]):
     return [(float(v), f) for v, f in zip(best, frames)], evals.tolist()
 
 
-def _search(objective, states: int, n: int):
-    """Minimise a batched frame objective over ``n``-qubit product frames for ``states`` states.
-
-    All states pass the three stages together: the named z/x/y frames, the
-    uniform grid, then one lockstep descent from every state's deduplicated
-    grid optimum and named frames.  Ties within ``_TIE_TOL`` resolve to the
-    lexicographically smallest angle vector.  Returns one ``(value, frame,
-    branch_values, evals)`` per state.
-    """
-    owners = np.arange(states)
-    named = {"z": z_frame(n), "x": x_frame(n), "y": y_frame(n)}
-    named_frames = np.stack(list(named.values()))
-    named_values = objective(np.tile(named_frames, (states, 1, 1)),
-                             np.repeat(owners, len(named))).reshape(states, len(named))
-
+def _grid(n: int) -> np.ndarray:
+    """The ``_GRID_THETA * _GRID_PHI`` uniform ``n``-qubit frames of the search, theta-major."""
     grid = np.empty((_GRID_THETA, _GRID_PHI, n, 2))
     grid[..., 0] = np.linspace(0.0, math.pi, _GRID_THETA)[:, None, None]
     grid[..., 1] = np.linspace(0.0, 2.0 * math.pi, _GRID_PHI, endpoint=False)[:, None]
-    grid = grid.reshape(-1, n, 2)
-    grid_values = objective(np.tile(grid, (states, 1, 1)),
-                            np.repeat(owners, len(grid))).reshape(states, len(grid))
+    return grid.reshape(-1, n, 2)
+
+
+def _search(objective, states: int, n: int):
+    """Minimise a batched frame objective over ``n``-qubit product frames for ``states`` states.
+
+    All states pass the three stages together: the named z/x/y frames and the
+    uniform grid, each priced on every state by ``objective.uniform``, then one
+    lockstep descent from every state's deduplicated grid optimum and named
+    frames.  Ties within ``_TIE_TOL`` resolve to the lexicographically
+    smallest angle vector.  Returns one ``(value, frame, branch_values,
+    evals)`` per state.
+    """
+    named = {"z": z_frame(n), "x": x_frame(n), "y": y_frame(n)}
+    named_frames = np.stack(list(named.values()))
+    named_values = objective.uniform(named_frames)
+
+    grid = _grid(n)
+    grid_values = objective.uniform(grid)
 
     candidates, starts, start_owners = [], [], []
     for s in range(states):

@@ -18,8 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 MAX_QUBITS = 10
-# Entries (4**n per n-qubit frame or state) per batched call: 64 discord frames at
-# 4 qubits, and a sweep chunk takes a quarter, so memory stays flat in the batch size.
+# Entries per batched call, so memory stays flat in the batch size: 4**n per n-qubit
+# frame or state (64 discord frames at 4 qubits, and a sweep chunk takes a quarter),
+# 2**n + 2 per line-scan trial, and 4**n per state for each fixed discord frame, whose
+# chunks take four times the budget (64 frames beside 4 states at 4 qubits).
 BATCH_ENTRIES = 2**14
 
 # Tolerances (README *Conventions* lists the same table).
@@ -167,8 +169,17 @@ def shannon_entropies(probs: np.ndarray) -> np.ndarray:
     """Row-wise :func:`shannon_entropy` over the last axis, with the same checks."""
     p = np.asarray(probs, dtype=float)
     _check_probabilities(p)
+    return -_plog2p(p).sum(axis=-1)
+
+
+def _plog2p(p: np.ndarray) -> np.ndarray:
+    """``p log2 p`` entrywise, 0 at or below ``EIGENVALUE_FLOOR``; no checks.
+
+    Minus a row's sum is :func:`shannon_entropies` of the row, for rows checked
+    elsewhere (a discord line search checks its whole line at once).
+    """
     q = np.where(p > EIGENVALUE_FLOOR, p, 1.0)
-    return -(q * np.log2(q)).sum(axis=-1)
+    return q * np.log2(q)
 
 
 def _entropies(spectra: np.ndarray) -> np.ndarray:

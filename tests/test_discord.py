@@ -357,6 +357,132 @@ def test_batched_objective_rejects_out_of_range_probabilities():
         shannon_entropies(np.vstack([good, [[0.5, 0.4]]]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_tensors_of_a_stack_equal_each_state_alone(n):
+    rng = np.random.default_rng(400 + n)
+    states = np.stack([random_density(n, rng) for _ in range(3)])
+    stacked = discord._pauli_tensors(states, n)
+    assert stacked.shape == (3, 4**n)
+    paulis = (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)
+    for k, rho in enumerate(states):
+        assert np.array_equal(stacked[k], discord._pauli_tensors(rho[None], n)[0])
+        for index in rng.integers(0, 4**n, size=6):
+            digits = [int(index) // 4 ** (n - 1 - j) % 4 for j in range(n)]
+            sigma = np.array([[1.0]])
+            for mu in digits:
+                sigma = np.kron(sigma, paulis[mu])
+            assert abs(stacked[k, index] - np.trace(rho @ sigma).real) < 1e-15
+
+
+def _fixed_frames(n: int) -> np.ndarray:
+    """The 339 frames the search prices first: named z/x/y, then the 21 x 16 grid."""
+    return np.concatenate([np.stack([z_frame(n), x_frame(n), y_frame(n)]), discord._grid(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fixed_stage_equals_the_per_frame_values(n):
+    rng = np.random.default_rng(200 + n)
+    states = np.stack([random_density(n, rng) for _ in range(3)])
+    objective = _objective(states, n)
+    frames = _fixed_frames(n)
+    assert len(frames) == 339
+    fixed = objective.uniform(frames)
+    assert fixed.shape == (len(states), len(frames))
+    per_frame = objective(np.tile(frames, (len(states), 1, 1)),
+                          np.repeat(np.arange(len(states)), len(frames))).reshape(fixed.shape)
+    assert np.abs(fixed - per_frame).max() <= 1e-15
+    # A state priced alone gets the values it gets beside others.
+    assert np.array_equal(_objective(states[1:2], n).uniform(frames)[0], fixed[1])
+
+
+def test_fixed_stage_of_the_conditional_entropy_equals_its_per_frame_values(rng):
+    objective = discord._ConditionalEntropy(random_density(2, rng))
+    frames = _fixed_frames(1)
+    fixed = objective.uniform(frames)
+    assert fixed.shape == (1, len(frames))
+    assert np.abs(fixed[0] - objective(frames, np.zeros(len(frames), dtype=int))).max() <= 1e-15
+
+
+def test_line_rejects_a_state_whose_probabilities_do_not_sum_to_one(monkeypatch):
+    doubled = np.zeros((4, 4), dtype=complex)
+    doubled[0, 0] = doubled[1, 1] = 1.0  # trace 2: the joint rows sum to 2 at every x
+    # Unvalidated spectra: the state is invalid on purpose.
+    objective = _GlobalObjective(doubled[None], 2, np.linalg.eigvalsh(doubled[None]))
+
+    def no_trial(p):
+        raise AssertionError("a trial was priced")
+
+    monkeypatch.setattr(discord, "_plog2p", no_trial)
+    with pytest.raises(ValueError, match="on a line sum to 2 "):
+        objective.line(np.stack([z_frame(2), x_frame(2)]), np.zeros(2, dtype=int), 0, 0)
+
+
+def test_line_rejects_a_nan_coefficient():
+    objective = _objective(closed_form_state(Channel.X, 0.2)[None], 4)
+    objective.coefficients[0, 37] = math.nan
+    with pytest.raises(ValueError, match="not a number"):
+        objective.line(x_frame(4)[None], np.zeros(1, dtype=int), 1, 1)
+    coef = np.zeros((1, 3, 6))
+    coef[0, 0] = [0.25, 0.25, 0.25, 0.25, 0.5, 0.5]
+    discord._check_line(coef, 4)
+    for row, column in ((0, 1), (1, 4), (2, 5)):
+        bad = coef.copy()
+        bad[0, row, column] = math.nan
+        with pytest.raises(ValueError, match="not a number"):
+            discord._check_line(bad, 4)
+
+
+def test_line_checks_bound_every_point_of_the_line():
+    coef = np.zeros((1, 3, 4))
+    coef[0, 0] = [0.5, 0.5, 0.5, 0.5]
+    coef[0, 1, :2] = [1e-9, -1e-9]  # sums stay 1 at every x; the least value is 0.5 - 1e-9
+    discord._check_line(coef, 2)
+    coef[0, 0, 2:] = [0.5 + 6e-10, 0.5 - 6e-10]
+    coef[0, 2, 2:] = [-5e-10, 5e-10]
+    discord._check_line(coef, 2)  # 1.2e-9 apart, but the sum is exactly 1
+    coef[0, 2, 2:] = [5e-10, 5e-10]  # the sum swings to 1 +- 1e-9 (hypot of 0 and 1e-9)
+    discord._check_line(coef, 2)
+    coef[0, 2, 2:] = [6e-10, 5e-10]
+    with pytest.raises(ValueError, match="on a line sum to 1 "):
+        discord._check_line(coef, 2)
+    coef[0, 2, 2:] = 0.0
+    coef[0, 0, :2] = [0.2, 0.8]
+    coef[0, 1, :2] = [0.2, -0.2]  # outcome 0 touches 0 at x = pi, outcome 1 stays above
+    discord._check_line(coef, 2)
+    coef[0, 2, :2] = [1e-4, -1e-4]  # now it dips to 0.2 - hypot(0.2, 1e-4)
+    with pytest.raises(ValueError, match="on a line is negative"):
+        discord._check_line(coef, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_line_minimum_bounds_the_sampled_probabilities(n):
+    # A - hypot(B, C) is each outcome's least value on the line: at or below every point
+    # sampled through whole frames, and met where the line model has its minimum.
+    rng = np.random.default_rng(300 + n)
+    states = np.stack([random_density(n, rng) for _ in range(2)])
+    objective = _objective(states, n)
+    frames = _random_frames(n, 4, rng)
+    owners = np.arange(len(frames)) % 2
+    width = 2**n
+    for qubit in range(n):
+        for coord, top in ((0, math.pi), (1, 2.0 * math.pi)):
+            coef, _ = objective.line_model(frames, owners, qubit, coord)
+            a, b, c = coef[:, 0], coef[:, 1], coef[:, 2]
+            low = a - np.hypot(b, c)
+            lowest = np.arctan2(-c, -b)  # (F, 2**n + 2) angles of each outcome's minimum
+            xs = np.concatenate([rng.uniform(0.0, top, size=(len(frames), 24)), lowest], axis=1)
+            trials = np.repeat(frames[:, None], xs.shape[1], axis=1)
+            trials[..., qubit, coord] = xs
+            rows = discord._rows(trials.reshape(-1, n, 2))
+            trial_owners = owners.repeat(xs.shape[1])
+            joint = objective._contract(list(rows.swapaxes(0, 1)), trial_owners)
+            own = (rows[:, qubit] @ objective.bloch[trial_owners, qubit][..., None])[..., 0]
+            probs = np.concatenate([joint, own], axis=1).reshape(len(frames), xs.shape[1], -1)
+            assert (low[:, None, :] <= probs + 1e-15).all()
+            at_minimum = probs[:, 24:][:, np.arange(width + 2), np.arange(width + 2)]
+            assert np.abs(at_minimum - low).max() < 1e-14
+
+
 def test_row_entropies_match_the_scalar_entropy(rng):
     rows = rng.dirichlet(np.ones(8), size=5)
     rows[0] = [1.0] + [0.0] * 7
@@ -381,11 +507,15 @@ def test_search_round_count_is_pinned(monkeypatch):
     # per sweep 4 theta lines of 12 scans and 4 phi lines of 13 (the spacing starts
     # at pi/8 or pi/4 and falls 4x a scan to 1e-7); the GHZ descents stop after one.
     batches = []
-    call, line = _GlobalObjective.__call__, _GlobalObjective.line
+    call, uniform, line = _GlobalObjective.__call__, _GlobalObjective.uniform, _GlobalObjective.line
 
     def counting(self, frames, owner):
         batches.append(len(frames))
         return call(self, frames, owner)
+
+    def counting_uniform(self, frames):
+        batches.append(len(frames) * len(self.coefficients))
+        return uniform(self, frames)
 
     def counting_line(self, *args):
         evaluate = line(self, *args)
@@ -396,6 +526,7 @@ def test_search_round_count_is_pinned(monkeypatch):
         return scan
 
     monkeypatch.setattr(_GlobalObjective, "__call__", counting)
+    monkeypatch.setattr(_GlobalObjective, "uniform", counting_uniform)
     monkeypatch.setattr(_GlobalObjective, "line", counting_line)
     result = global_discord(ghz_state(4))
     assert len(batches) == 103

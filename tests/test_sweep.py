@@ -23,6 +23,7 @@ from ghzdyn.sweep import (
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_sweep.csv")
+GOLDEN_DEFAULT = os.path.join(os.path.dirname(__file__), "data", "golden_default_sweep.csv")
 FAST = SweepConfig(channels=(Channel.X, Channel.Z), measures=("tau", "entropy"),
                    kt_max=0.3, steps=3)
 
@@ -348,21 +349,34 @@ def _csv_columns(path):
     return rows[0], list(zip(*rows[1:]))
 
 
-@pytest.mark.parametrize("jobs", ["1", "2", "3"])
-def test_sweep_reproduces_the_golden_csv(tmp_path, jobs):
-    out = str(tmp_path / "sweep.csv")
-    assert main(["--kt-max", "0.6", "--steps", "13", "--method", "both",
-                 "--jobs", jobs, "--out", out]) == 0
+def _assert_matches_golden(out, golden):
     header, columns = _csv_columns(out)
-    golden_header, golden_columns = _csv_columns(GOLDEN)
+    golden_header, golden_columns = _csv_columns(golden)
     assert header == golden_header
     for name, got, want in zip(header, columns, golden_columns):
+        assert len(got) == len(want), name
         if name == "gqd_numeric":
             # %.12g is relative: tiny Z-channel values may move in the last digit.
             deviation = max(abs(float(a) - float(b)) for a, b in zip(got, want))
             assert deviation <= 1e-14, deviation
         else:
             assert got == want, name
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+def test_sweep_reproduces_the_golden_csv(tmp_path, jobs):
+    out = str(tmp_path / "sweep.csv")
+    assert main(["--kt-max", "0.6", "--steps", "13", "--method", "both",
+                 "--jobs", jobs, "--out", out]) == 0
+    _assert_matches_golden(out, GOLDEN)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_default_sweep_reproduces_the_golden_csv(tmp_path, jobs):
+    # The default request: every channel and measure, 121 steps to kappa*t = 0.6, 484 cells.
+    out = str(tmp_path / "sweep.csv")
+    assert main(["--jobs", jobs, "--out", out]) == 0
+    _assert_matches_golden(out, GOLDEN_DEFAULT)
 
 
 @pytest.mark.parametrize("size", [65, 129])
