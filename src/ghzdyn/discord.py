@@ -14,20 +14,21 @@ frame's outcome probabilities contract C with one row pair
 ``0.5 * (1, +-n_j)`` per qubit, and qubit j's own are ``(1 +- r_j . n_j) / 2``
 for its Bloch vector r_j, along the same axes.
 
-:func:`global_discord` minimises it with one fixed, deterministic search:
-the named z/x/y frames, a 21 x 16 uniform-frame grid, then at most 3 sweeps
-of coordinate descent from the best starts.  The named and grid frames are
+:func:`global_discord` minimises it with one fixed, deterministic search: a
+21 x 16 uniform-frame grid, which holds the named z/x/y frames, then at most
+3 sweeps of coordinate descent from the best starts.  A grid frame is
 uniform, one row pair for every qubit, so each is priced on all states of
-the search at once.  Along one angle x of one qubit every outcome
-probability is ``A + B cos x + C sin x``, so a line search contracts C once,
-checks those probabilities for every x at once, and then prices each trial
-at O(2**N): a few 9-point scans over a shrinking bracket.  The descents run
-in lockstep, one scan a round; their spacings shrink on a schedule that does
-not depend on the state, so all of a line's descents close in the same
-round.  One search carries a block of states (each frame is measured on the
-state that owns it), so a sweep pays a round's fixed cost once per block of
-cells.  No value depends on its batch, so each state gets the result it gets
-when searched alone.
+the search at once, and a descent starts from the value that chose it.
+Along one angle x of one qubit every outcome probability is
+``A + B cos x + C sin x``, so a line search contracts C once, checks those
+probabilities for every x at once, and then prices each trial at O(2**N): a
+few 9-point scans over a shrinking bracket.  The descents run in lockstep,
+one scan a round; their spacings shrink on a schedule that does not depend
+on the state, so all of a line's descents close in the same round.  One
+search carries a block of states (each frame is measured on the state that
+owns it), so a sweep pays a round's fixed cost once per block of cells.  No
+value depends on its batch, so each state gets the result it gets when
+searched alone.
 :func:`analytic_gqd` gives the closed forms of the 4-qubit channel states.
 """
 
@@ -40,14 +41,15 @@ import numpy as np
 
 from .channels import PAULI_X, PAULI_Y, PAULI_Z, Channel, closed_form_spectrum, coefficients
 from .entanglement import _bisect_root
-from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, PROBABILITY_SUM_TOL, PSD_FLOOR,
-                     _density_spectra, _entropies, _plog2p, assert_density_matrix,
-                     num_qubits, partial_trace, shannon_entropies, shannon_entropy,
-                     von_neumann_entropy)
+from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, EIGENVALUE_FLOOR, PROBABILITY_SUM_TOL,
+                     PSD_FLOOR, _density_spectra, _entropies, _plog2p, assert_density_matrix,
+                     num_qubits, shannon_entropies, shannon_entropy)
 
 # The uniform-frame grid: theta over [0, pi] inclusive, phi over [0, 2 pi) exclusive.
 _GRID_THETA = 21
 _GRID_PHI = 16
+# Grid indices of the named frames: theta index 10 is pi/2, and so is phi index 4.
+_NAMED = {"z": 0, "x": 10 * _GRID_PHI, "y": 10 * _GRID_PHI + 4}
 _SCAN_POINTS = 9
 _SCAN_OFFSETS = np.arange(_SCAN_POINTS)
 _ANGLE_TOL = 1e-7
@@ -55,8 +57,6 @@ _ANGLE_TOL = 1e-7
 _MAX_SWEEPS = 3
 _SWEEP_TOL = 1e-7
 _TIE_TOL = 1e-12
-# Outcome probabilities at or below this are outcomes that never occur.
-_PROB_FLOOR = 1e-14
 _PAULIS = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z])
 _OUTCOME_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
 
@@ -65,8 +65,9 @@ _OUTCOME_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
 class DiscordResult:
     """Minimised discord value with the frame that achieved it.
 
-    ``branch_values`` records the objective at the named z, x and y
-    frames; ``optimizer_evals`` counts every objective evaluation spent.
+    ``branch_values`` records the objective at the named z, x and y frames,
+    three points of the search grid; ``optimizer_evals`` counts every
+    objective evaluation spent: the grid frames and the descents' scan points.
     """
 
     value: float
@@ -256,26 +257,24 @@ class _GlobalObjective:
     def line(self, frames: np.ndarray, owners: np.ndarray, qubit: int, coord: int):
         """Evaluator of the objective along angle ``coord`` of ``qubit`` from each of ``frames``.
 
-        ``evaluate(xs, sel)`` values ``(R, K)`` angles of frames ``sel`` (an
-        index array, or a slice) on the :meth:`line_model`, at O(2**n) a trial
-        and with no check of its own: the model's probabilities passed theirs
-        for every x.
+        ``evaluate(xs)`` values ``(F, K)`` angles, row i on frame i, on the
+        :meth:`line_model`, at O(2**n) a trial and with no check of its own:
+        the model's probabilities passed theirs for every x.
         """
         coef, shift = self.line_model(frames, owners, qubit, coord)
         width = 2 ** frames.shape[1]
 
-        def evaluate(xs: np.ndarray, sel) -> np.ndarray:
-            rows, offset = coef[sel], shift[sel]
-            out, step = np.empty(xs.shape), max(1, BATCH_ENTRIES // (rows.shape[2] * xs.shape[1]))
+        def evaluate(xs: np.ndarray) -> np.ndarray:
+            out, step = np.empty(xs.shape), max(1, BATCH_ENTRIES // (coef.shape[2] * xs.shape[1]))
             for i in range(0, len(xs), step):
                 x = xs[i:i + step]
                 trig = np.empty(x.shape + (3,))
                 trig[..., 0] = 1.0
                 np.cos(x, out=trig[..., 1])
                 np.sin(x, out=trig[..., 2])
-                terms = _plog2p(trig @ rows[i:i + step])  # H(joint) - H(own), as sums of terms
+                terms = _plog2p(trig @ coef[i:i + step])  # H(joint) - H(own), as sums of terms
                 own = terms[..., width] + terms[..., width + 1]
-                out[i:i + step] = own - terms[..., :width].sum(axis=-1) + offset[i:i + step, None]
+                out[i:i + step] = own - terms[..., :width].sum(axis=-1) + shift[i:i + step, None]
             return out
 
         return evaluate
@@ -310,11 +309,15 @@ class _ConditionalEntropy:
     the outcomes of :func:`projector`.  Outcome k leaves qubit 0 in
     ``(u_0 + u . sigma) / 2``, ``u = C . 0.5 (1, +-n)`` for the Pauli tensor
     C, of eigenvalues ``(u_0 +- |u|) / 2``: the value is H(those four) - H(p) - S(rho_0).
+    The one-state :class:`_GlobalObjective` of rho, validated on the way, holds C and
+    the entropies ``s_a``, ``s_b`` and ``s_ab`` of rho_0, rho_1 and rho.
     """
 
     def __init__(self, rho: np.ndarray) -> None:
-        self.c = _pauli_tensors(rho[None], 2).reshape(4, 4)
-        self.s_a = von_neumann_entropy(partial_trace(rho, (0,)))
+        state = _GlobalObjective(rho[None], 2, _density_spectra(rho[None]))
+        self.c = state.coefficients.reshape(4, 4)
+        self.s_a, self.s_b = state.marginal_entropies[0].tolist()
+        self.s_ab = float(state.state_entropy[0])
 
     def __call__(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
         u = _rows(frames[:, 0]) @ self.c.T
@@ -327,15 +330,15 @@ class _ConditionalEntropy:
         return self(frames, np.zeros(len(frames), dtype=int))[None]
 
     def line(self, frames: np.ndarray, owners: np.ndarray, qubit: int, coord: int):
-        """Evaluator of ``(R, K)`` angles of frames ``sel``, as whole trial frames."""
-        def evaluate(xs: np.ndarray, sel) -> np.ndarray:
-            trials = np.repeat(frames[sel, None], xs.shape[1], axis=1)
+        """Evaluator of ``(F, K)`` angles, row i on frame i, as whole trial frames."""
+        def evaluate(xs: np.ndarray) -> np.ndarray:
+            trials = np.repeat(frames[:, None], xs.shape[1], axis=1)
             trials[..., qubit, coord] = xs
-            return self(trials.reshape(-1, 1, 2), owners[sel].repeat(xs.shape[1])).reshape(xs.shape)
+            return self(trials.reshape(-1, 1, 2), owners.repeat(xs.shape[1])).reshape(xs.shape)
         return evaluate
 
 
-def _lockstep(objective, starts: list[np.ndarray], owners: list[int]):
+def _lockstep(objective, starts: np.ndarray, values: np.ndarray, owners: np.ndarray):
     """Coordinate descent by repeated line scans from every start, all in lockstep.
 
     A sweep searches each angle in turn, qubit by qubit: scan ``_SCAN_POINTS``
@@ -349,14 +352,14 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int]):
     live descent.  The spacing starts at pi/8 or pi/4 and shrinks 4x a scan,
     whatever the state, up to rounding far below its distance to
     ``_ANGLE_TOL``, so every descent on a line closes in the same round.
-    Start ``i`` descends on state ``owners[i]`` exactly as it would alone.
-    Returns each descent's ``(value, frame)`` and evaluation count, in start
-    order.
+    Start ``i``, of objective value ``values[i]``, descends on state
+    ``owners[i]`` exactly as it would alone.  Returns each descent's
+    ``(value, frame)`` and its count of scan points, in start order.
     """
     frames = np.array(starts, dtype=float)
     owners = np.asarray(owners)
-    best = objective(frames, owners)
-    evals, live = np.ones(len(frames), dtype=int), np.arange(len(frames))
+    best = np.array(values, dtype=float)
+    evals, live = np.zeros(len(frames), dtype=int), np.arange(len(frames))
     for _ in range(_MAX_SWEEPS):
         sweep_start = best[live]
         for qubit, coord in np.ndindex(frames.shape[1:]):
@@ -365,9 +368,9 @@ def _lockstep(objective, starts: list[np.ndarray], owners: list[int]):
             hi, scans = np.full(len(live), (1 + coord) * math.pi), 0
             while True:
                 step = (hi - lo) / (_SCAN_POINTS - 1)
-                values = evaluate(lo[:, None] + step[:, None] * _SCAN_OFFSETS, slice(None))
+                scan = evaluate(lo[:, None] + step[:, None] * _SCAN_OFFSETS)
                 scans += 1
-                xk, fk = lo + step * values.argmin(axis=1), np.minimum.reduce(values, axis=1)
+                xk, fk = lo + step * scan.argmin(axis=1), np.minimum.reduce(scan, axis=1)
                 gain = fk < fx
                 x, fx = np.where(gain, xk, x), np.where(gain, fk, fx)
                 lo, hi = xk - step, xk + step
@@ -394,38 +397,31 @@ def _grid(n: int) -> np.ndarray:
 def _search(objective, states: int, n: int):
     """Minimise a batched frame objective over ``n``-qubit product frames for ``states`` states.
 
-    All states pass the three stages together: the named z/x/y frames and the
-    uniform grid, each priced on every state by ``objective.uniform``, then one
-    lockstep descent from every state's deduplicated grid optimum and named
-    frames.  Ties within ``_TIE_TOL`` resolve to the lexicographically
-    smallest angle vector.  Returns one ``(value, frame, branch_values,
-    evals)`` per state.
+    All states pass the two stages together: the uniform grid, priced on
+    every state by one ``objective.uniform`` call, then one lockstep descent
+    from each state's grid optimum and named frames (grid points ``_NAMED``),
+    distinct by grid index, each from its grid value.  Ties within
+    ``_TIE_TOL`` resolve to the lexicographically smallest angle vector.
+    Returns one ``(value, frame, branch_values, evals)`` per state.
     """
-    named = {"z": z_frame(n), "x": x_frame(n), "y": y_frame(n)}
-    named_frames = np.stack(list(named.values()))
-    named_values = objective.uniform(named_frames)
-
     grid = _grid(n)
     grid_values = objective.uniform(grid)
 
-    candidates, starts, start_owners = [], [], []
+    candidates, picked = [], []
     for s in range(states):
         row = grid_values[s].tolist()
         best = 0
         for k, value in enumerate(row):
             if value < row[best] - _TIE_TOL:
                 best = k
-        own = [(row[best], grid[best]), *zip(named_values[s].tolist(), named_frames)]
-        distinct: dict[tuple[float, ...], np.ndarray] = {}
-        for _, frame in own:
-            distinct.setdefault(tuple(np.round(frame.reshape(-1), 9)), frame)
-        candidates.append(own)
-        starts += distinct.values()
-        start_owners += [s] * len(distinct)
-    refined, descent_evals = _lockstep(objective, starts, start_owners)
+        own = list(dict.fromkeys([best, *_NAMED.values()]))
+        candidates.append([(row[k], grid[k]) for k in own])
+        picked += [(s, k) for k in own]
+    owners, ks = np.array(picked).T
+    refined, descent_evals = _lockstep(objective, grid[ks], grid_values[owners, ks], owners)
 
-    evals = [len(named) + len(grid)] * states
-    for s, result, count in zip(start_owners, refined, descent_evals):
+    evals = [len(grid)] * states
+    for s, result, count in zip(owners, refined, descent_evals):
         candidates[s].append(result)
         evals[s] += count
     results = []
@@ -433,7 +429,8 @@ def _search(objective, states: int, n: int):
         floor = min(v for v, _ in own)
         value, frame = min(((v, f) for v, f in own if v <= floor + _TIE_TOL),
                            key=lambda c: tuple(c[1].reshape(-1)))
-        results.append((value, frame, dict(zip(named, named_values[s].tolist())), evals[s]))
+        branch_values = {name: float(grid_values[s, k]) for name, k in _NAMED.items()}
+        results.append((value, frame, branch_values, evals[s]))
     return results
 
 
@@ -462,8 +459,8 @@ def _global_discords(states: list[np.ndarray]) -> list[DiscordResult]:
 def global_discord(rho: np.ndarray) -> DiscordResult:
     """Minimise the discord objective over product measurement frames.
 
-    Deterministic by construction: named frames and the uniform grid are
-    evaluated in a fixed order, descent starts are deduplicated, and ties
+    Deterministic by construction: the uniform grid (named frames included)
+    is evaluated in a fixed order, descent starts are deduplicated, and ties
     within 1e-12 resolve to the lexicographically smallest angle vector.
 
     The result is the best local minimum the search finds.  It matches
@@ -480,11 +477,11 @@ def bipartite_discord(rho: np.ndarray) -> float:
     I = S(rho_0) + S(rho_1) - S(rho) and classical correlations
     J = S(rho_0) - sum_k p_k S(rho given outcome k).
     """
-    n = assert_density_matrix(rho)
+    n = num_qubits(rho)
     if n != 2:
         raise ValueError(f"bipartite discord needs exactly 2 qubits, got {n}")
     objective = _ConditionalEntropy(rho)
-    mutual = objective.s_a + von_neumann_entropy(partial_trace(rho, (1,))) - von_neumann_entropy(rho)
+    mutual = objective.s_a + objective.s_b - objective.s_ab
     best = _search(objective, 1, 1)[0][0]
 
     value = mutual + best  # best == -max J
@@ -495,7 +492,7 @@ def bipartite_discord(rho: np.ndarray) -> float:
 
 def _xlg(v: float) -> float:
     """v * log2(v) extended by continuity to 0 at v = 0."""
-    return 0.0 if v <= _PROB_FLOOR else v * math.log2(v)
+    return 0.0 if v <= EIGENVALUE_FLOOR else v * math.log2(v)
 
 
 def analytic_gqd(channel: Channel, kt: float) -> float:

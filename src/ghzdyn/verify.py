@@ -14,6 +14,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -241,7 +242,7 @@ def check_structure() -> list[CheckResult]:
         emit_csv(run_sweep(SweepConfig(channels=config.channels, measures=config.measures,
                                        kt_max=config.kt_max, steps=config.steps, jobs=2)),
                  paths[2])
-        blobs = [open(p, "rb").read() for p in paths]
+        blobs = [Path(p).read_bytes() for p in paths]
     results.append(_flag("structure", "CSV bytes identical across reruns and across jobs=1/2",
                          blobs[0] == blobs[1] == blobs[2]))
     return results

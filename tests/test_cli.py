@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,12 +135,12 @@ def test_main_runs_sweep_and_plot(tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr().out
     assert "wrote 3 records" in captured
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 4
     script = str(tmp_path / "run_plot.py")
     assert "wrote plot script" in captured
-    assert open(script).read().count("ax.plot(") == 1
+    assert Path(script).read_text().count("ax.plot(") == 1
 
 
 def test_main_verify_exit_codes(monkeypatch, capsys):

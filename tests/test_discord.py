@@ -109,6 +109,16 @@ def test_named_frames():
         uniform_frame(0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_named_frames_are_grid_points(n):
+    # The search reads the named frames' values off the grid at these indices.
+    grid = discord._grid(n)
+    named = {"z": z_frame(n), "x": x_frame(n), "y": y_frame(n)}
+    assert discord._NAMED.keys() == named.keys()
+    for name, k in discord._NAMED.items():
+        assert np.array_equal(grid[k], named[name])
+
+
 def test_dephase_ghz_in_z_frame():
     pinched = dephase(ghz_state(4), z_frame(4))
     expected = np.zeros((16, 16), dtype=complex)
@@ -167,7 +177,7 @@ def test_global_discord_ghz():
     assert result.branch_values["z"] == pytest.approx(1.0, abs=1e-9)
     assert result.branch_values["x"] == pytest.approx(3.0, abs=1e-9)
     assert result.branch_values["y"] == pytest.approx(3.0, abs=1e-9)
-    assert result.optimizer_evals == 3042
+    assert result.optimizer_evals == 3036
     for theta, _ in result.frame:
         assert min(abs(theta), abs(math.pi - theta)) < 1e-3
     assert result.value <= min(result.branch_values.values()) + 1e-12
@@ -374,18 +384,13 @@ def test_pauli_tensors_of_a_stack_equal_each_state_alone(n):
             assert abs(stacked[k, index] - np.trace(rho @ sigma).real) < 1e-15
 
 
-def _fixed_frames(n: int) -> np.ndarray:
-    """The 339 frames the search prices first: named z/x/y, then the 21 x 16 grid."""
-    return np.concatenate([np.stack([z_frame(n), x_frame(n), y_frame(n)]), discord._grid(n)])
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_fixed_stage_equals_the_per_frame_values(n):
     rng = np.random.default_rng(200 + n)
     states = np.stack([random_density(n, rng) for _ in range(3)])
     objective = _objective(states, n)
-    frames = _fixed_frames(n)
-    assert len(frames) == 339
+    frames = discord._grid(n)
+    assert len(frames) == 336
     fixed = objective.uniform(frames)
     assert fixed.shape == (len(states), len(frames))
     per_frame = objective(np.tile(frames, (len(states), 1, 1)),
@@ -397,7 +402,7 @@ def test_fixed_stage_equals_the_per_frame_values(n):
 
 def test_fixed_stage_of_the_conditional_entropy_equals_its_per_frame_values(rng):
     objective = discord._ConditionalEntropy(random_density(2, rng))
-    frames = _fixed_frames(1)
+    frames = discord._grid(1)
     fixed = objective.uniform(frames)
     assert fixed.shape == (1, len(frames))
     assert np.abs(fixed[0] - objective(frames, np.zeros(len(frames), dtype=int))).max() <= 1e-15
@@ -497,21 +502,20 @@ def test_row_entropies_match_the_scalar_entropy(rng):
     *(closed_form_state(channel, 0.3) for channel in Channel),
 ], ids=["ghz", *(f"{c.value}-0.3" for c in Channel)])
 def test_evaluation_count_is_pinned(state):
-    # 3 named frames + 21 x 16 grid + 3 distinct starts, each descending for one
-    # sweep: its start, then 4 x (12 + 13) scans of 9 points (see the round count).
-    assert global_discord(state).optimizer_evals == 3042
+    # The 21 x 16 grid + 3 distinct starts, each descending for one sweep:
+    # 4 x (12 + 13) scans of 9 points (see the round count).
+    assert global_discord(state).optimizer_evals == 3036
 
 
 def test_search_round_count_is_pinned(monkeypatch):
-    # The named frames, the grid and the starts, then one line scan per round:
-    # per sweep 4 theta lines of 12 scans and 4 phi lines of 13 (the spacing starts
-    # at pi/8 or pi/4 and falls 4x a scan to 1e-7); the GHZ descents stop after one.
+    # The grid, then one line scan per round: per sweep 4 theta lines of 12 scans
+    # and 4 phi lines of 13 (the spacing starts at pi/8 or pi/4 and falls 4x a scan
+    # to 1e-7); the GHZ descents stop after one.  No frame is priced whole.
     batches = []
-    call, uniform, line = _GlobalObjective.__call__, _GlobalObjective.uniform, _GlobalObjective.line
+    uniform, line = _GlobalObjective.uniform, _GlobalObjective.line
 
-    def counting(self, frames, owner):
-        batches.append(len(frames))
-        return call(self, frames, owner)
+    def refused(self, frames, owner):
+        raise AssertionError("the search priced whole frames")
 
     def counting_uniform(self, frames):
         batches.append(len(frames) * len(self.coefficients))
@@ -520,23 +524,23 @@ def test_search_round_count_is_pinned(monkeypatch):
     def counting_line(self, *args):
         evaluate = line(self, *args)
 
-        def scan(xs, sel):
+        def scan(xs):
             batches.append(xs.size)
-            return evaluate(xs, sel)
+            return evaluate(xs)
         return scan
 
-    monkeypatch.setattr(_GlobalObjective, "__call__", counting)
+    monkeypatch.setattr(_GlobalObjective, "__call__", refused)
     monkeypatch.setattr(_GlobalObjective, "uniform", counting_uniform)
     monkeypatch.setattr(_GlobalObjective, "line", counting_line)
     result = global_discord(ghz_state(4))
-    assert len(batches) == 103
-    assert sum(batches) == result.optimizer_evals == 3042
+    assert len(batches) == 101
+    assert sum(batches) == result.optimizer_evals == 3036
 
 
-def _reference_descent(objective, frame: np.ndarray):
+def _reference_descent(objective, frame: np.ndarray, value: float):
     """One descent at a time, scalar control flow: what each lockstep descent must reproduce."""
     frame, own, points = frame.copy(), np.zeros(1, dtype=int), discord._SCAN_POINTS
-    best, evals = objective(frame[None], own)[0], 1
+    best, evals = value, 0
     for _ in range(discord._MAX_SWEEPS):
         sweep_start = best
         for j in range(frame.shape[0]):
@@ -546,7 +550,7 @@ def _reference_descent(objective, frame: np.ndarray):
                 while True:
                     step = (hi - lo) / (points - 1)
                     scan = [lo + step * k for k in range(points)]
-                    values = evaluate(np.array([scan]), own)[0].tolist()
+                    values = evaluate(np.array([scan]))[0].tolist()
                     evals += points
                     k = min(range(points), key=values.__getitem__)  # the first minimum
                     if values[k] < fx:
@@ -564,17 +568,23 @@ def _reference_descent(objective, frame: np.ndarray):
 def test_lockstep_descents_match_lone_descents():
     states = [closed_form_state(Channel.X, 0.2), closed_form_state(Channel.ISO, 0.15)]
     starts = [uniform_frame(4, 0.3, 1.0), z_frame(4), x_frame(4), y_frame(4)]
+    # values[s][i]: start i's objective value on state s.
+    values = [_objective(rho[None], 4)(np.stack(starts), np.zeros(len(starts), dtype=int))
+              for rho in states]
     # alone[s][i]: start i descending by itself on state s, equal to the scalar reference.
-    alone = [[_lockstep(_objective(rho[None], 4), [start], [0]) for start in starts]
-             for rho in states]
-    for rho, lone in zip(states, alone):
-        for start, (((value, frame),), (evals,)) in zip(starts, lone):
-            ref_value, ref_frame, ref_evals = _reference_descent(_objective(rho[None], 4), start)
-            assert (value, evals) == (ref_value, ref_evals)
+    alone = [[_lockstep(_objective(rho[None], 4), [start], [value], [0])
+              for start, value in zip(starts, start_values)]
+             for rho, start_values in zip(states, values)]
+    for rho, start_values, lone in zip(states, values, alone):
+        for start, value, (((lone_value, frame),), (evals,)) in zip(starts, start_values, lone):
+            ref_value, ref_frame, ref_evals = _reference_descent(_objective(rho[None], 4), start,
+                                                                 value)
+            assert (lone_value, evals) == (ref_value, ref_evals)
             assert np.array_equal(frame, ref_frame)
     # All starts on one state, then starts owned by two states.
     for stack, owners in ((states[:1], [0, 0, 0, 0]), (states, [0, 1, 1, 0])):
-        together, evals = _lockstep(_objective(np.stack(stack), 4), starts, owners)
+        start_values = [values[owner][i] for i, owner in enumerate(owners)]
+        together, evals = _lockstep(_objective(np.stack(stack), 4), starts, start_values, owners)
         assert len(together) == len(evals) == len(starts)
         for i, owner in enumerate(owners):
             ((lone_value, lone_frame),), (lone_evals,) = alone[owner][i]
@@ -591,7 +601,6 @@ def test_line_model_equals_whole_frames(n):
     frames = _random_frames(n, 6, rng)
     frames[::2, :, 0] = 0.0  # pole frames, where phi does not move the direction
     owners = np.arange(len(frames)) % 2
-    sel = np.arange(len(frames))
     for qubit in range(n):
         for coord, top in ((0, math.pi), (1, 2.0 * math.pi)):
             xs = np.concatenate([np.tile([0.0, math.pi, 2.0 * math.pi], (len(frames), 1)),
@@ -600,10 +609,11 @@ def test_line_model_equals_whole_frames(n):
             trials[..., qubit, coord] = xs
             whole = objective(trials.reshape(-1, n, 2), owners.repeat(xs.shape[1]))
             evaluate = objective.line(frames, owners, qubit, coord)
-            assert np.abs(evaluate(xs, sel).reshape(-1) - whole).max() < 1e-12
-            # A subset of the line's frames, in another order, gets the same values.
-            part = sel[::-2]
-            assert np.array_equal(evaluate(xs[part], part), evaluate(xs, sel)[part])
+            assert np.abs(evaluate(xs).reshape(-1) - whole).max() < 1e-12
+            # A line built on a subset of the frames, in another order, gives the same values.
+            part = np.arange(len(frames))[::-2]
+            subset = objective.line(frames[part], owners[part], qubit, coord)
+            assert np.array_equal(subset(xs[part]), evaluate(xs)[part])
 
 
 def test_objective_entropies_match_the_partial_trace_route():
@@ -637,7 +647,7 @@ def test_no_random_start_descends_below_the_closed_form(channel):
     objective = _objective(np.stack([closed_form_state(channel, kt) for kt in kts]), 4)
     starts = np.concatenate([_random_frames(4, 16, rng) for _ in kts])
     owners = np.repeat(np.arange(len(kts)), 16)
-    results, _ = _lockstep(objective, list(starts), owners)
+    results, _ = _lockstep(objective, list(starts), objective(starts, owners), owners)
     floor = np.array([analytic_gqd(channel, kt) for kt in kts])[owners]
     assert np.min([value for value, _ in results] - floor) > -1e-10
 
@@ -755,11 +765,27 @@ def test_bipartite_discord_descends_once_per_distinct_start(monkeypatch):
     calls = []
     lockstep = discord._lockstep
 
-    def recording(objective, starts, owners):
+    def recording(objective, starts, values, owners):
         calls.append([tuple(frame.reshape(-1)) for frame in starts])
-        return lockstep(objective, starts, owners)
+        return lockstep(objective, starts, values, owners)
 
     monkeypatch.setattr(discord, "_lockstep", recording)
     bipartite_discord(_werner(0.5))
     (starts,) = calls
     assert len(starts) == len(set(starts)) == 3
+
+
+def test_bipartite_discord_makes_one_eigensolve(monkeypatch):
+    # The validation spectrum gives S(rho); the marginals' entropies come from Bloch radii.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    value = bipartite_discord(_werner(0.5))
+    assert calls == [(1, 4, 4)]
+    expected = 0.25 * (_xlog2x(0.5) - 2.0 * _xlog2x(1.5) + _xlog2x(2.5))
+    assert value == pytest.approx(expected, abs=1e-9)

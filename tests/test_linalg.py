@@ -228,6 +228,41 @@ def test_stacked_spectra_and_entropies_match_the_per_state_reference():
     assert [von_neumann_entropy(rho) for rho in states] == entropies.tolist()
 
 
+def _per_row_entropies(spectra: np.ndarray) -> np.ndarray:
+    """The per-row loop stacked entropies were once computed with."""
+    kept = (row[row > 1e-12] for row in spectra[:, ::-1])
+    return np.array([-(lam * np.log2(lam)).sum() for lam in kept])
+
+
+def test_stacked_entropies_equal_the_per_row_loop(monkeypatch):
+    # Every stack the default sweep hands to _entropies: its 484 cells in chunks, then the
+    # discord search's 484 states and their 4 x 484 one-qubit marginals.
+    import ghzdyn.discord as discord
+    import ghzdyn.sweep as sweep
+
+    seen = []
+
+    def recording(spectra):
+        seen.append(spectra.copy())
+        return _entropies(spectra)
+
+    monkeypatch.setattr(sweep, "_entropies", recording)
+    monkeypatch.setattr(discord, "_entropies", recording)
+    sweep.run_sweep(sweep.SweepConfig())
+    assert sum(len(spectra) for spectra in seen) == 484 + 484 + 4 * 484
+    for spectra in seen:
+        assert np.array_equal(_entropies(spectra), _per_row_entropies(spectra))
+    # Random spectra of every rank, with zeros and small negatives below the floor.
+    rng = np.random.default_rng(53)
+    for d in range(2, 33):
+        for rank in range(1, d + 1):
+            spectra = np.zeros((4, d))
+            spectra[:, :d - rank] = rng.uniform(-1e-11, 1e-12, size=(4, d - rank))
+            spectra[:, d - rank:] = rng.dirichlet(np.ones(rank), size=4)
+            spectra.sort(axis=1)
+            assert np.array_equal(_entropies(spectra), _per_row_entropies(spectra))
+
+
 @pytest.mark.parametrize("kind", ["hermitian", "trace", "negative eigenvalue"])
 def test_a_bad_state_inside_a_stack_raises_its_own_error(kind):
     bad = ghz_state(4)

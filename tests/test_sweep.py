@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_run_sweep_discord_columns():
 def test_emit_csv_format(tmp_path):
     path = str(tmp_path / "out.csv")
     emit_csv(run_sweep(FAST), path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert b"\r" not in blob
     assert blob.endswith(b"\n")
     lines = blob.decode().splitlines()
@@ -115,7 +116,7 @@ def test_csv_bytes_are_reproducible(tmp_path):
     emit_csv(run_sweep(FAST), paths[0])
     emit_csv(run_sweep(FAST), paths[1])
     emit_csv(run_sweep(replace(FAST, jobs=2)), paths[2])
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [Path(p).read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
 
 
@@ -126,7 +127,7 @@ def test_csv_bytes_do_not_depend_on_the_blocks(tmp_path, channels, steps, jobs):
     paths = [str(tmp_path / "one.csv"), str(tmp_path / "many.csv")]
     emit_csv(run_sweep(config), paths[0])
     emit_csv(run_sweep(replace(config, jobs=jobs)), paths[1])
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
 
 def _inline_pool(monkeypatch, cpus):
@@ -185,7 +186,7 @@ def test_emit_plot_script_declares_one_curve_per_channel(tmp_path):
     emit_csv(records, csv_path)
     script_path = emit_plot_script(records, csv_path)
     assert script_path == str(tmp_path / "sweep_plot.py")
-    text = open(script_path).read()
+    text = Path(script_path).read_text()
     assert text.count("ax.plot(") == 4
     for channel in ("x", "y", "z", "iso"):
         assert f'series(rows, "{channel}", "tau_numeric")' in text
@@ -198,7 +199,7 @@ def test_emit_plot_script_handles_two_panels(tmp_path):
     records = run_sweep(config)
     csv_path = str(tmp_path / "sweep.csv")
     emit_csv(records, csv_path)
-    text = open(emit_plot_script(records, csv_path)).read()
+    text = Path(emit_plot_script(records, csv_path)).read_text()
     assert text.count("ax.plot(") == 2
     assert '"gqd_numeric"' in text
 
@@ -317,7 +318,7 @@ def test_failed_plot_script_write_keeps_the_previous_script(tmp_path, monkeypatc
     records = run_sweep(replace(FAST, measures=("tau",)))
     csv_path = str(tmp_path / "sweep.csv")
     script_path = emit_plot_script(records, csv_path)
-    before = open(script_path, "rb").read()
+    before = Path(script_path).read_bytes()
 
     real_fdopen = os.fdopen
     monkeypatch.setattr(sweep.os, "fdopen", lambda *a, **k: _FailingFile(real_fdopen(*a, **k)))
@@ -325,7 +326,7 @@ def test_failed_plot_script_write_keeps_the_previous_script(tmp_path, monkeypatc
         emit_plot_script(records[:3], csv_path)
     with pytest.raises(OSError, match="No space"):
         emit_csv(records, csv_path)
-    assert open(script_path, "rb").read() == before
+    assert Path(script_path).read_bytes() == before
     assert not os.path.exists(csv_path)
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
