@@ -83,7 +83,9 @@ class ChannelCoefficients:
     states of excitation number {0, 4}, {1, 3} and {2}; ``corner`` is the
     magnitude of the |0000><1111| coherence.  They satisfy
     ``2*alpha + 8*beta + 6*gamma = 1`` and ``corner <= alpha`` for every
-    channel and time.
+    channel and time.  :func:`_coefficient_columns` holds ``(B,)`` arrays
+    instead, one entry per time (the Z channel's constant alpha, beta and
+    gamma stay floats).
     """
 
     alpha: float
@@ -92,25 +94,49 @@ class ChannelCoefficients:
     corner: float
 
 
+def _coefficients_from(channel: Channel, kts, decay) -> ChannelCoefficients:
+    """The coefficients at times ``kts`` from ``decay(rate) = e**(-rate*kt)``: floats, or arrays."""
+    for kt in kts:
+        if not 0.0 <= kt < math.inf:
+            raise ValueError(f"kappa*t must be finite and nonnegative, got {kt}")
+    if channel in (Channel.X, Channel.Y):
+        u = decay(4.0)
+        x = decay(8.0)
+        alpha = (1.0 + 6.0 * u + x) / 16.0
+        return ChannelCoefficients(alpha, (1.0 - x) / 16.0, (1.0 - 2.0 * u + x) / 16.0, alpha)
+    y = decay(8.0)
+    if channel is Channel.Z:
+        return ChannelCoefficients(0.5, 0.0, 0.0, 0.5 * y)
+    return ChannelCoefficients((1.0 + 6.0 * y + y * y) / 16.0, (1.0 - y * y) / 16.0,
+                               (1.0 - 2.0 * y + y * y) / 16.0, 0.5 * y * y)
+
+
 def coefficients(channel: Channel, kt: float) -> ChannelCoefficients:
     """Closed-form matrix-element weights of the evolved 4-qubit state."""
-    channel = Channel(channel)
-    if not 0.0 <= kt < math.inf:
-        raise ValueError(f"kappa*t must be finite and nonnegative, got {kt}")
-    if channel in (Channel.X, Channel.Y):
-        u = math.exp(-4.0 * kt)
-        x = math.exp(-8.0 * kt)
-        alpha = (1.0 + 6.0 * u + x) / 16.0
-        beta = (1.0 - x) / 16.0
-        gamma = (1.0 - 2.0 * u + x) / 16.0
-        return ChannelCoefficients(alpha, beta, gamma, alpha)
-    if channel is Channel.Z:
-        return ChannelCoefficients(0.5, 0.0, 0.0, 0.5 * math.exp(-8.0 * kt))
-    y = math.exp(-8.0 * kt)
-    alpha_plus = (1.0 + 6.0 * y + y * y) / 16.0
-    beta = (1.0 - y * y) / 16.0
-    gamma = (1.0 - 2.0 * y + y * y) / 16.0
-    return ChannelCoefficients(alpha_plus, beta, gamma, 0.5 * y * y)
+    return _coefficients_from(Channel(channel), (kt,), lambda rate: math.exp(-rate * kt))
+
+
+def _coefficient_columns(channel: Channel, kts) -> ChannelCoefficients:
+    """:func:`coefficients` of one channel at each of ``kts``, as ``(B,)`` arrays.
+
+    The exponentials are per-time ``math.exp`` values and the arithmetic is the
+    scalar one elementwise, so every entry equals :func:`coefficients` bit for bit.
+    """
+    return _coefficients_from(channel, kts, lambda rate: np.array([math.exp(-rate * kt) for kt in kts]))
+
+
+def _closed_form_states(channel: Channel, co: ChannelCoefficients) -> np.ndarray:
+    """:func:`closed_form_state` from its coefficients; ``(B,)`` columns give a ``(B, 16, 16)`` stack."""
+    index = np.arange(16)
+    by_weight = np.array([co.alpha, co.beta, co.gamma, co.beta, co.alpha]).T[..., _WEIGHT]
+    rho = np.zeros(np.shape(co.corner) + (16, 16), dtype=complex)
+    rho[..., index, index] = by_weight  # Z: beta = gamma = 0 leave only the two ends
+    if channel in (Channel.Z, Channel.ISO):
+        rho[..., 0, 15] = rho[..., 15, 0] = co.corner
+    else:
+        sign = np.array([(-1.0) ** w for w in _WEIGHT]) if channel is Channel.Y else 1.0
+        rho[..., index, 15 - index] = sign * by_weight
+    return rho
 
 
 def closed_form_state(channel: Channel, kt: float) -> np.ndarray:
@@ -123,25 +149,7 @@ def closed_form_state(channel: Channel, kt: float) -> np.ndarray:
     extreme corners.
     """
     channel = Channel(channel)
-    co = coefficients(channel, kt)
-    rho = np.zeros((16, 16), dtype=complex)
-    if channel in (Channel.X, Channel.Y):
-        by_weight = (co.alpha, co.beta, co.gamma, co.beta, co.alpha)
-        for i in range(16):
-            val = by_weight[_WEIGHT[i]]
-            rho[i, i] = val
-            sign = (-1.0) ** _WEIGHT[i] if channel is Channel.Y else 1.0
-            rho[i, 15 - i] = sign * val
-        return rho
-    if channel is Channel.Z:
-        rho[0, 0] = rho[15, 15] = co.alpha
-        rho[0, 15] = rho[15, 0] = co.corner
-        return rho
-    by_weight = (co.alpha, co.beta, co.gamma, co.beta, co.alpha)
-    for i in range(16):
-        rho[i, i] = by_weight[_WEIGHT[i]]
-    rho[0, 15] = rho[15, 0] = co.corner
-    return rho
+    return _closed_form_states(channel, coefficients(channel, kt))
 
 
 def closed_form_spectrum(channel: Channel, kt: float) -> np.ndarray:

@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plot", action="store_true", default=None,
                         help="also emit a standalone matplotlib script next to the CSV")
     parser.add_argument("--jobs", type=int, default=None,
-                        help=f"sweep blocks, on at most one worker process per CPU (default {_DEFAULTS['jobs']})")
+                        help=f"sweep blocks: the caller computes the first, at most one worker process "
+                             f"per other CPU the rest (default {_DEFAULTS['jobs']})")
     parser.add_argument("--config", default=None,
                         help="flat key = value file supplying defaults for the flags above")
     parser.add_argument("--verify", action="store_true",

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, coefficients
+from .channels import Channel, ChannelCoefficients, coefficients
 from .linalg import (
     FLIP_IMAG_LIMIT,
     FLIP_NEGATIVE_LIMIT,
@@ -138,8 +138,8 @@ def _flip_signs(n: int) -> np.ndarray:
     return np.array([(-1.0) ** bin(i).count("1") for i in range(2**n)])
 
 
-def _tau_lower_bounds(rhos: np.ndarray) -> list[TauResult]:
-    """Stacked :func:`tau_lower_bound` of validated states; ``F rho* F`` as in the module doc."""
+def _flip_values(rhos: np.ndarray) -> np.ndarray:
+    """Spin-flip Wootters value of each validated state in a stack; ``F rho* F`` as in the module doc."""
     n = rhos.shape[-1].bit_length() - 1
     if n % 2:
         raise ValueError(f"the spin-flip bound needs an even number of qubits, got {n}")
@@ -147,8 +147,18 @@ def _tau_lower_bounds(rhos: np.ndarray) -> list[TauResult]:
     tilde = np.conj(rhos[:, ::-1, ::-1])  # a new array even for real input: signed in place
     tilde *= np.outer(signs, signs)
     lam = _wootters_lambdas(rhos @ tilde)
-    values = np.maximum(0.0, 2.0 * lam[:, 0] - lam.sum(axis=-1))
-    return [_aggregate([c] * n) for c in values]
+    return np.maximum(0.0, 2.0 * lam[:, 0] - lam.sum(axis=-1))
+
+
+def _tau_lower_bounds(rhos: np.ndarray) -> np.ndarray:
+    """Stacked :func:`tau_lower_bound` values, in the float operations of :func:`_aggregate`."""
+    n = rhos.shape[-1].bit_length() - 1
+    # libm's c ** 2, as in _aggregate: c * c is rounded differently for about 1 in 1000 doubles.
+    squares = np.array([c ** 2 for c in _flip_values(rhos).tolist()])
+    total = squares
+    for _ in range(n - 1):
+        total = total + squares
+    return TAU_SCALE * np.sqrt(total / n)
 
 
 def tau_lower_bound(rho: np.ndarray) -> TauResult:
@@ -158,8 +168,8 @@ def tau_lower_bound(rho: np.ndarray) -> TauResult:
     ``per_cut`` holds N equal entries and ``value`` equals
     ``convention_scale`` times the common Wootters value.
     """
-    assert_density_matrix(rho)
-    return _tau_lower_bounds(rho[None])[0]
+    n = assert_density_matrix(rho)
+    return _aggregate([float(_flip_values(rho[None])[0])] * n)
 
 
 def _cut_arrays(rho: np.ndarray, n: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,9 +221,11 @@ def tau_generator_bound(rho: np.ndarray) -> TauResult:
                        for cut in range(n)])
 
 
-def _signed_tau(channel: Channel, kt: float) -> float:
-    """The closed form of :func:`analytic_tau` before scaling and clamping at zero."""
-    co = coefficients(channel, kt)
+def _signed_tau(channel: Channel, co: ChannelCoefficients) -> float | np.ndarray:
+    """The closed form of :func:`analytic_tau` before scaling and clamping at zero.
+
+    ``co`` holds floats, or arrays from :func:`_coefficient_columns`.
+    """
     if channel in (Channel.X, Channel.Y):
         return 2.0 * co.alpha - 8.0 * co.beta - 6.0 * co.gamma
     if channel is Channel.Z:
@@ -221,9 +233,15 @@ def _signed_tau(channel: Channel, kt: float) -> float:
     return 2.0 * co.corner - 8.0 * co.beta - 6.0 * co.gamma
 
 
+def _analytic_taus(channel: Channel, co: ChannelCoefficients) -> np.ndarray:
+    """:func:`analytic_tau` from coefficients: one value from floats, an array from columns."""
+    return TAU_SCALE * np.maximum(0.0, _signed_tau(channel, co))
+
+
 def analytic_tau(channel: Channel, kt: float) -> float:
     """Closed-form value of :func:`tau_lower_bound` on a 4-qubit GHZ register."""
-    return TAU_SCALE * max(0.0, _signed_tau(Channel(channel), kt))
+    channel = Channel(channel)
+    return float(_analytic_taus(channel, coefficients(channel, kt)))
 
 
 def _bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -247,7 +265,7 @@ def tau_vanishing_time(channel: Channel) -> float | None:
     channel = Channel(channel)
     if channel is Channel.Z:
         return None
-    return _bisect_root(lambda kt: _signed_tau(channel, kt), 0.0, 2.0)
+    return _bisect_root(lambda kt: _signed_tau(channel, coefficients(channel, kt)), 0.0, 2.0)
 
 
 def _ppt_min_eigenvalues(rhos: np.ndarray, subset: tuple[int, ...] | list[int]) -> np.ndarray:

@@ -9,14 +9,17 @@ CSV carries both columns when ``method = "both"``; ``ppt`` and
 Output is byte-reproducible: records are ordered channel-major, floats
 are rendered with 12 significant digits, rows end with a bare newline,
 and the file is written atomically.  ``jobs`` splits the grid into that
-many contiguous blocks of cells, on at most one worker process per CPU;
-the record order never depends on the job count.
+many contiguous blocks of cells (at most one block per cell).  The calling
+process computes the first block itself and at most ``os.cpu_count() - 1``
+worker processes compute the rest; the record order never depends on the
+job count.
 
 A block builds its closed-form states in chunks of at most 16 (a quarter
-of the ``BATCH_ENTRIES`` budget) and measures each chunk as one stack: one
-``eigvalsh`` validates the states and gives their entropy spectra, one
-``eigvals`` the Wootters roots of the spin flip (a signed index reversal),
-one ``eigvalsh`` the partial transposes; the block's discord is one search
+of the ``BATCH_ENTRIES`` budget), as one array per channel run, and
+measures each chunk as one stack: one ``eigvalsh`` validates the states
+and gives their entropy spectra, one ``eigvals`` the Wootters roots of the
+spin flip (a signed index reversal), one ``eigvalsh`` the partial
+transposes; the block's discord is one search
 (:func:`ghzdyn.discord._global_discords`).  No value depends on the chunk.
 """
 
@@ -26,13 +29,15 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .channels import Channel, closed_form_state
+from .channels import Channel, _closed_form_states, _coefficient_columns, closed_form_state
 from .discord import _global_discords, analytic_gqd
-from .entanglement import _ppt_min_eigenvalues, _tau_lower_bounds, analytic_tau
+from .entanglement import _analytic_taus, _ppt_min_eigenvalues, _tau_lower_bounds
 from .linalg import BATCH_ENTRIES, _density_spectra, _entropies
 
 CSV_HEADER = "channel,kappa_t,tau_analytic,tau_numeric,gqd_analytic,gqd_numeric,ppt_min_eig,entropy"
@@ -100,57 +105,71 @@ class SweepRecord:
 
 
 def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -> list[SweepRecord]:
-    """Records of a block of cells, measured ``_CHUNK`` at a time; one discord search per block."""
+    """Records of a block of cells, measured ``_CHUNK`` at a time; one discord search per block.
+
+    A chunk's coefficients are computed once per channel run and give both its closed-form
+    states and its analytic tau; every column is built as arrays, and the records once.
+    """
     cells, measures, method = args
     analytic = method in ("analytic", "both")
     numeric = method in ("numeric", "both")
-    tau_numeric = numeric and "tau" in measures
-    searched = numeric and "gqd" in measures
-    needs_state = tau_numeric or searched or "ppt" in measures or "entropy" in measures
-    records, searched_states = [], []
+    wanted = {"tau_analytic": analytic and "tau" in measures,  # the SweepRecord field order
+              "tau_numeric": numeric and "tau" in measures,
+              "gqd_analytic": analytic and "gqd" in measures,
+              "gqd_numeric": numeric and "gqd" in measures,
+              "ppt_min_eig": "ppt" in measures,
+              "entropy": "entropy" in measures}
+    needs_state = any(wanted[name] for name in ("tau_numeric", "gqd_numeric", "ppt_min_eig", "entropy"))
+    parts: dict[str, list[np.ndarray]] = {name: [] for name, on in wanted.items() if on}
+    searched_states = []
     for lo in range(0, len(cells), _CHUNK):
         chunk = cells[lo:lo + _CHUNK]
-        columns: dict[str, list[float]] = {}
-        if analytic and "tau" in measures:
-            columns["tau_analytic"] = [analytic_tau(channel, kt) for channel, kt in chunk]
-        if analytic and "gqd" in measures:
-            columns["gqd_analytic"] = [analytic_gqd(channel, kt) for channel, kt in chunk]
+        runs = []  # (channel, coefficient columns) of each channel run, in cell order
+        for value, run in groupby(chunk, itemgetter(0)):
+            channel = Channel(value)
+            runs.append((channel, _coefficient_columns(channel, [kt for _, kt in run])))
+        if wanted["tau_analytic"]:
+            parts["tau_analytic"] += [_analytic_taus(channel, co) for channel, co in runs]
+        if wanted["gqd_analytic"]:
+            parts["gqd_analytic"].append([analytic_gqd(channel, kt) for channel, kt in chunk])
         if needs_state:
-            states = np.stack([closed_form_state(channel, kt) for channel, kt in chunk])
+            states = np.concatenate([_closed_form_states(channel, co) for channel, co in runs])
             spectra = _density_spectra(states)
-        if tau_numeric:
-            columns["tau_numeric"] = [r.value for r in _tau_lower_bounds(states)]
-        if searched:
+        if wanted["tau_numeric"]:
+            parts["tau_numeric"].append(_tau_lower_bounds(states))
+        if wanted["gqd_numeric"]:
             searched_states += list(states)
-        if "ppt" in measures:
-            columns["ppt_min_eig"] = _ppt_min_eigenvalues(states, (0,)).tolist()
-        if "entropy" in measures:
-            columns["entropy"] = _entropies(spectra).tolist()
-        records += [SweepRecord(channel, kt, **dict(zip(columns, values)))
-                    for (channel, kt), *values in zip(chunk, *columns.values())]
-    if searched:
-        discords = _global_discords(searched_states)
-        records = [replace(r, gqd_numeric=d.value) for r, d in zip(records, discords)]
-    return records
+        if wanted["ppt_min_eig"]:
+            parts["ppt_min_eig"].append(_ppt_min_eigenvalues(states, (0,)))
+        if wanted["entropy"]:
+            parts["entropy"].append(_entropies(spectra))
+    if wanted["gqd_numeric"]:
+        parts["gqd_numeric"].append([d.value for d in _global_discords(searched_states)])
+    columns = [np.concatenate(parts[name]).tolist() if on else repeat(None) for name, on in wanted.items()]
+    return list(map(SweepRecord, [c for c, _ in cells], [kt for _, kt in cells], *columns))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured grid, channel-major, in deterministic order.
 
-    The cells are split into ``config.jobs`` contiguous blocks; with more
-    than one non-empty block, they go to a pool of at most ``os.cpu_count()``
-    worker processes.
+    The cells are split into ``min(config.jobs, cells)`` contiguous blocks.
+    The calling process computes the first block itself; the others go to a
+    pool of at most ``os.cpu_count() - 1`` worker processes, and with one CPU
+    the caller computes every block.
     """
     config.validate()
     grid = np.linspace(0.0, config.kt_max, config.steps)
     cells = [(channel.value, float(kt)) for channel in config.channels for kt in grid]
-    bounds = [len(cells) * i // config.jobs for i in range(config.jobs + 1)]
-    blocks = [(cells[lo:hi], config.measures, config.method)
-              for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    if len(blocks) == 1:
-        return _compute_block(blocks[0])
-    with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
-        return [record for block in pool.map(_compute_block, blocks) for record in block]
+    count = min(config.jobs, len(cells))
+    bounds = [len(cells) * i // count for i in range(count + 1)]
+    blocks = [(cells[lo:hi], config.measures, config.method) for lo, hi in zip(bounds, bounds[1:])]
+    workers = min(len(blocks), os.cpu_count() or 1) - 1
+    if workers < 1:
+        return [record for block in blocks for record in _compute_block(block)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        rest = pool.map(_compute_block, blocks[1:])
+        first = _compute_block(blocks[0])
+        return first + [record for block in rest for record in block]
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -181,9 +200,8 @@ def _format(value: float | None) -> str:
 
 def emit_csv(records: list[SweepRecord], path: str) -> None:
     """Write records atomically with fixed header, digits and line endings."""
-    columns = CSV_HEADER.split(",")[1:]
-    lines = [CSV_HEADER] + [",".join([r.channel] + [_format(getattr(r, c)) for c in columns])
-                            for r in records]
+    values = attrgetter(*CSV_HEADER.split(",")[1:])
+    lines = [CSV_HEADER] + [",".join([r.channel, *map(_format, values(r))]) for r in records]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

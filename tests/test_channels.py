@@ -9,6 +9,8 @@ import ghzdyn.channels as channels
 from ghzdyn.channels import (
     BASE_STEP,
     Channel,
+    _closed_form_states,
+    _coefficient_columns,
     closed_form_spectrum,
     closed_form_state,
     coefficients,
@@ -18,7 +20,7 @@ from ghzdyn.channels import (
     lindblad_generator,
 )
 from ghzdyn.discord import analytic_gqd
-from ghzdyn.entanglement import analytic_tau
+from ghzdyn.entanglement import TAU_SCALE, _analytic_taus, _tau_lower_bounds, analytic_tau, tau_lower_bound
 from ghzdyn.linalg import INTEGRATOR_TOL, assert_density_matrix, partial_trace, trace_distance
 
 times = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
@@ -78,6 +80,92 @@ def test_non_finite_times_are_rejected(kt):
                 closed_form(channel, kt)
         with pytest.raises(ValueError, match="finite"):
             evolve_numeric(ghz_state(2), channel, kt)
+
+
+STACK_TIMES = (0.0, 0.05, 0.137, 0.6, 5.0)
+
+
+def _reference_coefficients(channel, kt):
+    """(alpha, beta, gamma, corner) by the scalar formulas the stacked builder replaced."""
+    if channel in (Channel.X, Channel.Y):
+        u = math.exp(-4.0 * kt)
+        x = math.exp(-8.0 * kt)
+        alpha = (1.0 + 6.0 * u + x) / 16.0
+        return alpha, (1.0 - x) / 16.0, (1.0 - 2.0 * u + x) / 16.0, alpha
+    if channel is Channel.Z:
+        return 0.5, 0.0, 0.0, 0.5 * math.exp(-8.0 * kt)
+    y = math.exp(-8.0 * kt)
+    return ((1.0 + 6.0 * y + y * y) / 16.0, (1.0 - y * y) / 16.0,
+            (1.0 - 2.0 * y + y * y) / 16.0, 0.5 * y * y)
+
+
+def _reference_state(channel, kt):
+    """closed_form_state by the per-entry loop the stacked builder replaced."""
+    alpha, beta, gamma, corner = _reference_coefficients(channel, kt)
+    by_weight = (alpha, beta, gamma, beta, alpha)
+    rho = np.zeros((16, 16), dtype=complex)
+    if channel is Channel.Z:
+        rho[0, 0] = rho[15, 15] = alpha
+    else:
+        for i in range(16):
+            rho[i, i] = by_weight[WEIGHT[i]]
+    if channel in (Channel.X, Channel.Y):
+        for i in range(16):
+            sign = (-1.0) ** WEIGHT[i] if channel is Channel.Y else 1.0
+            rho[i, 15 - i] = sign * by_weight[WEIGHT[i]]
+    else:
+        rho[0, 15] = rho[15, 0] = corner
+    return rho
+
+
+def _reference_analytic_tau(channel, kt):
+    alpha, beta, gamma, corner = _reference_coefficients(channel, kt)
+    if channel in (Channel.X, Channel.Y):
+        signed = 2.0 * alpha - 8.0 * beta - 6.0 * gamma
+    elif channel is Channel.Z:
+        signed = 2.0 * corner
+    else:
+        signed = 2.0 * corner - 8.0 * beta - 6.0 * gamma
+    return TAU_SCALE * max(0.0, signed)
+
+
+def _bits(values):
+    """Exact bit patterns, so a signed zero or a last-place change shows."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("channel", list(Channel))
+def test_stacked_closed_forms_equal_the_scalar_formulas(channel):
+    co = _coefficient_columns(channel, STACK_TIMES)
+    states = _closed_form_states(channel, co)
+    taus = _analytic_taus(channel, co)
+    assert states.shape == (len(STACK_TIMES), 16, 16)
+    for k, kt in enumerate(STACK_TIMES):
+        reference = _reference_coefficients(channel, kt)
+        scalar = coefficients(channel, kt)
+        assert _bits([scalar.alpha, scalar.beta, scalar.gamma, scalar.corner]) == _bits(reference)
+        column = [np.broadcast_to(v, len(STACK_TIMES))[k] for v in (co.alpha, co.beta, co.gamma, co.corner)]
+        assert _bits(column) == _bits(reference)
+        assert np.array_equal(states[k], closed_form_state(channel, kt))
+        assert _bits(states[k].view(float)) == _bits(_reference_state(channel, kt).view(float))
+        assert _bits([analytic_tau(channel, kt), taus[k]]) == _bits([_reference_analytic_tau(channel, kt)] * 2)
+    assert _bits(_tau_lower_bounds(states)) == _bits([tau_lower_bound(rho).value for rho in states])
+    # np.exp differs from math.exp on some of these times, so a vectorised exponential shows.
+    grid = np.linspace(0.0, 0.6, 241).tolist()
+    dense = _coefficient_columns(channel, grid)
+    for field in ("alpha", "beta", "gamma", "corner"):
+        assert (_bits(np.broadcast_to(getattr(dense, field), len(grid)))
+                == _bits([getattr(coefficients(channel, kt), field) for kt in grid]))
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+def test_a_stack_with_a_bad_time_raises_the_scalar_error(bad):
+    for channel in Channel:
+        with pytest.raises(ValueError) as scalar:
+            coefficients(channel, bad)
+        with pytest.raises(ValueError) as stacked:
+            _coefficient_columns(channel, (0.1, bad, 0.2))
+        assert str(stacked.value) == str(scalar.value)
 
 
 def test_closed_form_starts_at_ghz():

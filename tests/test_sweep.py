@@ -135,7 +135,7 @@ def _inline_pool(monkeypatch, cpus):
     seen = []
 
     class InlinePool:
-        """Process-pool stand-in that records its size and the blocks it is given."""
+        """Process-pool stand-in that records its size and the cells of the blocks it is given."""
 
         def __init__(self, max_workers):
             seen.append(max_workers)
@@ -148,7 +148,7 @@ def _inline_pool(monkeypatch, cpus):
 
         def map(self, fn, blocks):
             blocks = list(blocks)
-            seen.append([len(cells) for cells, *_ in blocks])
+            seen.append([cells for cells, *_ in blocks])
             return map(fn, blocks)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
@@ -158,20 +158,35 @@ def _inline_pool(monkeypatch, cpus):
 
 @pytest.mark.parametrize("steps, jobs, sizes", [(2, 3, [1, 1]), (2, 5, [1, 1]), (5, 2, [2, 3])])
 def test_no_empty_block_reaches_the_pool(monkeypatch, steps, jobs, sizes):
+    # ``sizes`` lists every block; the calling process computes the first itself.
     seen = _inline_pool(monkeypatch, cpus=64)
     config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3,
                          steps=steps, jobs=jobs)
     assert len(run_sweep(config)) == steps
-    assert seen == [len(sizes), sizes]
+    assert seen[0] == len(sizes) - 1
+    assert [len(cells) for cells in seen[1]] == sizes[1:]
 
 
 @pytest.mark.parametrize("cpus, workers", [(2, 2), (1, 1), (None, 1)])
 def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
+    # ``workers`` counts the calling process, which computes block 0 itself.
     seen = _inline_pool(monkeypatch, cpus)
+    if workers == 1:
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
     config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3, steps=5)
     records = run_sweep(replace(config, jobs=5))
-    assert seen == [workers, [1] * 5]  # the blocks do not depend on the pool size
+    if workers > 1:
+        grid = np.linspace(0.0, 0.3, 5)
+        assert seen == [workers - 1, [[("z", float(kt))] for kt in grid[1:]]]
     assert records == run_sweep(config)
+
+
+def test_a_huge_job_count_splits_into_one_block_per_cell(monkeypatch):
+    seen = _inline_pool(monkeypatch, cpus=64)
+    config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("tau", "entropy"),
+                         kt_max=0.3, steps=3)
+    assert run_sweep(replace(config, jobs=10**12)) == run_sweep(config)
+    assert seen[0] == 5 and [len(cells) for cells in seen[1]] == [1] * 5
 
 
 def test_a_single_block_runs_without_a_pool(monkeypatch):
