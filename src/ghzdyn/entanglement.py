@@ -214,7 +214,8 @@ def tau_generator_bound(rho: np.ndarray) -> TauResult:
 
     Generally tighter than :func:`tau_lower_bound` (it saturates
     2 * :func:`pure_concurrence` on pure states); the two coincide on
-    GHZ-coherence states such as the Z-channel family.
+    GHZ-coherence states such as the Z-channel family.  It depends on the local basis: random
+    local unitaries moved it by up to 0.079 on rank-2 4-qubit states (``default_rng(12)``).
     """
     n = assert_density_matrix(rho)
     return _aggregate([math.sqrt(math.fsum(np.square(_cut_arrays(rho, n, cut)[2])))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -222,14 +222,12 @@ def check_structure() -> list[CheckResult]:
 
     worst = 0.0
     for channel in Channel:
-        start = float(np.abs(closed_form_state(channel, 0.0) - ghz_state(4)).max())
-        worst = max(worst, start)
+        worst = max(worst, float(np.abs(closed_form_state(channel, 0.0) - ghz_state(4)).max()))
         for kt in (0.1, 0.4):
             state = closed_form_state(channel, kt)
-            worst = max(worst, float(np.abs(state - state.conj().T).max()))
-            worst = max(worst, abs(float(np.trace(state).real) - 1.0))
-            lo = float(np.linalg.eigvalsh(state).min())
-            worst = max(worst, max(0.0, -lo))
+            worst = max(worst, float(np.abs(state - state.conj().T).max()),
+                        abs(float(np.trace(state).real) - 1.0),
+                        -float(np.linalg.eigvalsh(state).min()))
     results.append(_result("structure", "closed-form states: GHZ at t=0, hermitian, "
                            "unit trace, positive", worst, 0.0, 1e-12))
 
@@ -237,11 +235,8 @@ def check_structure() -> list[CheckResult]:
                          kt_max=0.2, steps=3)
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("a.csv", "b.csv", "c.csv")]
-        emit_csv(run_sweep(config), paths[0])
-        emit_csv(run_sweep(config), paths[1])
-        emit_csv(run_sweep(SweepConfig(channels=config.channels, measures=config.measures,
-                                       kt_max=config.kt_max, steps=config.steps, jobs=2)),
-                 paths[2])
+        for path, jobs in zip(paths, (1, 1, 2)):
+            emit_csv(run_sweep(replace(config, jobs=jobs)), path)
         blobs = [Path(p).read_bytes() for p in paths]
     results.append(_flag("structure", "CSV bytes identical across reruns and across jobs=1/2",
                          blobs[0] == blobs[1] == blobs[2]))

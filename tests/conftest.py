@@ -31,6 +31,14 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_local_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Tensor product of n independent random 2 x 2 unitaries, qubit 0 leftmost."""
+    u = np.array([[1.0 + 0j]])
+    for _ in range(n):
+        u = np.kron(u, random_unitary(2, rng))
+    return u
+
+
 def random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Pure product state vector on n qubits."""
     psi = np.array([1.0 + 0j])

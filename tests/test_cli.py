@@ -126,6 +126,17 @@ def test_main_maps_usage_errors_to_exit_one(tmp_path, capsys):
     assert "unknown key 'grid-theta'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("channel = w", "unknown channel values ['w']"),
+    ("method = fast", "unknown method 'fast'"),
+], ids=["channel", "method"])
+def test_main_rejects_config_file_values_argparse_never_sees(tmp_path, capsys, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    assert cli.main(["--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_main_runs_sweep_and_plot(tmp_path, capsys):
     out = str(tmp_path / "run.csv")
     code = cli.main([

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bell_state, random_density
+from conftest import bell_state, random_density, random_local_unitary
 import ghzdyn.discord as discord
 from ghzdyn.channels import (
     PAULI_X,
@@ -177,7 +177,7 @@ def test_global_discord_ghz():
     assert result.branch_values["z"] == pytest.approx(1.0, abs=1e-9)
     assert result.branch_values["x"] == pytest.approx(3.0, abs=1e-9)
     assert result.branch_values["y"] == pytest.approx(3.0, abs=1e-9)
-    assert result.optimizer_evals == 3036
+    assert result.optimizer_evals == 3006
     for theta, _ in result.frame:
         assert min(abs(theta), abs(math.pi - theta)) < 1e-3
     assert result.value <= min(result.branch_values.values()) + 1e-12
@@ -390,7 +390,7 @@ def test_fixed_stage_equals_the_per_frame_values(n):
     states = np.stack([random_density(n, rng) for _ in range(3)])
     objective = _objective(states, n)
     frames = discord._grid(n)
-    assert len(frames) == 336
+    assert len(frames) == 306
     fixed = objective.uniform(frames)
     assert fixed.shape == (len(states), len(frames))
     per_frame = objective(np.tile(frames, (len(states), 1, 1)),
@@ -502,9 +502,9 @@ def test_row_entropies_match_the_scalar_entropy(rng):
     *(closed_form_state(channel, 0.3) for channel in Channel),
 ], ids=["ghz", *(f"{c.value}-0.3" for c in Channel)])
 def test_evaluation_count_is_pinned(state):
-    # The 21 x 16 grid + 3 distinct starts, each descending for one sweep:
+    # The 306 grid frames + 3 distinct starts, each descending for one sweep:
     # 4 x (12 + 13) scans of 9 points (see the round count).
-    assert global_discord(state).optimizer_evals == 3036
+    assert global_discord(state).optimizer_evals == 3006
 
 
 def test_search_round_count_is_pinned(monkeypatch):
@@ -534,7 +534,7 @@ def test_search_round_count_is_pinned(monkeypatch):
     monkeypatch.setattr(_GlobalObjective, "line", counting_line)
     result = global_discord(ghz_state(4))
     assert len(batches) == 101
-    assert sum(batches) == result.optimizer_evals == 3036
+    assert sum(batches) == result.optimizer_evals == 3006
 
 
 def _reference_descent(objective, frame: np.ndarray, value: float):
@@ -576,7 +576,7 @@ def test_lockstep_descents_match_lone_descents():
               for start, value in zip(starts, start_values)]
              for rho, start_values in zip(states, values)]
     for rho, start_values, lone in zip(states, values, alone):
-        for start, value, (((lone_value, frame),), (evals,)) in zip(starts, start_values, lone):
+        for start, value, ((lone_value,), (frame,), (evals,)) in zip(starts, start_values, lone):
             ref_value, ref_frame, ref_evals = _reference_descent(_objective(rho[None], 4), start,
                                                                  value)
             assert (lone_value, evals) == (ref_value, ref_evals)
@@ -584,12 +584,13 @@ def test_lockstep_descents_match_lone_descents():
     # All starts on one state, then starts owned by two states.
     for stack, owners in ((states[:1], [0, 0, 0, 0]), (states, [0, 1, 1, 0])):
         start_values = [values[owner][i] for i, owner in enumerate(owners)]
-        together, evals = _lockstep(_objective(np.stack(stack), 4), starts, start_values, owners)
-        assert len(together) == len(evals) == len(starts)
+        together, frames, evals = _lockstep(_objective(np.stack(stack), 4), starts, start_values,
+                                            owners)
+        assert len(together) == len(frames) == len(evals) == len(starts)
         for i, owner in enumerate(owners):
-            ((lone_value, lone_frame),), (lone_evals,) = alone[owner][i]
-            assert together[i][0] == lone_value
-            assert np.array_equal(together[i][1], lone_frame)
+            (lone_value,), (lone_frame,), (lone_evals,) = alone[owner][i]
+            assert together[i] == lone_value
+            assert np.array_equal(frames[i], lone_frame)
             assert evals[i] == lone_evals
 
 
@@ -647,9 +648,9 @@ def test_no_random_start_descends_below_the_closed_form(channel):
     objective = _objective(np.stack([closed_form_state(channel, kt) for kt in kts]), 4)
     starts = np.concatenate([_random_frames(4, 16, rng) for _ in kts])
     owners = np.repeat(np.arange(len(kts)), 16)
-    results, _ = _lockstep(objective, list(starts), objective(starts, owners), owners)
+    values, _, _ = _lockstep(objective, list(starts), objective(starts, owners), owners)
     floor = np.array([analytic_gqd(channel, kt) for kt in kts])[owners]
-    assert np.min([value for value, _ in results] - floor) > -1e-10
+    assert np.min(values - floor) > -1e-10
 
 
 def _search_states() -> list[np.ndarray]:
@@ -670,6 +671,74 @@ def test_batched_search_equals_one_state_searches():
         assert not together.frame.flags.writeable
         assert together.branch_values == alone.branch_values
         assert together.optimizer_evals == alone.optimizer_evals
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_global_discord_vanishes_on_locally_rotated_classical_states(n):
+    # Diagonal in a random product basis: measuring in that basis disturbs nothing.
+    rng = np.random.default_rng(60 + n)
+    states = []
+    for _ in range(8):
+        u = random_local_unitary(n, rng)
+        rho = u @ np.diag(rng.dirichlet(np.ones(2**n))) @ u.conj().T
+        states.append((rho + rho.conj().T) / 2.0)
+    assert max(result.value for result in discord._global_discords(states)) <= 1e-12
+
+
+class _CraftedSearch:
+    """Search objective with given grid values whose line scans never improve a descent."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+
+    def uniform(self, frames: np.ndarray) -> np.ndarray:
+        assert frames.shape[0] == self.rows.shape[1]
+        return self.rows
+
+    def line(self, frames, owners, qubit, coord):
+        return lambda xs: np.full(xs.shape, 10.0)
+
+
+def test_grid_pick_is_the_first_frame_within_the_tie_tolerance():
+    grid, tie = discord._grid(1), discord._TIE_TOL
+    rows = np.full((3, len(grid)), 2.0)
+    rows[:, list(discord._NAMED.values())] = 5.0
+    # A chain of near-ties: 60 is the least, 40 the first within _TIE_TOL of it; 20 is not.
+    rows[0, [20, 40, 60]] = 1.0, 1.0 - 0.6 * tie, 1.0 - 1.2 * tie
+    rows[1, [50, 100]] = 0.5 + 2.0 * tie, 0.5
+    # The x frame (145) ties with a later least value, and is its own grid pick.
+    rows[2, [discord._NAMED["x"], 250]] = 1.0 + 0.9 * tie, 1.0
+    values, frames, branches, counts = discord._search(_CraftedSearch(rows), 3, 1)
+    picks = [40, 100, discord._NAMED["x"]]
+    assert values.tolist() == rows[[0, 1, 2], picks].tolist()
+    assert np.array_equal(frames, grid[picks])
+    assert np.array_equal(branches, rows[:, list(discord._NAMED.values())])
+    # Four distinct starts on states 0 and 1, three on state 2; each descent makes one sweep
+    # of a theta line (12 scans) and a phi line (13 scans) of 9 points.
+    assert counts.tolist() == [306 + 4 * 225, 306 + 4 * 225, 306 + 3 * 225]
+
+
+def test_search_result_is_the_smallest_frame_among_near_tied_descents(monkeypatch):
+    tie = discord._TIE_TOL
+    rows = np.full((2, len(discord._grid(1))), 2.0)
+    rows[0, 200] = rows[1, discord._NAMED["x"]] = 1.0
+    # Descents in start order: state 0 from 200, z, x, y; state 1 from x, z, y.  State 0's
+    # smallest frame, (0.5, 0), is not near-tied.
+    values = np.array([1.0 - 0.4 * tie, 1.0 + 0.5 * tie, 1.0, 3.0, 0.5, 0.5, 0.7])
+    frames = np.array([[2.0, 1.0], [1.0, 3.0], [1.0, 2.0], [0.5, 0.0],
+                       [0.3, 0.2], [0.3, 0.1], [0.0, 5.0]])[:, None]
+
+    def crafted(objective, starts, start_values, owners):
+        assert owners.tolist() == [0, 0, 0, 0, 1, 1, 1]
+        return values, frames, np.arange(1, 8)
+
+    monkeypatch.setattr(discord, "_lockstep", crafted)
+    got, picked, _, counts = discord._search(_CraftedSearch(rows), 2, 1)
+    # State 0: three descents lie within _TIE_TOL of the least, and (1, 2) is the smallest of
+    # their frames; state 1: equal values, and the second angle decides.
+    assert got.tolist() == [1.0, 0.5]
+    assert np.array_equal(picked, frames[[2, 5]])
+    assert counts.tolist() == [306 + 1 + 2 + 3 + 4, 306 + 5 + 6 + 7]
 
 
 def test_batched_search_rejects_mixed_register_sizes():

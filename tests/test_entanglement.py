@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bell_state, random_density, random_product_state, random_pure
+from conftest import (bell_state, random_density, random_local_unitary, random_product_state,
+                      random_pure)
 import ghzdyn.entanglement as entanglement
 from ghzdyn.channels import Channel, closed_form_state, ghz_ket, ghz_state
 from ghzdyn.entanglement import (
@@ -24,7 +25,7 @@ from ghzdyn.entanglement import (
     tau_lower_bound,
     tau_vanishing_time,
 )
-from ghzdyn.linalg import num_qubits, partial_transpose, permute_qubits
+from ghzdyn.linalg import num_qubits, partial_transpose, permute_qubits, von_neumann_entropy
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -203,6 +204,22 @@ def test_tau_is_permutation_invariant(rng):
     assert tau_lower_bound(permute_qubits(rho, perm)).value == pytest.approx(
         tau_lower_bound(rho).value, abs=1e-10
     )
+
+
+@pytest.mark.parametrize("rank", [2, 4, 16])
+def test_state_measures_are_invariant_under_local_unitaries_and_qubit_order(rank):
+    rng = np.random.default_rng(40 + rank)
+    for _ in range(3):
+        rho = random_density(4, rng, rank)
+        u, perm = random_local_unitary(4, rng), list(rng.permutation(4))
+        moved = permute_qubits(u @ rho @ u.conj().T, perm)
+        moved = (moved + moved.conj().T) / 2.0
+        assert abs(tau_lower_bound(moved).value - tau_lower_bound(rho).value) < 1e-14
+        assert abs(von_neumann_entropy(moved) - von_neumann_entropy(rho)) < 1e-14
+        # Output qubit j of the permutation is input qubit perm[j].
+        for subset in ((0,), (1, 2), (0, 3)):
+            mapped = [j for j in range(4) if perm[j] in subset]
+            assert abs(ppt_min_eigenvalue(moved, mapped) - ppt_min_eigenvalue(rho, subset)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [3, 5])
