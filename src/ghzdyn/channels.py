@@ -99,16 +99,14 @@ def _coefficients_from(channel: Channel, kts, decay) -> ChannelCoefficients:
     for kt in kts:
         if not 0.0 <= kt < math.inf:
             raise ValueError(f"kappa*t must be finite and nonnegative, got {kt}")
-    if channel in (Channel.X, Channel.Y):
-        u = decay(4.0)
-        x = decay(8.0)
-        alpha = (1.0 + 6.0 * u + x) / 16.0
-        return ChannelCoefficients(alpha, (1.0 - x) / 16.0, (1.0 - 2.0 * u + x) / 16.0, alpha)
-    y = decay(8.0)
     if channel is Channel.Z:
-        return ChannelCoefficients(0.5, 0.0, 0.0, 0.5 * y)
-    return ChannelCoefficients((1.0 + 6.0 * y + y * y) / 16.0, (1.0 - y * y) / 16.0,
-                               (1.0 - 2.0 * y + y * y) / 16.0, 0.5 * y * y)
+        return ChannelCoefficients(0.5, 0.0, 0.0, 0.5 * decay(8.0))
+    # One weight formula in (u, x): (e^{-4kt}, e^{-8kt}) for X/Y, (y, y * y) with y = e^{-8kt} for iso.
+    iso = channel is Channel.ISO
+    u = decay(8.0 if iso else 4.0)
+    x = u * u if iso else decay(8.0)
+    alpha = (1.0 + 6.0 * u + x) / 16.0
+    return ChannelCoefficients(alpha, (1.0 - x) / 16.0, (1.0 - 2.0 * u + x) / 16.0, 0.5 * x if iso else alpha)
 
 
 def coefficients(channel: Channel, kt: float) -> ChannelCoefficients:

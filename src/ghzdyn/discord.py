@@ -54,9 +54,11 @@ _NAMED = {"z": 0, "x": 1 + 9 * _GRID_PHI, "y": 1 + 9 * _GRID_PHI + 4}
 _SCAN_POINTS = 9
 _SCAN_OFFSETS = np.arange(_SCAN_POINTS)
 _ANGLE_TOL = 1e-7
-# A descent stops after _MAX_SWEEPS sweeps, or after one that improves it by less than _SWEEP_TOL.
+# A descent stops after _MAX_SWEEPS sweeps, or after one that improves it by less than _SWEEP_TOL;
+# a scan minimum replaces an angle only if it beats the descent's best by more than _GAIN_TOL.
 _MAX_SWEEPS = 3
 _SWEEP_TOL = 1e-7
+_GAIN_TOL = 1e-15
 _TIE_TOL = 1e-12
 _PAULIS = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z])
 _OUTCOME_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
@@ -347,11 +349,11 @@ def _lockstep(objective, starts: np.ndarray, values: np.ndarray, owners: np.ndar
     the scan minimum until the spacing is at most ``_ANGLE_TOL``.  Brackets
     are not clipped: an angle past either end is a valid frame, and a minimum
     just across the phi seam stays in reach.  The best point scanned replaces
-    the angle if it beats the descent's best by 1e-15.  A descent ends after
-    ``_MAX_SWEEPS`` sweeps, or after a sweep that gains less than
-    ``_SWEEP_TOL``.  Each round is one scan, on ``objective.line``, of every
-    live descent.  The spacing starts at pi/8 or pi/4 and shrinks 4x a scan,
-    whatever the state, up to rounding far below its distance to
+    the angle if it beats the descent's best by more than ``_GAIN_TOL``.  A
+    descent ends after ``_MAX_SWEEPS`` sweeps, or after a sweep that gains
+    less than ``_SWEEP_TOL``.  Each round is one scan, on ``objective.line``,
+    of every live descent.  The spacing starts at pi/8 or pi/4 and shrinks
+    4x a scan, whatever the state, up to rounding far below its distance to
     ``_ANGLE_TOL``, so every descent on a line closes in the same round.
     Start ``i``, of objective value ``values[i]``, descends on state
     ``owners[i]`` exactly as it would alone, and never ends above
@@ -379,7 +381,7 @@ def _lockstep(objective, starts: np.ndarray, values: np.ndarray, owners: np.ndar
                 if step.max() <= _ANGLE_TOL:
                     break
             evals[live] += scans * _SCAN_POINTS
-            better = fx < best[live] - 1e-15
+            better = fx < best[live] - _GAIN_TOL
             frames[live[better], qubit, coord] = x[better]
             best[live[better]] = fx[better]
         live = live[sweep_start - best[live] >= _SWEEP_TOL]

@@ -151,25 +151,20 @@ def _flip_values(rhos: np.ndarray) -> np.ndarray:
 
 
 def _tau_lower_bounds(rhos: np.ndarray) -> np.ndarray:
-    """Stacked :func:`tau_lower_bound` values, in the float operations of :func:`_aggregate`."""
-    n = rhos.shape[-1].bit_length() - 1
-    # libm's c ** 2, as in _aggregate: c * c is rounded differently for about 1 in 1000 doubles.
-    squares = np.array([c ** 2 for c in _flip_values(rhos).tolist()])
-    total = squares
-    for _ in range(n - 1):
-        total = total + squares
-    return TAU_SCALE * np.sqrt(total / n)
+    """Stacked :func:`tau_lower_bound` values: ``TAU_SCALE`` times each state's flip value."""
+    return TAU_SCALE * _flip_values(rhos)
 
 
 def tau_lower_bound(rho: np.ndarray) -> TauResult:
     """Spin-flip concurrence bound, calibrated to sqrt(2) on 4-qubit GHZ.
 
     Every one-versus-rest cut shares the single flip construction, so
-    ``per_cut`` holds N equal entries and ``value`` equals
-    ``convention_scale`` times the common Wootters value.
+    ``per_cut`` holds N equal Wootters values v and ``value`` is
+    ``TAU_SCALE * v``, the :func:`_tau_lower_bounds` value of a stack of one.
     """
     n = assert_density_matrix(rho)
-    return _aggregate([float(_flip_values(rho[None])[0])] * n)
+    v = float(_flip_values(rho[None])[0])
+    return TauResult(TAU_SCALE * v, (v,) * n, TAU_SCALE)
 
 
 def _cut_arrays(rho: np.ndarray, n: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

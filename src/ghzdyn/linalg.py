@@ -104,16 +104,9 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.ndar
     if any(q < 0 or q >= n for q in keep):
         raise ValueError(f"keep {keep} out of range for {n} qubits")
     drop = [q for q in range(n) if q not in keep]
-    t = rho.reshape([2] * (2 * n))
-    # Row/column axes of dropped qubits are contracted pairwise.
-    for q in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
-    # Remaining axes currently keep ascending qubit order; reorder to `keep`.
-    order = sorted(keep)
-    src = [order.index(q) for q in keep]
     k = len(keep)
-    t = np.transpose(t, src + [s + k for s in src])
-    return t.reshape(2**k, 2**k)
+    t = permute_qubits(rho, keep + drop).reshape(2**k, 2 ** (n - k), 2**k, 2 ** (n - k))
+    return np.trace(t, axis1=1, axis2=3)
 
 
 def permute_qubits(rho: np.ndarray, perm: tuple[int, ...] | list[int]) -> np.ndarray:
@@ -182,17 +175,13 @@ def _plog2p(p: np.ndarray) -> np.ndarray:
 def _entropies(spectra: np.ndarray) -> np.ndarray:
     """Entropies in bits of a ``(B, d)`` stack of ascending spectra (may dip to ``-PSD_FLOOR``).
 
-    Each row sums the ``p log2 p`` terms of its eigenvalues above ``EIGENVALUE_FLOOR``, in
-    descending order.  Rows of one rank sum together, so each sums as it would alone.
+    Each row sums the ``p log2 p`` terms of its full spectrum, ascending; eigenvalues at or
+    below ``EIGENVALUE_FLOOR`` add 0.  A row sums as it would alone.
     """
     lo = float(spectra[:, 0].min())
     if lo < -PSD_FLOOR:
         raise ValueError(f"state has negative eigenvalue {lo:.3e}")
-    terms, ranks = _plog2p(spectra[:, ::-1]), (spectra > EIGENVALUE_FLOOR).sum(axis=1)
-    out = np.empty(len(spectra))
-    for rank in set(ranks.tolist()):  # np.unique would import numpy.ma, 1.7 MiB
-        out[ranks == rank] = -terms[ranks == rank, :rank].sum(axis=1)
-    return out
+    return -_plog2p(spectra).sum(axis=1)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

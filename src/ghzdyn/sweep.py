@@ -35,7 +35,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .channels import Channel, _closed_form_states, _coefficient_columns, closed_form_state
+from .channels import Channel, _closed_form_states, _coefficient_columns
 from .discord import _global_discords, analytic_gqd
 from .entanglement import _analytic_taus, _ppt_min_eigenvalues, _tau_lower_bounds
 from .linalg import BATCH_ENTRIES, _density_spectra, _entropies
@@ -46,7 +46,7 @@ METHODS = ("analytic", "numeric", "both")
 ALL_CHANNELS = (Channel.X, Channel.Y, Channel.Z, Channel.ISO)
 # A quarter of the batch budget, 16 states at 4 qubits: a chunk's measures hold about three
 # complex temporaries of its size, and 64-state chunks raised a state sweep's peak RSS 0.7 MiB.
-_CHUNK = BATCH_ENTRIES // (4 * closed_form_state(Channel.Z, 0.0).size)
+_CHUNK = BATCH_ENTRIES // (4 * 4**4)
 
 
 @dataclass(frozen=True)

@@ -55,20 +55,15 @@ def _flag(criterion: str, detail: str, passed: bool) -> CheckResult:
 def check_tau_closed_form() -> list[CheckResult]:
     """State-based concurrence bound reproduces the closed forms."""
     grid = np.linspace(0.0, 0.3, 20)
-    worst = 0.0
-    for channel in Channel:
-        for kt in grid:
-            value = tau_lower_bound(closed_form_state(channel, kt)).value
-            worst = max(worst, abs(value - analytic_tau(channel, kt)))
-    xy = max(
-        abs(tau_lower_bound(closed_form_state(Channel.X, kt)).value
-            - tau_lower_bound(closed_form_state(Channel.Y, kt)).value)
-        for kt in grid
-    )
+    taus = {channel: [tau_lower_bound(closed_form_state(channel, kt)).value for kt in grid]
+            for channel in Channel}
+    worst = max(abs(value - analytic_tau(channel, kt))
+                for channel in Channel for value, kt in zip(taus[channel], grid))
+    xy = max(abs(x - y) for x, y in zip(taus[Channel.X], taus[Channel.Y]))
     return [
         _result("tau-closed-form", "max |bound - closed form| over 20 points, all channels",
-                worst, 0.0, 1e-8),
-        _result("tau-closed-form", "max |tau_X - tau_Y| over 20 points", xy, 0.0, 1e-10),
+                worst, 0.0, 1e-12),
+        _result("tau-closed-form", "max |tau_X - tau_Y| over 20 points", xy, 0.0, 1e-12),
     ]
 
 
@@ -78,11 +73,11 @@ def check_tau_vanishing() -> list[CheckResult]:
     root_iso = -math.log((2.0 * math.sqrt(2.0) - 1.0) / 3.0) / 8.0
     return [
         _result("tau-vanishing", "X-channel root vs quadratic solution",
-                tau_vanishing_time(Channel.X), root_xy, 1e-5),
+                tau_vanishing_time(Channel.X), root_xy, 1e-10),
         _result("tau-vanishing", "Y-channel root vs quadratic solution",
-                tau_vanishing_time(Channel.Y), root_xy, 1e-5),
+                tau_vanishing_time(Channel.Y), root_xy, 1e-10),
         _result("tau-vanishing", "isotropic root vs quadratic solution",
-                tau_vanishing_time(Channel.ISO), root_iso, 1e-4),
+                tau_vanishing_time(Channel.ISO), root_iso, 1e-10),
         _flag("tau-vanishing", "Z-channel bound never vanishes (root is None)",
               tau_vanishing_time(Channel.Z) is None),
     ]
@@ -95,7 +90,7 @@ def check_sudden_change() -> list[CheckResult]:
     return [
         _result("sudden-change", "branch crossing time", kink, 0.137, 0.001),
         _result("sudden-change", "|plateau - transverse branch| at the crossing",
-                gap, 0.0, 1e-8),
+                gap, 0.0, 1e-10),
     ]
 
 
@@ -115,7 +110,7 @@ def check_gqd_x() -> list[CheckResult]:
     )
     return [
         _result("gqd-x", "max |optimised - 1| on the plateau {0.02, 0.08, 0.13}",
-                plateau, 0.0, 1e-8),
+                plateau, 0.0, 1e-12),
         _result("gqd-x", "max |optimised - (3 - S)| past the kink {0.2, 0.4}",
                 decay, 0.0, 1e-8),
     ]
@@ -137,7 +132,7 @@ def check_gqd_z() -> list[CheckResult]:
     uncorrected = max(abs(v - _z_form_unbalanced(kt)) for v, kt in zip(values, grid))
     return [
         _result("gqd-z", "max |optimised - corrected form| over 10 points in [0, 0.5]",
-                corrected, 0.0, 1e-8),
+                corrected, 0.0, 1e-12),
         _result("gqd-z", "value at kappa*t = 0", values[0], 1.0, 1e-10),
         _flag("gqd-z", "form without the 1/2 factor disagrees (rejected as expected)",
               uncorrected > 5e-3),
@@ -151,7 +146,7 @@ def check_gqd_iso() -> list[CheckResult]:
     dev = max(abs(v - analytic_gqd(Channel.ISO, kt)) for v, kt in zip(values, grid))
     return [
         _result("gqd-iso", "max |optimised - closed form| over 10 points in [0, 0.5]",
-                dev, 0.0, 1e-8),
+                dev, 0.0, 1e-12),
         _result("gqd-iso", "value at kappa*t = 0", values[0], 1.0, 1e-10),
     ]
 

@@ -6,12 +6,10 @@ from hypothesis import given, strategies as st
 
 from conftest import (bell_state, random_density, random_local_unitary, random_product_state,
                       random_pure)
-import ghzdyn.entanglement as entanglement
 from ghzdyn.channels import Channel, closed_form_state, ghz_ket, ghz_state
 from ghzdyn.entanglement import (
     L0,
     TAU_SCALE,
-    _aggregate,
     _flip_signs,
     _flip_values,
     _ppt_min_eigenvalues,
@@ -384,15 +382,17 @@ def test_stack_cores_match_the_per_state_reference():
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_stacked_bounds_square_as_the_aggregate_does(monkeypatch, n):
-    # libm's c ** 2, which _aggregate uses, rounds about 1 in 1000 squares differently
-    # from c * c.  At N = 2 and 4 no such square has been seen to change a bound; at
-    # N = 6 about a quarter do, so these 20,000 values catch a stack that multiplies.
-    values = np.random.default_rng(n).random(20000)
-    monkeypatch.setattr(entanglement, "_flip_values", lambda rhos: values)
-    got = _tau_lower_bounds(np.zeros((len(values), 2**n, 2**n)))
-    want = [_aggregate([c] * n).value for c in values.tolist()]
-    assert np.asarray(got).view(np.uint64).tolist() == np.asarray(want).view(np.uint64).tolist()
+def test_tau_is_the_scaled_flip_value_of_the_stack(n):
+    # The stack defines tau: a scalar call is a stack of one, and each cut holds the flip value.
+    rng = np.random.default_rng(n)
+    stack = np.stack([random_density(n, rng, rank=r) for r in (1, 2, 2**n) for _ in range(3)])
+    values, bounds = _flip_values(stack), _tau_lower_bounds(stack)
+    assert (values > 0).any()
+    for k, rho in enumerate(stack):
+        result = tau_lower_bound(rho)
+        bits = np.array([result.value, bounds[k], TAU_SCALE * values[k]]).view(np.uint64)
+        assert bits[0] == bits[1] == bits[2]
+        assert result.per_cut == (values[k],) * n
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -68,6 +69,28 @@ def test_partial_trace_respects_keep_order(rng):
     forward = partial_trace(rho, (0, 1))
     swapped = partial_trace(rho, (1, 0))
     assert np.allclose(swapped, permute_qubits(forward, (1, 0)), atol=1e-12)
+
+
+def _einsum_marginal(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """The marginal on ``keep``, in its order, by one explicit einsum over rho's qubit axes."""
+    n = num_qubits(rho)
+    rows = [chr(ord("a") + q) for q in range(n)]
+    cols = [chr(ord("A") + q) if q in keep else rows[q] for q in range(n)]
+    out = "".join(rows[q] for q in keep) + "".join(cols[q] for q in keep)
+    marginal = np.einsum("".join(rows + cols) + "->" + out, rho.reshape((2,) * (2 * n)))
+    return marginal.reshape(2 ** len(keep), 2 ** len(keep))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_partial_trace_of_entangled_states_matches_einsum(n):
+    # Every ordered keep tuple, e.g. (2, 0) of 4, on seeded full-rank states.
+    rng = np.random.default_rng(60 + n)
+    for rho in (random_density(n, rng) for _ in range(2)):
+        for k in range(1, n + 1):
+            for keep in itertools.permutations(range(n), k):
+                got = partial_trace(rho, keep)
+                assert got.shape == (2**k, 2**k)
+                assert np.abs(got - _einsum_marginal(rho, keep)).max() <= 1e-15, keep
 
 
 def test_partial_trace_validation():
@@ -208,11 +231,17 @@ def test_trace_distance_properties(rng):
         trace_distance(np.eye(2), np.eye(4))
 
 
+def _ascending_entropy(lam: np.ndarray) -> float:
+    """Entropy of an ascending spectrum: one sum over the full row, entries at or below 1e-12 adding 0."""
+    kept = lam > 1e-12
+    terms = np.zeros_like(lam)
+    terms[kept] = lam[kept] * np.log2(lam[kept])
+    return -terms.sum()
+
+
 def _reference_entropy(rho: np.ndarray) -> float:
-    """Per-state entropy: descending spectrum, eigenvalues above 1e-12, one sum."""
-    lam = np.linalg.eigvalsh(rho)[::-1]
-    lam = lam[lam > 1e-12]
-    return float(-(lam * np.log2(lam)).sum())
+    """Per-state entropy: the ascending spectrum, summed as :func:`_ascending_entropy`."""
+    return float(_ascending_entropy(np.linalg.eigvalsh(rho)))
 
 
 def test_stacked_spectra_and_entropies_match_the_per_state_reference():
@@ -229,9 +258,8 @@ def test_stacked_spectra_and_entropies_match_the_per_state_reference():
 
 
 def _per_row_entropies(spectra: np.ndarray) -> np.ndarray:
-    """The per-row loop stacked entropies were once computed with."""
-    kept = (row[row > 1e-12] for row in spectra[:, ::-1])
-    return np.array([-(lam * np.log2(lam)).sum() for lam in kept])
+    """A per-row loop over ascending spectra, each row summed as :func:`_ascending_entropy`."""
+    return np.array([_ascending_entropy(row) for row in spectra])
 
 
 def test_stacked_entropies_equal_the_per_row_loop(monkeypatch):
