@@ -1,8 +1,8 @@
 """Command-line sweeps, plots and self-verification.
 
 Precedence is flags over config file over defaults.  The config file is
-flat ``key = value`` text using the flag names without dashes-dashes;
-repeatable flags become comma lists, e.g.::
+flat ``key = value`` text, each value read as the flag ``--key=value``, so
+a bad one fails as the flag would; repeatable flags become comma lists::
 
     channel = x, z
     measure = tau, gqd
@@ -17,25 +17,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .channels import Channel
 from .sweep import MEASURES, METHODS, SweepConfig, emit_csv, emit_plot_script, run_sweep
 from .verify import format_report, run_checks
 
 _CHANNEL_VALUES = tuple(c.value for c in Channel)
-
 _SWEEP_DEFAULTS = SweepConfig()
-_DEFAULTS = {
-    "channel": [c.value for c in _SWEEP_DEFAULTS.channels],
-    "measure": list(_SWEEP_DEFAULTS.measures),
-    "kt-max": _SWEEP_DEFAULTS.kt_max,
-    "steps": _SWEEP_DEFAULTS.steps,
-    "method": _SWEEP_DEFAULTS.method,
-    "out": _SWEEP_DEFAULTS.out,
-    "plot": _SWEEP_DEFAULTS.plot,
-    "jobs": _SWEEP_DEFAULTS.jobs,
-}
-_CONFIG_KEYS = tuple(_DEFAULTS)
+# Config key (the flag's name) -> SweepConfig field (the flag's dest).
+_KEYS = {"channel": "channels", "measure": "measures", "kt-max": "kt_max", "steps": "steps",
+         "method": "method", "out": "out", "plot": "plot", "jobs": "jobs"}
+_PLOT_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,29 +40,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ghzdyn",
         description="Sweep entanglement and discord measures of a noisy 4-qubit GHZ register.",
         epilog="example: ghzdyn --channel x --channel z --measure tau --kt-max 0.4 --out run.csv",
+        exit_on_error=exit_on_error,
     )
-    parser.add_argument("--channel", action="append", choices=_CHANNEL_VALUES,
+    parser.add_argument("--channel", action="append", dest="channels", type=Channel, choices=_CHANNEL_VALUES,
                         help="noise channel to sweep; repeatable (default: all)")
-    parser.add_argument("--measure", action="append", choices=MEASURES,
+    parser.add_argument("--measure", action="append", dest="measures", choices=MEASURES,
                         help="quantity to compute; repeatable (default: all)")
     parser.add_argument("--kt-max", type=float, default=None,
-                        help=f"largest kappa*t on the grid (default {_DEFAULTS['kt-max']})")
+                        help=f"largest kappa*t on the grid (default {_SWEEP_DEFAULTS.kt_max})")
     parser.add_argument("--steps", type=int, default=None,
-                        help=f"number of grid points including both ends (default {_DEFAULTS['steps']})")
+                        help=f"number of grid points including both ends (default {_SWEEP_DEFAULTS.steps})")
     parser.add_argument("--method", choices=METHODS, default=None,
-                        help=f"analytic, numeric, or both columns (default {_DEFAULTS['method']})")
+                        help=f"analytic, numeric, or both columns (default {_SWEEP_DEFAULTS.method})")
     parser.add_argument("--out", default=None,
-                        help=f"CSV output path (default {_DEFAULTS['out']})")
+                        help=f"CSV output path (default {_SWEEP_DEFAULTS.out})")
     parser.add_argument("--plot", action="store_true", default=None,
                         help="also emit a standalone matplotlib script next to the CSV")
     parser.add_argument("--jobs", type=int, default=None,
                         help=f"sweep blocks: the caller computes the first, at most one worker process "
-                             f"per other CPU the rest (default {_DEFAULTS['jobs']})")
+                             f"per other CPU the rest (default {_SWEEP_DEFAULTS.jobs})")
     parser.add_argument("--config", default=None,
                         help="flat key = value file supplying defaults for the flags above")
     parser.add_argument("--verify", action="store_true",
@@ -93,60 +87,40 @@ def parse_config_file(path: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r} "
-                             f"(known: {', '.join(_CONFIG_KEYS)})")
+        if key not in _KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(_KEYS)})")
         values[key] = value
     return values
 
 
-def _coerce(key: str, text: str):
-    if key in ("channel", "measure"):
-        return [item.strip() for item in text.split(",") if item.strip()]
-    if key in ("steps", "jobs"):
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"config key {key!r}: expected an integer, got {text!r}") from None
-    if key == "kt-max":
-        try:
-            return float(text)
-        except ValueError:
-            raise ValueError(f"config key {key!r}: expected a number, got {text!r}") from None
-    if key == "plot":
-        lowered = text.lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise ValueError(f"config key 'plot': expected true/false, got {text!r}")
-    return text
-
-
 def build_config(args: argparse.Namespace) -> SweepConfig:
-    """Merge defaults, the optional config file, and the flags into a SweepConfig."""
-    merged = dict(_DEFAULTS)
-    if args.config:
-        for key, text in parse_config_file(args.config).items():
-            merged[key] = _coerce(key, text)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key.replace("-", "_"))
-        if value is not None:
-            merged[key] = value
+    """Merge defaults, the optional config file, and the flags into a SweepConfig.
 
-    bad = [c for c in merged["channel"] if c not in _CHANNEL_VALUES]
-    if bad:
-        raise ValueError(f"unknown channel values {bad} (expected {list(_CHANNEL_VALUES)})")
-    config = SweepConfig(
-        channels=tuple(Channel(c) for c in merged["channel"]),
-        measures=tuple(merged["measure"]),
-        kt_max=merged["kt-max"],
-        steps=merged["steps"],
-        method=merged["method"],
-        out=merged["out"],
-        plot=bool(merged["plot"]),
-        jobs=merged["jobs"],
-    )
+    A config entry whose flag is absent is parsed as that flag: ``--key=value``, a comma list
+    repeating its flag from an empty list (so ``channel = ,`` fails validation), or ``--plot``.
+    """
+    if args.config:
+        tokens = []
+        for key, text in parse_config_file(args.config).items():
+            dest = _KEYS[key]
+            if getattr(args, dest) is not None:
+                continue
+            if key == "plot":
+                if text.lower() not in _PLOT_VALUES:
+                    raise ValueError(f"config key 'plot': expected true/false, got {text!r}")
+                tokens += ["--plot"] * _PLOT_VALUES[text.lower()]
+            elif key in ("channel", "measure"):
+                setattr(args, dest, [])
+                tokens += [f"--{key}={item.strip()}" for item in text.split(",") if item.strip()]
+            else:
+                tokens.append(f"--{key}={text}")  # the = form keeps a value such as -x.csv a value
+        try:
+            _build_parser(exit_on_error=False).parse_args(tokens, args)
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"config file {args.config}: {exc}") from None
+    given = {dest: getattr(args, dest) for dest in _KEYS.values()}
+    config = replace(_SWEEP_DEFAULTS, **{dest: tuple(v) if isinstance(v, list) else v
+                                         for dest, v in given.items() if v is not None})
     config.validate()
     return config
 

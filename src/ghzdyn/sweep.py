@@ -29,7 +29,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby, repeat
 from operator import attrgetter, itemgetter
 
@@ -40,7 +40,6 @@ from .discord import _global_discords, analytic_gqd
 from .entanglement import _analytic_taus, _ppt_min_eigenvalues, _tau_lower_bounds
 from .linalg import BATCH_ENTRIES, _density_spectra, _entropies
 
-CSV_HEADER = "channel,kappa_t,tau_analytic,tau_numeric,gqd_analytic,gqd_numeric,ppt_min_eig,entropy"
 MEASURES = ("tau", "gqd", "ppt", "entropy")
 METHODS = ("analytic", "numeric", "both")
 ALL_CHANNELS = (Channel.X, Channel.Y, Channel.Z, Channel.ISO)
@@ -92,7 +91,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One (channel, time) cell; absent measures stay None."""
+    """One (channel, time) cell, its fields in CSV column order; absent measures stay None."""
 
     channel: str
     kappa_t: float
@@ -104,6 +103,9 @@ class SweepRecord:
     entropy: float | None = None
 
 
+CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
+
+
 def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -> list[SweepRecord]:
     """Records of a block of cells, measured ``_CHUNK`` at a time; one discord search per block.
 
@@ -113,7 +115,7 @@ def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -
     cells, measures, method = args
     analytic = method in ("analytic", "both")
     numeric = method in ("numeric", "both")
-    wanted = {"tau_analytic": analytic and "tau" in measures,  # the SweepRecord field order
+    wanted = {"tau_analytic": analytic and "tau" in measures,
               "tau_numeric": numeric and "tau" in measures,
               "gqd_analytic": analytic and "gqd" in measures,
               "gqd_numeric": numeric and "gqd" in measures,
@@ -145,7 +147,8 @@ def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -
             parts["entropy"].append(_entropies(spectra))
     if wanted["gqd_numeric"]:
         parts["gqd_numeric"].append([d.value for d in _global_discords(searched_states)])
-    columns = [np.concatenate(parts[name]).tolist() if on else repeat(None) for name, on in wanted.items()]
+    columns = [np.concatenate(parts[name]).tolist() if name in parts else repeat(None)
+               for name in CSV_HEADER.split(",")[2:]]
     return list(map(SweepRecord, [c for c, _ in cells], [kt for _, kt in cells], *columns))
 
 
@@ -234,11 +237,11 @@ with open(CSV_PATH, newline="") as fh:
 '''
 
 
-def emit_plot_script(records: list[SweepRecord], csv_path: str, script_path: str | None = None) -> str:
+def emit_plot_script(records: list[SweepRecord], csv_path: str) -> str:
     """Generate a standalone matplotlib script for the swept tau/gqd curves.
 
     One explicit curve declaration is emitted per channel and panel, so
-    the script stays readable and editable.  Returns the script path.
+    the script stays readable and editable.  Returns its path, ``<csv stem>_plot.py``.
     """
     def column_for(prefix: str) -> str | None:
         return next((c for c in (f"{prefix}_numeric", f"{prefix}_analytic")
@@ -262,8 +265,7 @@ def emit_plot_script(records: list[SweepRecord], csv_path: str, script_path: str
                  "ax.grid(alpha=0.3)"]
     body += ["fig.tight_layout()", "fig.savefig(OUT_PATH, dpi=150)", 'print(f"wrote {OUT_PATH}")']
 
-    if script_path is None:
-        script_path = os.path.splitext(csv_path)[0] + "_plot.py"
+    script_path = os.path.splitext(csv_path)[0] + "_plot.py"
     text = _PLOT_PRELUDE.format(csv_name=os.path.basename(csv_path), csv_path=csv_path) + "\n".join(body) + "\n"
     _write_atomic(script_path, text)
     return script_path

@@ -112,7 +112,7 @@ def check_gqd_x() -> list[CheckResult]:
         _result("gqd-x", "max |optimised - 1| on the plateau {0.02, 0.08, 0.13}",
                 plateau, 0.0, 1e-12),
         _result("gqd-x", "max |optimised - (3 - S)| past the kink {0.2, 0.4}",
-                decay, 0.0, 1e-8),
+                decay, 0.0, 1e-10),
     ]
 
 
@@ -133,7 +133,7 @@ def check_gqd_z() -> list[CheckResult]:
     return [
         _result("gqd-z", "max |optimised - corrected form| over 10 points in [0, 0.5]",
                 corrected, 0.0, 1e-12),
-        _result("gqd-z", "value at kappa*t = 0", values[0], 1.0, 1e-10),
+        _result("gqd-z", "value at kappa*t = 0", values[0], 1.0, 1e-12),
         _flag("gqd-z", "form without the 1/2 factor disagrees (rejected as expected)",
               uncorrected > 5e-3),
     ]
@@ -147,7 +147,7 @@ def check_gqd_iso() -> list[CheckResult]:
     return [
         _result("gqd-iso", "max |optimised - closed form| over 10 points in [0, 0.5]",
                 dev, 0.0, 1e-12),
-        _result("gqd-iso", "value at kappa*t = 0", values[0], 1.0, 1e-10),
+        _result("gqd-iso", "value at kappa*t = 0", values[0], 1.0, 1e-12),
     ]
 
 
@@ -181,7 +181,7 @@ def check_ppt() -> list[CheckResult]:
     return [
         _flag("ppt", f"X-channel min PT eigenvalue stays below -1e-6 "
               f"at {{0.25, 0.5, 1.0}} (worst {x_worst:.3e})", x_worst < -1e-6),
-        _result("ppt", "Z-channel min PT eigenvalue vs -exp(-8 kt)/2", z_dev, 0.0, 1e-10),
+        _result("ppt", "Z-channel min PT eigenvalue vs -exp(-8 kt)/2", z_dev, 0.0, 1e-12),
     ]
 
 

@@ -81,6 +81,43 @@ def test_flags_override_config_file(tmp_path):
     assert config.kt_max == 0.4
 
 
+def test_flag_lists_replace_config_file_lists(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("channel = x, z\nmeasure = tau, ppt\n")
+    config = _config(["--config", str(path), "--channel", "y"])
+    assert config.channels == (Channel.Y,)
+    assert config.measures == ("tau", "ppt")
+
+
+@pytest.mark.parametrize("key, value, flag", [
+    ("steps", "soon", "--steps"),
+    ("channel", "w", "--channel"),
+    ("measure", "bogus", "--measure"),
+], ids=["steps", "channel", "measure"])
+def test_bad_values_fail_alike_from_file_and_flag(tmp_path, capsys, key, value, flag):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    assert cli.main(["--config", str(path)]) == 1
+    from_file = capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        cli.main([f"--{key}", value])
+    assert err.value.code == 1
+    message = capsys.readouterr().err.splitlines()[-1].split("error: ", 1)[1]
+    assert message.startswith(f"argument {flag}: invalid") and repr(value) in message
+    assert from_file.rstrip().endswith(f"{path}: {message}")
+
+
+def test_config_file_edge_values(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("out = -dash.csv\nchannel = x, , z\n")
+    config = _config(["--config", str(path)])
+    assert config.out == "-dash.csv"
+    assert config.channels == (Channel.X, Channel.Z)
+    path.write_text("channel = ,\n")
+    assert cli.main(["--config", str(path)]) == 1
+    assert "channels must not be empty" in capsys.readouterr().err
+
+
 def test_config_file_errors(tmp_path):
     unknown = tmp_path / "bad.cfg"
     unknown.write_text("stepz = 5\n")
@@ -94,7 +131,7 @@ def test_config_file_errors(tmp_path):
 
     badint = tmp_path / "badint.cfg"
     badint.write_text("steps = soon\n")
-    with pytest.raises(ValueError, match="expected an integer"):
+    with pytest.raises(ValueError, match="invalid int value"):
         _config(["--config", str(badint)])
 
     badbool = tmp_path / "badbool.cfg"
@@ -127,10 +164,10 @@ def test_main_maps_usage_errors_to_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("channel = w", "unknown channel values ['w']"),
-    ("method = fast", "unknown method 'fast'"),
+    ("channel = w", "argument --channel: invalid Channel value: 'w'"),
+    ("method = fast", "argument --method: invalid choice: 'fast'"),
 ], ids=["channel", "method"])
-def test_main_rejects_config_file_values_argparse_never_sees(tmp_path, capsys, line, message):
+def test_main_rejects_bad_config_file_values(tmp_path, capsys, line, message):
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n")
     assert cli.main(["--config", str(path)]) == 1

@@ -13,10 +13,15 @@ import numpy as np
 import pytest
 
 import ghzdyn.sweep as sweep
-from ghzdyn.channels import Channel
+from ghzdyn.channels import Channel, closed_form_state
 from ghzdyn.cli import main
+from ghzdyn.discord import analytic_gqd, global_discord
+from ghzdyn.entanglement import analytic_tau, ppt_min_eigenvalue, tau_lower_bound
+from ghzdyn.linalg import von_neumann_entropy
 from ghzdyn.sweep import (
     CSV_HEADER,
+    MEASURES,
+    METHODS,
     SweepConfig,
     emit_csv,
     emit_plot_script,
@@ -91,6 +96,29 @@ def test_run_sweep_discord_columns():
     assert records[0].gqd_analytic == pytest.approx(1.0, abs=1e-12)
     assert abs(records[0].gqd_numeric - 1.0) < 1e-5
     assert abs(records[1].gqd_numeric - records[1].gqd_analytic) < 1e-5
+
+
+# The public per-cell function behind each measure column.
+_PER_CELL = {
+    "tau_analytic": analytic_tau,
+    "tau_numeric": lambda channel, kt: tau_lower_bound(closed_form_state(channel, kt)).value,
+    "gqd_analytic": analytic_gqd,
+    "gqd_numeric": lambda channel, kt: global_discord(closed_form_state(channel, kt)).value,
+    "ppt_min_eig": lambda channel, kt: ppt_min_eigenvalue(closed_form_state(channel, kt), (0,)),
+    "entropy": lambda channel, kt: von_neumann_entropy(closed_form_state(channel, kt)),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("measure", MEASURES)
+def test_a_single_measure_fills_exactly_its_own_columns(measure, method):
+    config = SweepConfig(channels=(Channel.X,), measures=(measure,), kt_max=0.3, steps=2, method=method)
+    routes = ("analytic", "numeric") if method == "both" else (method,)
+    own = {"ppt": ["ppt_min_eig"], "entropy": ["entropy"]}.get(measure, [f"{measure}_{r}" for r in routes])
+    for record in run_sweep(config):
+        for name in CSV_HEADER.split(",")[2:]:
+            expected = _PER_CELL[name](Channel.X, record.kappa_t) if name in own else None
+            assert getattr(record, name) == expected, (name, record.kappa_t)
 
 
 def test_emit_csv_format(tmp_path):
