@@ -127,7 +127,7 @@ def _closed_form_states(channel: Channel, co: ChannelCoefficients) -> np.ndarray
     """:func:`closed_form_state` from its coefficients; ``(B,)`` columns give a ``(B, 16, 16)`` stack."""
     index = np.arange(16)
     by_weight = np.array([co.alpha, co.beta, co.gamma, co.beta, co.alpha]).T[..., _WEIGHT]
-    rho = np.zeros(np.shape(co.corner) + (16, 16), dtype=complex)
+    rho = np.zeros(np.shape(co.corner) + (16, 16))
     rho[..., index, index] = by_weight  # Z: beta = gamma = 0 leave only the two ends
     if channel in (Channel.Z, Channel.ISO):
         rho[..., 0, 15] = rho[..., 15, 0] = co.corner
@@ -144,7 +144,9 @@ def closed_form_state(channel: Channel, kt: float) -> np.ndarray:
     graded by excitation number; under Y the anti-diagonal entries carry
     an extra parity sign (-1)**weight.  The Z channel only damps the GHZ
     coherence, and the isotropic channel keeps the diagonal plus the two
-    extreme corners.
+    extreme corners.  Every entry is real, so the state is a float64
+    array and its measures run in real LAPACK; they may differ from those
+    of its complex copy in the last bits.
     """
     channel = Channel(channel)
     return _closed_form_states(channel, coefficients(channel, kt))

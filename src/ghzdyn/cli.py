@@ -16,6 +16,7 @@ values), 2 verification failure, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -40,7 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
+    """The flag parser, built once per process and ``exit_on_error``; parsing leaves it unchanged."""
     parser = _Parser(
         prog="ghzdyn",
         description="Sweep entanglement and discord measures of a noisy 4-qubit GHZ register.",

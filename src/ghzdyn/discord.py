@@ -438,7 +438,7 @@ def _global_discords(states: list[np.ndarray]) -> list[DiscordResult]:
     if len(sizes) != 1:
         raise ValueError(f"states must share one qubit count, got {sorted(sizes)}")
     n = sizes.pop()
-    rhos = np.stack(states)  # validated with their spectra in one eigvalsh call
+    rhos = np.stack(states).astype(complex, copy=False)  # a real state searches as its complex copy
     values, frames, branches, evals = _search(
         _GlobalObjective(rhos, n, _density_spectra(rhos)), len(states), n)
     if values.min() < -DISCORD_FLOOR:

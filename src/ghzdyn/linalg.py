@@ -8,7 +8,7 @@ Conventions used throughout the package:
 * The tolerances of state validation and of the measures sit in one
   table below; README *Conventions* lists the same values.
 
-States are plain complex ndarrays.  Helpers here validate shape and
+States are plain real or complex ndarrays.  Helpers here validate shape and
 physicality but never wrap arrays in custom classes, so results compose
 directly with numpy.
 """

@@ -14,13 +14,15 @@ process computes the first block itself and at most ``os.cpu_count() - 1``
 worker processes compute the rest; the record order never depends on the
 job count.
 
-A block builds its closed-form states in chunks of at most 16 (a quarter
-of the ``BATCH_ENTRIES`` budget), as one array per channel run, and
-measures each chunk as one stack: one ``eigvalsh`` validates the states
-and gives their entropy spectra, one ``eigvals`` the Wootters roots of the
-spin flip (a signed index reversal), one ``eigvalsh`` the partial
-transposes; the block's discord is one search
-(:func:`ghzdyn.discord._global_discords`).  No value depends on the chunk.
+A block builds its closed-form states in chunks of at most 32 (half of
+the ``BATCH_ENTRIES`` budget), as one real array per channel run, and
+measures each chunk as one stack in real arithmetic: one ``eigvalsh``
+validates the states and gives their entropy spectra, one ``eigvals`` the
+Wootters roots of the spin flip (a signed index reversal), one
+``eigvalsh`` the partial transposes.  The block's discord is one search
+(:func:`ghzdyn.discord._global_discords`), which stacks the states as
+complex, so each gets the value of its complex copy searched alone.  No
+value depends on the chunk.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ from .linalg import BATCH_ENTRIES, _density_spectra, _entropies
 MEASURES = ("tau", "gqd", "ppt", "entropy")
 METHODS = ("analytic", "numeric", "both")
 ALL_CHANNELS = (Channel.X, Channel.Y, Channel.Z, Channel.ISO)
-# A quarter of the batch budget, 16 states at 4 qubits: a chunk's measures hold about three
-# complex temporaries of its size, and 64-state chunks raised a state sweep's peak RSS 0.7 MiB.
-_CHUNK = BATCH_ENTRIES // (4 * 4**4)
+# Half of the batch budget, 32 states at 4 qubits: 32 real states take the bytes of 16 complex
+# ones, and a chunk's flip holds about three temporaries of its size.  64-state chunks raised a
+# state sweep's peak RSS about 0.3 MiB over 16- and 32-state ones.
+_CHUNK = BATCH_ENTRIES // (2 * 4**4)
 
 
 @dataclass(frozen=True)

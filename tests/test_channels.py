@@ -20,8 +20,22 @@ from ghzdyn.channels import (
     lindblad_generator,
 )
 from ghzdyn.discord import analytic_gqd
-from ghzdyn.entanglement import TAU_SCALE, _analytic_taus, _tau_lower_bounds, analytic_tau, tau_lower_bound
-from ghzdyn.linalg import INTEGRATOR_TOL, assert_density_matrix, partial_trace, trace_distance
+from ghzdyn.entanglement import (
+    TAU_SCALE,
+    _analytic_taus,
+    _ppt_min_eigenvalues,
+    _tau_lower_bounds,
+    analytic_tau,
+    tau_lower_bound,
+)
+from ghzdyn.linalg import (
+    INTEGRATOR_TOL,
+    _density_spectra,
+    _entropies,
+    assert_density_matrix,
+    partial_trace,
+    trace_distance,
+)
 
 times = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -147,7 +161,9 @@ def test_stacked_closed_forms_equal_the_scalar_formulas(channel):
         column = [np.broadcast_to(v, len(STACK_TIMES))[k] for v in (co.alpha, co.beta, co.gamma, co.corner)]
         assert _bits(column) == _bits(reference)
         assert np.array_equal(states[k], closed_form_state(channel, kt))
-        assert _bits(states[k].view(float)) == _bits(_reference_state(channel, kt).view(float))
+        reference_state = _reference_state(channel, kt)
+        assert not reference_state.imag.any()
+        assert _bits(states[k]) == _bits(reference_state.real)
         assert _bits([analytic_tau(channel, kt), taus[k]]) == _bits([_reference_analytic_tau(channel, kt)] * 2)
     assert _bits(_tau_lower_bounds(states)) == _bits([tau_lower_bound(rho).value for rho in states])
     # np.exp differs from math.exp on some of these times, so a vectorised exponential shows.
@@ -156,6 +172,27 @@ def test_stacked_closed_forms_equal_the_scalar_formulas(channel):
     for field in ("alpha", "beta", "gamma", "corner"):
         assert (_bits(np.broadcast_to(getattr(dense, field), len(grid)))
                 == _bits([getattr(coefficients(channel, kt), field) for kt in grid]))
+
+
+def test_closed_form_states_are_real():
+    for channel in Channel:
+        assert closed_form_state(channel, 0.137).dtype == np.float64
+        assert _closed_form_states(channel, _coefficient_columns(channel, STACK_TIMES)).dtype == np.float64
+
+
+def test_real_and_complex_closed_forms_measure_alike():
+    # Real and complex LAPACK round differently.  On this grid the worst gaps read
+    # 1.4e-16 (spectra), 2.2e-15 (tau), 1.7e-16 (PPT) and 1.3e-15 (entropy); tau
+    # reached 1.5e-14 on a 2001-point grid to 1.2, where the Wootters roots sit near zero.
+    grid = np.linspace(0.0, 1.2, 241).tolist()
+    for channel in Channel:
+        real = _closed_form_states(channel, _coefficient_columns(channel, grid))
+        copy = real.astype(complex)
+        spectra, copy_spectra = _density_spectra(real), _density_spectra(copy)
+        assert np.abs(spectra - copy_spectra).max() <= 1e-15
+        assert np.abs(_entropies(spectra) - _entropies(copy_spectra)).max() <= 1e-14
+        assert np.abs(_tau_lower_bounds(real) - _tau_lower_bounds(copy)).max() <= 2e-14
+        assert np.abs(_ppt_min_eigenvalues(real, (0,)) - _ppt_min_eigenvalues(copy, (0,))).max() <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])

@@ -191,6 +191,27 @@ def test_main_runs_sweep_and_plot(tmp_path, capsys):
     assert Path(script).read_text().count("ax.plot(") == 1
 
 
+def test_back_to_back_main_calls_share_no_state(tmp_path):
+    # The parser is built once; each call's flags and config file are its own.
+    assert cli._build_parser() is cli._build_parser()
+    base = ["--measure", "tau", "--steps", "2"]
+
+    def channels_and_tau_numeric(name):
+        rows = [row.split(",") for row in (tmp_path / name).read_text().splitlines()[1:]]
+        return sorted({row[0] for row in rows}), all(row[3] for row in rows)
+
+    assert cli.main([*base, "--channel", "x", "--out", str(tmp_path / "x.csv")]) == 0
+    assert cli.main([*base, "--out", str(tmp_path / "all.csv")]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("channel = z\nmethod = analytic\n")
+    assert cli.main([*base, "--config", str(config), "--out", str(tmp_path / "z.csv")]) == 0
+    assert cli.main([*base, "--out", str(tmp_path / "again.csv")]) == 0
+    assert channels_and_tau_numeric("x.csv") == (["x"], True)
+    assert channels_and_tau_numeric("all.csv") == (["iso", "x", "y", "z"], True)
+    assert channels_and_tau_numeric("z.csv") == (["z"], False)
+    assert channels_and_tau_numeric("again.csv") == (["iso", "x", "y", "z"], True)
+
+
 def test_main_verify_exit_codes(monkeypatch, capsys):
     passing = [CheckResult("demo", "ok", 0.0, 0.0, 1e-9, True)]
     failing = [CheckResult("demo", "bad", 1.0, 0.0, 1e-9, False)]

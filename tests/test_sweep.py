@@ -423,10 +423,10 @@ def test_default_sweep_reproduces_the_golden_csv(tmp_path, jobs):
     _assert_matches_golden(out, GOLDEN_DEFAULT)
 
 
-@pytest.mark.parametrize("size", [65, 129])
+@pytest.mark.parametrize("size", [33, 65, 129])
 def test_block_records_equal_one_cell_blocks(size):
-    # 65 and 129 cells end one cell into a new 16-state chunk.
-    assert sweep._CHUNK == 16
+    # 33, 65 and 129 cells end one cell into a new 32-state chunk.
+    assert sweep._CHUNK == 32
     grid = np.linspace(0.0, 0.6, 33)
     cells = [(c.value, float(kt)) for c in sweep.ALL_CHANNELS for kt in grid][:size]
     measures = ("tau", "ppt", "entropy")
@@ -436,7 +436,7 @@ def test_block_records_equal_one_cell_blocks(size):
 
 
 def test_state_sweep_eigenproblem_count_is_pinned(monkeypatch):
-    # 4 channels x 40 steps = 160 cells = 10 chunks of 16 states.  Each chunk
+    # 4 channels x 40 steps = 160 cells = 5 chunks of 32 states.  Each chunk
     # makes one eigvalsh for validation and entropy, one for the partial
     # transposes and one eigvals for the spin flip; per-cell calls would read 160+.
     calls = {"eigvalsh": 0, "eigvals": 0}
@@ -453,4 +453,4 @@ def test_state_sweep_eigenproblem_count_is_pinned(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name))
     records = run_sweep(SweepConfig(measures=("tau", "ppt", "entropy"), steps=40))
     assert len(records) == 160
-    assert calls == {"eigvalsh": 20, "eigvals": 10}
+    assert calls == {"eigvalsh": 10, "eigvals": 5}
