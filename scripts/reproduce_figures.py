@@ -21,7 +21,7 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=61,
                         help="grid points for the discord sweep (default 61)")
     parser.add_argument("--jobs", type=int, default=max(1, (os.cpu_count() or 1) // 2),
-                        help="worker processes for the discord sweep")
+                        help="processes for the discord sweep")
     args = parser.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -156,22 +156,16 @@ def closed_form_spectrum(channel: Channel, kt: float) -> np.ndarray:
     """Eigenvalues of :func:`closed_form_state`, sorted descending.
 
     Analytic throughout: the X/Y states are rank 8 with eigenvalues
-    {2*alpha, 2*beta (x4), 2*gamma (x3)}, the Z state is rank 2 with
-    (1 +/- corner*2)/2, and the isotropic state splits its corner block
-    into alpha +/- corner.
+    {2*alpha, 2*beta (x4), 2*gamma (x3)}; the Z and isotropic states keep
+    their diagonal and split the corner block into alpha +/- corner, so
+    with Z's beta = gamma = 0 the Z state is rank 2.
     """
     channel = Channel(channel)
     co = coefficients(channel, kt)
     if channel in (Channel.X, Channel.Y):
         lam = [2.0 * co.alpha] + [2.0 * co.beta] * 4 + [2.0 * co.gamma] * 3 + [0.0] * 8
-    elif channel is Channel.Z:
-        lam = [co.alpha + co.corner, co.alpha - co.corner] + [0.0] * 14
     else:
-        lam = (
-            [co.alpha + co.corner, co.alpha - co.corner]
-            + [co.beta] * 8
-            + [co.gamma] * 6
-        )
+        lam = [co.alpha + co.corner, co.alpha - co.corner] + [co.beta] * 8 + [co.gamma] * 6
     return np.sort(np.asarray(lam))[::-1]
 
 

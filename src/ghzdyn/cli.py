@@ -65,8 +65,8 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     parser.add_argument("--plot", action="store_true", default=None,
                         help="also emit a standalone matplotlib script next to the CSV")
     parser.add_argument("--jobs", type=int, default=None,
-                        help=f"sweep blocks: the caller computes the first, at most one worker process "
-                             f"per other CPU the rest (default {_SWEEP_DEFAULTS.jobs})")
+                        help=f"processes, one contiguous sweep block each (at most one per cell and per "
+                             f"CPU); the caller computes the first (default {_SWEEP_DEFAULTS.jobs})")
     parser.add_argument("--config", default=None,
                         help="flat key = value file supplying defaults for the flags above")
     parser.add_argument("--verify", action="store_true",

@@ -217,27 +217,24 @@ def tau_generator_bound(rho: np.ndarray) -> TauResult:
     return TauResult(TAU_SCALE * math.sqrt(sum(c**2 for c in per_cut) / n), tuple(per_cut), TAU_SCALE)
 
 
-def _signed_tau(channel: Channel, co: ChannelCoefficients) -> float | np.ndarray:
+def _signed_tau(co: ChannelCoefficients) -> float | np.ndarray:
     """The closed form of :func:`analytic_tau` before scaling and clamping at zero.
 
+    One expression for every channel: X and Y carry ``corner == alpha``, Z ``beta == gamma == 0``.
     ``co`` holds floats, or arrays from :func:`_coefficient_columns`.
     """
-    if channel in (Channel.X, Channel.Y):
-        return 2.0 * co.alpha - 8.0 * co.beta - 6.0 * co.gamma
-    if channel is Channel.Z:
-        return 2.0 * co.corner
     return 2.0 * co.corner - 8.0 * co.beta - 6.0 * co.gamma
 
 
-def _analytic_taus(channel: Channel, co: ChannelCoefficients) -> np.ndarray:
+def _analytic_taus(co: ChannelCoefficients) -> np.ndarray:
     """:func:`analytic_tau` from coefficients: one value from floats, an array from columns."""
-    return TAU_SCALE * np.maximum(0.0, _signed_tau(channel, co))
+    return TAU_SCALE * np.maximum(0.0, _signed_tau(co))
 
 
 def analytic_tau(channel: Channel, kt: float) -> float:
     """Closed-form value of :func:`tau_lower_bound` on a 4-qubit GHZ register."""
     channel = Channel(channel)
-    return float(_analytic_taus(channel, coefficients(channel, kt)))
+    return float(_analytic_taus(coefficients(channel, kt)))
 
 
 def _bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -261,7 +258,7 @@ def tau_vanishing_time(channel: Channel) -> float | None:
     channel = Channel(channel)
     if channel is Channel.Z:
         return None
-    return _bisect_root(lambda kt: _signed_tau(channel, coefficients(channel, kt)), 0.0, 2.0)
+    return _bisect_root(lambda kt: _signed_tau(coefficients(channel, kt)), 0.0, 2.0)
 
 
 def _ppt_min_eigenvalues(rhos: np.ndarray, subset: tuple[int, ...] | list[int]) -> np.ndarray:

@@ -8,11 +8,10 @@ CSV carries both columns when ``method = "both"``; ``ppt`` and
 
 Output is byte-reproducible: records are ordered channel-major, floats
 are rendered with 12 significant digits, rows end with a bare newline,
-and the file is written atomically.  ``jobs`` splits the grid into that
-many contiguous blocks of cells (at most one block per cell).  The calling
-process computes the first block itself and at most ``os.cpu_count() - 1``
-worker processes compute the rest; the record order never depends on the
-job count.
+and the file is written atomically.  ``jobs`` counts processes: the grid
+splits into one contiguous block of cells per process, at most one per
+cell and per CPU, and the calling process computes the first; the record
+order never depends on the job count.
 
 A block builds its closed-form states in chunks of at most 32 (half of
 the ``BATCH_ENTRIES`` budget), as one real array per channel run, and
@@ -134,7 +133,7 @@ def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -
             channel = Channel(value)
             runs.append((channel, _coefficient_columns(channel, [kt for _, kt in run])))
         if wanted["tau_analytic"]:
-            parts["tau_analytic"] += [_analytic_taus(channel, co) for channel, co in runs]
+            parts["tau_analytic"] += [_analytic_taus(co) for _, co in runs]
         if wanted["gqd_analytic"]:
             parts["gqd_analytic"].append([analytic_gqd(channel, kt) for channel, kt in chunk])
         if needs_state:
@@ -158,21 +157,19 @@ def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured grid, channel-major, in deterministic order.
 
-    The cells are split into ``min(config.jobs, cells)`` contiguous blocks.
-    The calling process computes the first block itself; the others go to a
-    pool of at most ``os.cpu_count() - 1`` worker processes, and with one CPU
-    the caller computes every block.
+    One process per contiguous block of cells, ``min(config.jobs, cells, os.cpu_count())``
+    of them: the calling process computes the first block, and a pool of one worker
+    per other block the rest; with one block no pool starts.
     """
     config.validate()
     grid = np.linspace(0.0, config.kt_max, config.steps)
     cells = [(channel.value, float(kt)) for channel in config.channels for kt in grid]
-    count = min(config.jobs, len(cells))
+    count = min(config.jobs, len(cells), os.cpu_count() or 1)
     bounds = [len(cells) * i // count for i in range(count + 1)]
     blocks = [(cells[lo:hi], config.measures, config.method) for lo, hi in zip(bounds, bounds[1:])]
-    workers = min(len(blocks), os.cpu_count() or 1) - 1
-    if workers < 1:
-        return [record for block in blocks for record in _compute_block(block)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    if count == 1:
+        return _compute_block(blocks[0])
+    with ProcessPoolExecutor(max_workers=count - 1) as pool:
         rest = pool.map(_compute_block, blocks[1:])
         first = _compute_block(blocks[0])
         return first + [record for block in rest for record in block]

@@ -24,6 +24,7 @@ from ghzdyn.entanglement import (
     TAU_SCALE,
     _analytic_taus,
     _ppt_min_eigenvalues,
+    _signed_tau,
     _tau_lower_bounds,
     analytic_tau,
     tau_lower_bound,
@@ -152,7 +153,7 @@ def _bits(values):
 def test_stacked_closed_forms_equal_the_scalar_formulas(channel):
     co = _coefficient_columns(channel, STACK_TIMES)
     states = _closed_form_states(channel, co)
-    taus = _analytic_taus(channel, co)
+    taus = _analytic_taus(co)
     assert states.shape == (len(STACK_TIMES), 16, 16)
     for k, kt in enumerate(STACK_TIMES):
         reference = _reference_coefficients(channel, kt)
@@ -251,6 +252,25 @@ def test_x_and_y_spectra_match():
         lam_x = np.linalg.eigvalsh(closed_form_state(Channel.X, kt))
         lam_y = np.linalg.eigvalsh(closed_form_state(Channel.Y, kt))
         assert np.abs(lam_x - lam_y).max() < 1e-14
+
+
+@pytest.mark.parametrize("kt_max", [0.6, 2.0])
+@pytest.mark.parametrize("channel", list(Channel))
+def test_one_signed_tau_expression_equals_the_per_channel_ones(channel, kt_max):
+    co = _coefficient_columns(channel, np.linspace(0.0, kt_max, 2001).tolist())
+    if channel in (Channel.X, Channel.Y):
+        per_channel = 2.0 * co.alpha - 8.0 * co.beta - 6.0 * co.gamma
+    elif channel is Channel.Z:
+        per_channel = 2.0 * co.corner
+    else:
+        per_channel = 2.0 * co.corner - 8.0 * co.beta - 6.0 * co.gamma
+    assert _bits(_signed_tau(co)) == _bits(per_channel)
+
+
+def test_z_spectrum_is_the_two_corner_values_and_zeros():
+    for kt in np.linspace(0.0, 2.0, 41):
+        corner = coefficients(Channel.Z, kt).corner
+        assert _bits(closed_form_spectrum(Channel.Z, kt)) == _bits([0.5 + corner, 0.5 - corner] + [0.0] * 14)
 
 
 def test_closed_form_spectrum_matches_eigensolver():

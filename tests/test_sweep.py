@@ -204,8 +204,24 @@ def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
     config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3, steps=5)
     records = run_sweep(replace(config, jobs=5))
     if workers > 1:
+        # One block per process: bounds 0, 2, 5, the worker taking cells 2-4.
         grid = np.linspace(0.0, 0.3, 5)
-        assert seen == [workers - 1, [[("z", float(kt))] for kt in grid[1:]]]
+        assert seen == [workers - 1, [[("z", float(kt)) for kt in grid[2:]]]]
+    assert records == run_sweep(config)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_large_job_count_gives_one_block_per_cpu(monkeypatch, cpus):
+    seen = _inline_pool(monkeypatch, cpus)
+    config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("tau", "entropy"),
+                         kt_max=0.3, steps=5)
+    records = run_sweep(replace(config, jobs=64))
+    workers, pooled = seen
+    assert workers == cpus - 1 and len(pooled) == workers
+    cells = [(c.value, float(kt)) for c in config.channels for kt in np.linspace(0.0, 0.3, 5)]
+    first = len(cells) - sum(map(len, pooled))
+    assert 0 < first and all(pooled)
+    assert [cell for block in pooled for cell in block] == cells[first:]
     assert records == run_sweep(config)
 
 
