@@ -5,27 +5,34 @@ normalised so that the 4-qubit GHZ state scores sqrt(2):
 
 * :func:`tau_lower_bound` conjugates with the full spin flip
   ``F = L0 tensor ... tensor L0`` (one factor per qubit) and applies the
-  Wootters recipe ``max(0, 2*lam_max - sum(lam))`` to the square roots of
-  the eigenvalues of ``rho @ F rho* F``.  This is the quantity whose
-  closed forms :func:`analytic_tau` reproduces, and it is defined only
+  Wootters recipe ``max(0, 2*lam_max - sum(lam))`` to the roots lam, the
+  square roots of the eigenvalues of ``rho F rho* F``.  This is the quantity
+  whose closed forms :func:`analytic_tau` reproduces, and it is defined only
   for even register sizes: for odd N the flip form is antisymmetric,
   ``F rho* F`` is negative semidefinite, and the call raises ``ValueError``.
   F is never built: it is the signed anti-diagonal
-  ``F[i, d-1-i] = (-1)**popcount(i)``, so for even N
-  ``F rho* F = s s^T * rho*[::-1, ::-1]`` with ``s_i = (-1)**popcount(i)``.
+  ``F[i, d-1-i] = (-1)**popcount(i)``, so ``rho F = rho[:, ::-1] * s[::-1]``
+  with ``s_i = (-1)**popcount(i)``.
 
 * :func:`tau_generator_bound` enumerates all SO(2**(N-1)) x SO(2)
   generator pairs for each one-versus-rest cut (see :func:`cut_terms`)
   and aggregates the per-pair Wootters values in quadrature.  Each
   pair's conjugator touches only four basis states, so its term is the
   Wootters value of a 4 x 4 principal submatrix of rho, and one batched
-  eigenproblem per cut covers every pair.  On pure states this route
+  solve per cut covers every pair.  On pure states this route
   saturates twice the N-partite pure concurrence, so it detects states
   (W-type, for instance) that the spin flip misses.
 
-Both share ``TAU_SCALE = sqrt(2)``, fixed once by the GHZ calibration.
+No root is taken as a square root, which would halve the digits of a root
+near zero.  A real rho has ``rho F rho F = (rho F)**2``, so its roots are
+``|eigvals(rho F)|``, one eigensolve; for a complex rho that identity fails,
+and the roots are the singular values of ``W^T F W`` with ``rho = W W^H``
+from ``eigh`` (Uhlmann, PRA 62, 032307).  The generator pairs take the same
+two routes with ``F = kron(L0, L0)``, the 2-qubit spin flip.
+
+The two bounds share ``TAU_SCALE = sqrt(2)``, fixed once by the GHZ calibration.
 The spin-flip bound and the PPT witness run on stacks of validated states,
-one batched eigenproblem each; the public functions pass a stack of one.
+one batched solve each; the public functions pass a stack of one.
 """
 
 from __future__ import annotations
@@ -37,9 +44,6 @@ import numpy as np
 
 from .channels import Channel, ChannelCoefficients, coefficients
 from .linalg import (
-    FLIP_IMAG_LIMIT,
-    FLIP_NEGATIVE_LIMIT,
-    FLIP_NOISE_FLOOR,
     NORM_TOL,
     assert_density_matrix,
     num_qubits,
@@ -52,10 +56,6 @@ TAU_SCALE = math.sqrt(2.0)
 
 # Real antisymmetric 2x2 seed of every flip/generator construction.
 L0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-# The conjugator kron(G_pq, L0) of generator pair (p, q), restricted to the
-# basis states (2p, 2p+1, 2q, 2q+1) it acts on; the same for every pair.
-_PAIR_FLIP = np.kron(L0, L0)
 
 
 @dataclass(frozen=True)
@@ -105,27 +105,18 @@ def pure_concurrence(psi: np.ndarray) -> float:
     return math.sqrt(max(0.0, 1.0 - purity / n))
 
 
-def _wootters_lambdas(products: np.ndarray) -> np.ndarray:
-    """Square roots of the eigenvalues of rho @ rho-tilde, sorted descending.
+def _wootters_roots(rhos: np.ndarray) -> np.ndarray:
+    """Descending Wootters roots of each matrix in a stack, by the routes of the module doc.
 
-    ``products`` is one square matrix or a stack of them (the last two
-    axes); roots come back row by row.  Each product is similar to a
-    positive matrix, so its spectrum is real and nonnegative up to
-    roundoff.  An eigenvalue in any row below ``-FLIP_NEGATIVE_LIMIT`` or
-    with an imaginary part above ``FLIP_IMAG_LIMIT`` aborts, smaller
-    negatives clamp to zero, and residue under ``FLIP_NOISE_FLOOR`` is
-    zeroed so null-space noise cannot leak through sqrt.
+    F is the spin flip of an even number of qubits, so ``m F = m[..., ::-1] * s[::-1]``;
+    ``W = V sqrt(w)``.
     """
-    ev = np.linalg.eigvals(products)
-    if float(np.abs(ev.imag).max()) > FLIP_IMAG_LIMIT:
-        raise RuntimeError("flip eigenproblem produced complex eigenvalues")
-    real = ev.real
-    lo = float(real.min())
-    if lo < -FLIP_NEGATIVE_LIMIT:
-        raise RuntimeError(f"flip eigenproblem produced negative eigenvalue {lo:.3e}")
-    real = np.clip(real, 0.0, None)
-    real[real < FLIP_NOISE_FLOOR] = 0.0
-    return np.sort(np.sqrt(real), axis=-1)[..., ::-1]
+    signs = _flip_signs(rhos.shape[-1].bit_length() - 1)[::-1]
+    if not np.iscomplexobj(rhos):
+        return np.sort(np.abs(np.linalg.eigvals(rhos[..., ::-1] * signs)), axis=-1)[..., ::-1]
+    w, v = np.linalg.eigh(rhos)
+    root = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return np.linalg.svd((root.swapaxes(-1, -2)[..., ::-1] * signs) @ root, compute_uv=False)
 
 
 def _quadrature(values) -> float:
@@ -139,14 +130,11 @@ def _flip_signs(n: int) -> np.ndarray:
 
 
 def _flip_values(rhos: np.ndarray) -> np.ndarray:
-    """Spin-flip Wootters value of each validated state in a stack; ``F rho* F`` as in the module doc."""
+    """Spin-flip Wootters value of each validated state in a stack; ``rho F`` as in the module doc."""
     n = rhos.shape[-1].bit_length() - 1
     if n % 2:
         raise ValueError(f"the spin-flip bound needs an even number of qubits, got {n}")
-    signs = _flip_signs(n)
-    tilde = np.conj(rhos[:, ::-1, ::-1])  # a new array even for real input: signed in place
-    tilde *= np.outer(signs, signs)
-    lam = _wootters_lambdas(rhos @ tilde)
+    lam = _wootters_roots(rhos)
     return np.maximum(0.0, 2.0 * lam[:, 0] - lam.sum(axis=-1))
 
 
@@ -181,7 +169,7 @@ def _cut_arrays(rho: np.ndarray, n: int, cut: int) -> tuple[np.ndarray, np.ndarr
     p, q = np.triu_indices(2 ** (n - 1), k=1)
     index = np.stack([2 * p, 2 * p + 1, 2 * q, 2 * q + 1], axis=1)
     block = moved[index[:, :, None], index[:, None, :]]
-    lam = _wootters_lambdas(block @ _PAIR_FLIP @ block.conj() @ _PAIR_FLIP)
+    lam = _wootters_roots(block)
     values = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
     return np.stack([p, q], axis=1), lam, values
 
@@ -195,8 +183,10 @@ def cut_terms(rho: np.ndarray, cut: int) -> CutTermSet:
     states I = (2p, 2p+1, 2q, 2q+1), where s restricts to
     ``kron(L0, L0)``, so the nonzero spectrum of ``rho s rho* s`` is that
     of the 4 x 4 product ``R kron(L0, L0) R* kron(L0, L0)`` with R the
-    principal submatrix ``rho[I, I]``.  A term's four roots are that
-    product's eigenvalue roots.
+    principal submatrix ``rho[I, I]``.  ``kron(L0, L0)`` is the 2-qubit spin
+    flip, so a term's four roots are R's spin-flip Wootters roots, taken as in
+    the module doc: ``|eigvals(R kron(L0, L0))|`` for a real R, Uhlmann's form
+    for a complex one.
     """
     n = assert_density_matrix(rho)
     pairs, lam, values = _cut_arrays(rho, n, cut)

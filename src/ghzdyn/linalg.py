@@ -33,9 +33,6 @@ PROBABILITY_SUM_TOL = 1e-9   # |sum - 1| of a row of outcome probabilities
 NORM_TOL = 1e-10             # |norm - 1| of a state vector; integrator trace drift
 INTEGRATOR_TOL = 1e-9        # a-priori RK4 trace-distance bound; steps double above it
 DISCORD_FLOOR = 1e-9         # a minimised discord may dip to -DISCORD_FLOOR, then clamps to 0
-FLIP_NEGATIVE_LIMIT = 1e-8   # Wootters eigenvalues may dip to -FLIP_NEGATIVE_LIMIT (clamp to 0),
-FLIP_IMAG_LIMIT = 1e-8       # carry imaginary parts up to FLIP_IMAG_LIMIT,
-FLIP_NOISE_FLOOR = 1e-15     # and are zeroed below FLIP_NOISE_FLOOR before the square root
 
 
 def num_qubits(mat: np.ndarray) -> int:

@@ -16,9 +16,9 @@ order never depends on the job count.
 A block builds its closed-form states in chunks of at most 32 (half of
 the ``BATCH_ENTRIES`` budget), as one real array per channel run, and
 measures each chunk as one stack in real arithmetic: one ``eigvalsh``
-validates the states and gives their entropy spectra, one ``eigvals`` the
-Wootters roots of the spin flip (a signed index reversal), one
-``eigvalsh`` the partial transposes.  The block's discord is one search
+validates the states and gives their entropy spectra, one ``eigvals`` of
+``rho F`` the Wootters roots (the spin flip F is a signed index reversal),
+one ``eigvalsh`` the partial transposes.  The block's discord is one search
 (:func:`ghzdyn.discord._global_discords`), which stacks the states as
 complex, so each gets the value of its complex copy searched alone.  No
 value depends on the chunk.

@@ -60,9 +60,15 @@ def check_tau_closed_form() -> list[CheckResult]:
     worst = max(abs(value - analytic_tau(channel, kt))
                 for channel in Channel for value, kt in zip(taus[channel], grid))
     xy = max(abs(x - y) for x, y in zip(taus[Channel.X], taus[Channel.Y]))
+    # Near-pure states have Wootters roots near zero; the complex copy takes the other route.
+    near = max(abs(tau_lower_bound(rho).value - analytic_tau(channel, kt))
+               for channel in (Channel.X, Channel.Y, Channel.ISO) for kt in (1e-6, 1e-5, 1e-4)
+               for rho in (closed_form_state(channel, kt), closed_form_state(channel, kt).astype(complex)))
     return [
         _result("tau-closed-form", "max |bound - closed form| over 20 points, all channels",
                 worst, 0.0, 1e-12),
+        _result("tau-closed-form", "max |bound - closed form| at kappa*t = 1e-6, 1e-5, 1e-4 "
+                "on X, Y and iso, real and complex", near, 0.0, 1e-12),
         _result("tau-closed-form", "max |tau_X - tau_Y| over 20 points", xy, 0.0, 1e-12),
     ]
 

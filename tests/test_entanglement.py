@@ -10,11 +10,12 @@ from ghzdyn.channels import Channel, closed_form_state, ghz_ket, ghz_state
 from ghzdyn.entanglement import (
     L0,
     TAU_SCALE,
+    _cut_arrays,
     _flip_signs,
     _flip_values,
     _ppt_min_eigenvalues,
     _tau_lower_bounds,
-    _wootters_lambdas,
+    _wootters_roots,
     analytic_tau,
     cut_terms,
     ppt_min_eigenvalue,
@@ -95,32 +96,6 @@ def test_cut_terms_match_dense_reference(name):
         assert np.abs(values - np.array([v for _, _, v in want])).max() <= 1e-12
 
 
-def test_wootters_checks_apply_row_by_row():
-    rows = np.zeros((5, 4, 4), dtype=complex)
-    for k in range(5):
-        rows[k] = np.diag([0.5, 0.2, 0.1 * k, 0.0])
-    rows[1, 3, 3] = -5e-9
-    clean = _wootters_lambdas(rows)
-    assert clean.shape == (5, 4)
-    for k in range(5):
-        assert np.array_equal(clean[k], _wootters_lambdas(rows[k]))
-    assert np.array_equal(clean[1], np.sqrt([0.5, 0.2, 0.1, 0.0]))
-
-    negative = rows.copy()
-    negative[3, 3, 3] = -2e-8
-    with pytest.raises(RuntimeError, match="negative eigenvalue -2.000e-08"):
-        _wootters_lambdas(negative)
-    with pytest.raises(RuntimeError, match="negative eigenvalue -2.000e-08"):
-        _wootters_lambdas(negative[3])
-
-    rotating = rows.copy()
-    rotating[2, 2:, 2:] = [[0.0, -2e-8], [2e-8, 0.0]]
-    with pytest.raises(RuntimeError, match="complex eigenvalues"):
-        _wootters_lambdas(rotating)
-    with pytest.raises(RuntimeError, match="complex eigenvalues"):
-        _wootters_lambdas(rotating[2])
-
-
 def test_pure_concurrence_reference_states():
     assert pure_concurrence(ghz_ket(4)) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert pure_concurrence(ghz_ket(3)) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
@@ -189,8 +164,6 @@ def test_tau_lower_bound_matches_closed_forms():
             assert abs(bound - analytic_tau(channel, kt)) < 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason="FLIP_NOISE_FLOOR = 1e-15 zeroes the genuine flip eigenvalues "
-                                       "4*gamma**2 = 4e-16 of the near-pure Y state; tau reads 8.5e-8 high")
 def test_spin_flip_tau_matches_the_closed_form_on_a_near_pure_state():
     bound = tau_lower_bound(closed_form_state(Channel.Y, 1e-4)).value
     assert abs(bound - analytic_tau(Channel.Y, 1e-4)) <= 1e-12
@@ -346,10 +319,29 @@ def _kron_flip(n: int) -> np.ndarray:
 
 
 def _reference_flip_value(rho: np.ndarray) -> float:
-    """Per-state spin-flip Wootters value, with F built from Kronecker products."""
+    """Per-state spin-flip Wootters value, with F built from Kronecker products.
+
+    The textbook recipe: square roots of the eigenvalues of ``rho F rho* F``, with
+    rounding below zero clipped and residue under 1e-15 zeroed before the root.
+    """
     flip = _kron_flip(num_qubits(rho))
-    lam = _wootters_lambdas(rho @ (flip @ rho.conj() @ flip))
-    return max(0.0, 2.0 * lam[0] - lam.sum())
+    ev = np.clip(np.linalg.eigvals(rho @ flip @ rho.conj() @ flip).real, 0.0, None)
+    ev[ev < 1e-15] = 0.0
+    lam = np.sqrt(ev)
+    return max(0.0, 2.0 * lam.max() - lam.sum())
+
+
+def _uhlmann_roots(rho: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """Descending Wootters roots of a state or stack: singular values of ``W^T F W``, ``rho = W W^H``."""
+    w, v = np.linalg.eigh(rho)
+    root = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return np.linalg.svd(root.swapaxes(-1, -2) @ flip @ root, compute_uv=False)
+
+
+def _real_density(n: int, rng: np.random.Generator, rank: int) -> np.ndarray:
+    a = rng.normal(size=(2**n, rank))
+    rho = a @ a.T
+    return rho / np.trace(rho)
 
 
 def _reference_ppt(rho: np.ndarray) -> float:
@@ -380,12 +372,36 @@ def test_stack_cores_match_the_per_state_reference():
     states = _stack_test_states()
     flip = np.array([_reference_flip_value(rho) for rho in states])
     ppt = np.array([_reference_ppt(rho) for rho in states])
-    assert np.array_equal(_flip_values(states), flip)
+    # The stack is complex, so its roots come from Uhlmann's form, not the reference's product.
+    assert np.abs(_flip_values(states) - flip).max() <= 1e-12
     assert np.array_equal(_ppt_min_eigenvalues(states, (0,)), ppt)
     for rho, value, witness, bound in zip(states, flip, ppt, _tau_lower_bounds(states)):
         assert tau_lower_bound(rho).value == bound
-        assert tau_lower_bound(rho).per_cut == (value,) * 4
+        assert np.abs(np.array(tau_lower_bound(rho).per_cut) - value).max() <= 1e-12
         assert ppt_min_eigenvalue(rho, (0,)) == witness
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_wootters_roots_match_the_uhlmann_reference(n, dtype):
+    # Real stacks take |eigvals(rho F)|, complex ones the svd route; both must give Uhlmann's roots.
+    rng = np.random.default_rng(5)
+    make = _real_density if dtype is float else random_density
+    stack = np.stack([make(n, rng, rank) for rank in (1, 2, 2**n) for _ in range(3)])
+    assert stack.dtype == dtype
+    want = _uhlmann_roots(stack, _kron_flip(n))
+    assert np.abs(_wootters_roots(stack) - want).max() <= 1e-13
+    assert np.abs(_flip_values(stack) - np.maximum(0.0, 2.0 * want[:, 0] - want.sum(axis=1))).max() <= 1e-13
+    if n < 4:
+        return
+    pair_flip = np.kron(L0, L0)
+    for rho in stack:
+        for cut in range(n):
+            moved = permute_qubits(rho, [q for q in range(n) if q != cut] + [cut])
+            pairs, lam, _ = _cut_arrays(rho, n, cut)
+            index = [[2 * p, 2 * p + 1, 2 * q, 2 * q + 1] for p, q in pairs]
+            blocks = np.stack([moved[np.ix_(i, i)] for i in index])
+            assert np.abs(lam - _uhlmann_roots(blocks, pair_flip)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

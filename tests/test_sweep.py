@@ -455,7 +455,8 @@ def test_state_sweep_eigenproblem_count_is_pinned(monkeypatch):
     # 4 channels x 40 steps = 160 cells = 5 chunks of 32 states.  Each chunk
     # makes one eigvalsh for validation and entropy, one for the partial
     # transposes and one eigvals for the spin flip; per-cell calls would read 160+.
-    calls = {"eigvalsh": 0, "eigvals": 0}
+    # The states are real, so the flip never takes the complex eigh + svd route.
+    calls = {"eigvalsh": 0, "eigvals": 0, "eigh": 0, "svd": 0}
 
     def counted(name):
         original = getattr(np.linalg, name)
@@ -469,4 +470,4 @@ def test_state_sweep_eigenproblem_count_is_pinned(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name))
     records = run_sweep(SweepConfig(measures=("tau", "ppt", "entropy"), steps=40))
     assert len(records) == 160
-    assert calls == {"eigvalsh": 10, "eigvals": 5}
+    assert calls == {"eigvalsh": 10, "eigvals": 5, "eigh": 0, "svd": 0}
