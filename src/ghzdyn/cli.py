@@ -2,7 +2,8 @@
 
 Precedence is flags over config file over defaults.  The config file is
 flat ``key = value`` text, each value read as the flag ``--key=value``, so
-a bad one fails as the flag would; repeatable flags become comma lists::
+a bad one fails as the flag would; repeatable flags become comma lists, and
+``#`` starts a comment only at a line's start or after whitespace::
 
     channel = x, z
     measure = tau, gqd
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import replace
 
@@ -66,7 +68,7 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
                         help="also emit a standalone matplotlib script next to the CSV")
     parser.add_argument("--jobs", type=int, default=None,
                         help=f"processes, one contiguous sweep block each (at most one per cell and per "
-                             f"CPU); the caller computes the first (default {_SWEEP_DEFAULTS.jobs})")
+                             f"usable CPU); the caller computes the first (default {_SWEEP_DEFAULTS.jobs})")
     parser.add_argument("--config", default=None,
                         help="flat key = value file supplying defaults for the flags above")
     parser.add_argument("--verify", action="store_true",
@@ -83,7 +85,7 @@ def parse_config_file(path: str) -> dict[str, str]:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(raw_lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # out = a#1.csv keeps its '#'
         if not line:
             continue
         key, sep, value = line.partition("=")

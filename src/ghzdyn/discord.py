@@ -26,10 +26,10 @@ probabilities for every x at once, and then prices each trial at O(2**N): a
 few 9-point scans over a shrinking bracket.  The descents run in lockstep,
 one scan a round; their spacings shrink on a schedule that does not depend
 on the state, so all of a line's descents close in the same round.  One
-search carries a block of states (each frame is measured on the state that
-owns it), so a sweep pays a round's fixed cost once per block of cells.  No
-value depends on its batch, so each state gets the result it gets when
-searched alone.
+search carries a group of up to ``2 * BATCH_ENTRIES // 4**N`` states, 128 at
+N = 4 (each frame is measured on the state that owns it), so a sweep pays a
+round's fixed cost once per group of cells.  No value depends on its batch
+or group: each state gets the result it gets when searched alone.
 :func:`analytic_gqd` gives the closed forms of the 4-qubit channel states.
 """
 
@@ -178,11 +178,7 @@ class _GlobalObjective:
         return shannon_entropies(probs) - self.marginal_entropies[owner]
 
     def __call__(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Objective values of ``(B, n, 2)`` frames on states ``owner``, ``batch`` at a time."""
-        return np.concatenate([self._evaluate(frames[i:i + self.batch], owner[i:i + self.batch])
-                               for i in range(0, len(frames), self.batch)])
-
-    def _evaluate(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Objective values of ``(B, n, 2)`` frames on states ``owner``, all in one batch."""
         rows = _rows(frames)
         total = shannon_entropies(self._contract(list(rows.swapaxes(0, 1)), owner))
         return total - self.state_entropy[owner] - self._local(rows, owner).sum(axis=1)
@@ -428,19 +424,17 @@ def _search(objective, states: int, n: int):
     return values[pick], frames[pick], grid_values[:, named], counts
 
 
-def _global_discords(states: list[np.ndarray]) -> list[DiscordResult]:
-    """:func:`global_discord` of every state, all searched together.
+def _global_discords(rhos: np.ndarray, spectra: np.ndarray) -> list[DiscordResult]:
+    """:func:`global_discord` of a validated ``(B, d, d)`` stack, given its :func:`_density_spectra`.
 
-    The states must share their qubit count.  Each result is the one
-    :func:`global_discord` gives for that state alone.
+    The states are searched ``2 * BATCH_ENTRIES // 4**n`` at a time, 128 at 4 qubits; each
+    result is the one :func:`global_discord` gives for that state alone.
     """
-    sizes = {num_qubits(rho) for rho in states}
-    if len(sizes) != 1:
-        raise ValueError(f"states must share one qubit count, got {sorted(sizes)}")
-    n = sizes.pop()
-    rhos = np.stack(states).astype(complex, copy=False)  # a real state searches as its complex copy
-    values, frames, branches, evals = _search(
-        _GlobalObjective(rhos, n, _density_spectra(rhos)), len(states), n)
+    n = rhos.shape[-1].bit_length() - 1
+    group = max(1, 2 * BATCH_ENTRIES // 4**n)
+    groups = [_search(_GlobalObjective(rhos[i:i + group], n, spectra[i:i + group]),
+                      len(spectra[i:i + group]), n) for i in range(0, len(rhos), group)]
+    values, frames, branches, evals = map(np.concatenate, zip(*groups))
     if values.min() < -DISCORD_FLOOR:
         raise RuntimeError(f"discord objective minimised to {values.min():.3e} < 0")
     frames.setflags(write=False)
@@ -461,7 +455,8 @@ def global_discord(rho: np.ndarray) -> DiscordResult:
     to 0.10 lower.  It matches :func:`analytic_gqd` on the channel states; for
     other states it is an upper bound on the global discord, nothing more.
     """
-    return _global_discords([rho])[0]
+    num_qubits(rho)
+    return _global_discords(rho[None], _density_spectra(rho[None]))[0]
 
 
 def bipartite_discord(rho: np.ndarray) -> float:

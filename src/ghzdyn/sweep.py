@@ -10,18 +10,17 @@ Output is byte-reproducible: records are ordered channel-major, floats
 are rendered with 12 significant digits, rows end with a bare newline,
 and the file is written atomically.  ``jobs`` counts processes: the grid
 splits into one contiguous block of cells per process, at most one per
-cell and per CPU, and the calling process computes the first; the record
-order never depends on the job count.
+cell and per usable CPU, and the calling process computes the first; the
+record order never depends on the job count.
 
 A block builds its closed-form states in chunks of at most 32 (half of
 the ``BATCH_ENTRIES`` budget), as one real array per channel run, and
 measures each chunk as one stack in real arithmetic: one ``eigvalsh``
 validates the states and gives their entropy spectra, one ``eigvals`` of
 ``rho F`` the Wootters roots (the spin flip F is a signed index reversal),
-one ``eigvalsh`` the partial transposes.  The block's discord is one search
-(:func:`ghzdyn.discord._global_discords`), which stacks the states as
-complex, so each gets the value of its complex copy searched alone.  No
-value depends on the chunk.
+one ``eigvalsh`` the partial transposes.  The block's discord searches those
+real stacks and spectra in groups of at most 128 states
+(:func:`ghzdyn.discord._global_discords`); no value depends on chunk or group.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
 def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -> list[SweepRecord]:
-    """Records of a block of cells, measured ``_CHUNK`` at a time; one discord search per block.
+    """Records of a block of cells, measured ``_CHUNK`` at a time; its discord searched last.
 
     A chunk's coefficients are computed once per channel run and give both its closed-form
     states and its analytic tau; every column is built as arrays, and the records once.
@@ -125,7 +124,7 @@ def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -
               "entropy": "entropy" in measures}
     needs_state = any(wanted[name] for name in ("tau_numeric", "gqd_numeric", "ppt_min_eig", "entropy"))
     parts: dict[str, list[np.ndarray]] = {name: [] for name, on in wanted.items() if on}
-    searched_states = []
+    searched: list[tuple[np.ndarray, np.ndarray]] = []  # each chunk's (states, spectra)
     for lo in range(0, len(cells), _CHUNK):
         chunk = cells[lo:lo + _CHUNK]
         runs = []  # (channel, coefficient columns) of each channel run, in cell order
@@ -142,13 +141,14 @@ def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -
         if wanted["tau_numeric"]:
             parts["tau_numeric"].append(_tau_lower_bounds(states))
         if wanted["gqd_numeric"]:
-            searched_states += list(states)
+            searched.append((states, spectra))
         if wanted["ppt_min_eig"]:
             parts["ppt_min_eig"].append(_ppt_min_eigenvalues(states, (0,)))
         if wanted["entropy"]:
             parts["entropy"].append(_entropies(spectra))
     if wanted["gqd_numeric"]:
-        parts["gqd_numeric"].append([d.value for d in _global_discords(searched_states)])
+        rhos, spectra = map(np.concatenate, zip(*searched))
+        parts["gqd_numeric"].append([d.value for d in _global_discords(rhos, spectra)])
     columns = [np.concatenate(parts[name]).tolist() if name in parts else repeat(None)
                for name in CSV_HEADER.split(",")[2:]]
     return list(map(SweepRecord, [c for c, _ in cells], [kt for _, kt in cells], *columns))
@@ -157,14 +157,15 @@ def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured grid, channel-major, in deterministic order.
 
-    One process per contiguous block of cells, ``min(config.jobs, cells, os.cpu_count())``
-    of them: the calling process computes the first block, and a pool of one worker
-    per other block the rest; with one block no pool starts.
+    One process per contiguous block of cells, ``min(config.jobs, cells, usable CPUs)`` of
+    them: the calling process computes the first block, and a pool of one worker per other
+    block the rest; with one block no pool starts.
     """
     config.validate()
     grid = np.linspace(0.0, config.kt_max, config.steps)
     cells = [(channel.value, float(kt)) for channel in config.channels for kt in grid]
-    count = min(config.jobs, len(cells), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    count = min(config.jobs, len(cells), cpus)
     bounds = [len(cells) * i // count for i in range(count + 1)]
     blocks = [(cells[lo:hi], config.measures, config.method) for lo, hi in zip(bounds, bounds[1:])]
     if count == 1:

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import Channel, closed_form_spectrum, closed_form_state, evolve_numeric, ghz_state
+from .channels import (Channel, _closed_form_states, _coefficient_columns, closed_form_spectrum,
+                       closed_form_state, evolve_numeric, ghz_state)
 from .discord import _global_discords, analytic_gqd, dephase, sudden_change_point, uniform_frame
 from .entanglement import (
     analytic_tau,
@@ -27,7 +28,7 @@ from .entanglement import (
     tau_lower_bound,
     tau_vanishing_time,
 )
-from .linalg import shannon_entropy, trace_distance
+from .linalg import _density_spectra, shannon_entropy, trace_distance
 from .sweep import SweepConfig, emit_csv, run_sweep
 
 
@@ -101,8 +102,9 @@ def check_sudden_change() -> list[CheckResult]:
 
 
 def _optimised_gqd(channel: Channel, grid) -> list[float]:
-    """Optimised discord of the channel's closed-form states, searched in one batch."""
-    return [r.value for r in _global_discords([closed_form_state(channel, kt) for kt in grid])]
+    """Optimised discord of the channel's closed-form states, searched as one stack."""
+    states = _closed_form_states(channel, _coefficient_columns(channel, grid))
+    return [r.value for r in _global_discords(states, _density_spectra(states))]
 
 
 def check_gqd_x() -> list[CheckResult]:
@@ -164,8 +166,7 @@ def check_ordering() -> list[CheckResult]:
         for ch in (Channel.X, Channel.Z, Channel.ISO)
     }
     tau_margin = min(taus[Channel.Z] - taus[Channel.X], taus[Channel.X] - taus[Channel.ISO])
-    d_z, d_iso = (r.value for r in _global_discords(
-        [closed_form_state(Channel.Z, 0.3), closed_form_state(Channel.ISO, 0.3)]))
+    d_z, d_iso = (_optimised_gqd(ch, [0.3])[0] for ch in (Channel.Z, Channel.ISO))
     return [
         _flag("ordering", f"tau at 0.1: Z ({taus[Channel.Z]:.6f}) > X ({taus[Channel.X]:.6f}) "
               f"> iso ({taus[Channel.ISO]:.6f})", tau_margin > 0.0),

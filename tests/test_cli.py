@@ -118,6 +118,21 @@ def test_config_file_edge_values(tmp_path, capsys):
     assert "channels must not be empty" in capsys.readouterr().err
 
 
+def test_a_hash_inside_a_config_value_is_part_of_it(tmp_path):
+    # '#' starts a comment only at the start of a line or after whitespace.
+    target = tmp_path / "a#1.csv"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# comment line\nout = {target}\nsteps = 5  # note\nmeasure = tau\n")
+    config = _config(["--config", str(path)])
+    assert config.out == str(target) and config.steps == 5 and config.measures == ("tau",)
+    assert cli.main(["--config", str(path)]) == 0
+    from_file = target.read_bytes()
+    target.unlink()
+    assert cli.main(["--out", str(target), "--steps", "5", "--measure", "tau"]) == 0
+    assert target.read_bytes() == from_file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a#1.csv", "run.cfg"]
+
+
 def test_config_file_errors(tmp_path):
     unknown = tmp_path / "bad.cfg"
     unknown.write_text("stepz = 5\n")

@@ -637,7 +637,7 @@ def test_objective_entropies_match_the_partial_trace_route():
 def test_a_bad_state_in_a_search_raises_its_own_error(fault, message):
     good = closed_form_state(Channel.Z, 0.1)
     with pytest.raises(ValueError, match=message):
-        discord._global_discords([good, good + fault])
+        global_discord(good + fault)
 
 
 @pytest.mark.parametrize("channel", list(Channel), ids=lambda c: c.value)
@@ -653,18 +653,14 @@ def test_no_random_start_descends_below_the_closed_form(channel):
     assert np.min(values - floor) > -1e-10
 
 
-def _search_states() -> list[np.ndarray]:
-    """52 closed-form channel states, kappa*t = 0, 0.05, ..., 0.6, and 4 random full-rank states."""
-    states = [closed_form_state(channel, kt)
-              for channel in Channel for kt in np.round(np.arange(13) * 0.05, 2)]
-    return states + [random_density(4, np.random.default_rng(seed)) for seed in range(4)]
+def _discords(states: np.ndarray) -> list[DiscordResult]:
+    """The stacked search of a ``(B, d, d)`` stack, with its validated spectra."""
+    return discord._global_discords(states, discord._density_spectra(states))
 
 
-def test_batched_search_equals_one_state_searches():
-    states = _search_states()
-    batched = discord._global_discords(states)
-    assert len(batched) == len(states)
-    for rho, together in zip(states, batched):
+def _assert_same_as_alone(states: np.ndarray, results: list[DiscordResult]) -> None:
+    assert len(results) == len(states)
+    for rho, together in zip(states, results):
         alone = global_discord(rho)
         assert together.value == alone.value
         assert np.array_equal(together.frame, alone.frame)
@@ -673,23 +669,59 @@ def test_batched_search_equals_one_state_searches():
         assert together.optimizer_evals == alone.optimizer_evals
 
 
+def test_batched_search_equals_one_state_searches():
+    # 52 real closed-form channel states, kappa*t = 0, 0.05, ..., 0.6, and 4 random full-rank ones.
+    channel_states = np.stack([closed_form_state(channel, kt)
+                               for channel in Channel for kt in np.round(np.arange(13) * 0.05, 2)])
+    random_states = np.stack([random_density(4, np.random.default_rng(seed)) for seed in range(4)])
+    for states in (channel_states, random_states):
+        _assert_same_as_alone(states, _discords(states))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_batched_search_in_groups_equals_one_state_searches(n, monkeypatch):
+    # A group holds 2 * BATCH_ENTRIES // 4**n states: 128 at n = 4, 8 at n = 6.  Each stack
+    # ends one state into a second group.
+    if n == 4:
+        kts = np.linspace(0.0, 0.6, 33)
+        states = np.stack([closed_form_state(c, kt) for c in Channel for kt in kts])[:129]
+    else:
+        rng = np.random.default_rng(66)
+        states = np.stack([random_density(n, rng) for _ in range(9)])
+    group = 2 * discord.BATCH_ENTRIES // 4**n
+    searched, search = [], discord._search
+
+    def counting_search(objective, count, qubits):
+        searched.append(len(objective.coefficients))
+        return search(objective, count, qubits)
+
+    monkeypatch.setattr(discord, "_search", counting_search)
+    results = _discords(states)
+    assert searched == [group, 1]
+    _assert_same_as_alone(states, results)
+
+
 def _result_bits(result: DiscordResult):
     return (np.float64(result.value).view(np.uint64), result.frame.tobytes(), result.branch_values,
             result.optimizer_evals)
 
 
 def test_real_states_search_as_their_complex_copies():
-    # The search stacks its states as complex, so a real closed-form state searches as the
-    # complex state it equals: alone, in a real batch and beside complex states.  Searched
-    # in real arithmetic, the X state at 0.45 would end 4.4e-16 higher.
-    real = [closed_form_state(Channel.X, 0.45), closed_form_state(Channel.ISO, 0.15)]
-    copies = [rho.astype(complex) for rho in real]
-    other = random_density(4, np.random.default_rng(5))
-    assert all(rho.dtype == np.float64 for rho in real)
-    for states, twins in (([real[0]], [copies[0]]), ([real[1]], [copies[1]]), (real, copies),
-                          ([real[0], copies[1], other], [copies[0], copies[1], other])):
-        assert ([_result_bits(r) for r in discord._global_discords(states)]
-                == [_result_bits(r) for r in discord._global_discords(twins)])
+    # Within one dtype a state gets the same bits alone as in a stack.  A real state and its
+    # complex copy are the same matrix, but their spectra, and so their entropies, come from
+    # real and complex eigensolves that may round apart in the last bits: over 4 channels x 61
+    # times up to kappa*t = 1.2 the discords differ by at most 1.33e-15.
+    kts = np.linspace(0.0, 1.2, 61)
+    real = np.stack([closed_form_state(channel, kt) for channel in Channel for kt in kts])
+    copies = real.astype(complex)
+    assert real.dtype == np.float64
+    real_results, complex_results = _discords(real), _discords(copies)
+    for states, results in ((real, real_results), (copies, complex_results)):
+        for k in (0, 90, 220):  # 220, the iso state at 0.74, holds the largest gap
+            assert _result_bits(results[k]) == _result_bits(global_discord(states[k]))
+    for a, b in zip(real_results, complex_results):
+        assert abs(a.value - b.value) <= 1.5e-15
+        assert all(abs(a.branch_values[k] - b.branch_values[k]) <= 1.5e-15 for k in discord._NAMED)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -701,7 +733,7 @@ def test_global_discord_vanishes_on_locally_rotated_classical_states(n):
         u = random_local_unitary(n, rng)
         rho = u @ np.diag(rng.dirichlet(np.ones(2**n))) @ u.conj().T
         states.append((rho + rho.conj().T) / 2.0)
-    assert max(result.value for result in discord._global_discords(states)) <= 1e-12
+    assert max(result.value for result in _discords(np.stack(states))) <= 1e-12
 
 
 class _CraftedSearch:
@@ -758,11 +790,6 @@ def test_search_result_is_the_smallest_frame_among_near_tied_descents(monkeypatc
     assert got.tolist() == [1.0, 0.5]
     assert np.array_equal(picked, frames[[2, 5]])
     assert counts.tolist() == [306 + 1 + 2 + 3 + 4, 306 + 5 + 6 + 7]
-
-
-def test_batched_search_rejects_mixed_register_sizes():
-    with pytest.raises(ValueError, match="one qubit count"):
-        discord._global_discords([ghz_state(4), ghz_state(3)])
 
 
 def _werner(z: float) -> np.ndarray:

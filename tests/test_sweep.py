@@ -1,5 +1,6 @@
 import csv
 import errno
+import importlib.util
 import json
 import math
 import os
@@ -158,8 +159,12 @@ def test_csv_bytes_do_not_depend_on_the_blocks(tmp_path, channels, steps, jobs):
     assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
 
-def _inline_pool(monkeypatch, cpus):
-    """Run pool blocks in-process on a host reporting ``cpus`` CPUs; returns what the pool saw."""
+def _inline_pool(monkeypatch, cpus, usable=None):
+    """Run pool blocks in-process on a host of ``cpus`` CPUs; returns what the pool saw.
+
+    ``usable`` of them are the process's own (default: all).  ``cpus`` None, as
+    ``os.cpu_count`` may return, stands for a platform without an affinity call too.
+    """
     seen = []
 
     class InlinePool:
@@ -181,6 +186,11 @@ def _inline_pool(monkeypatch, cpus):
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
+    else:
+        affinity = set(range(cpus if usable is None else usable))
+        monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: affinity, raising=False)
     return seen
 
 
@@ -195,10 +205,11 @@ def test_no_empty_block_reaches_the_pool(monkeypatch, steps, jobs, sizes):
     assert [len(cells) for cells in seen[1]] == sizes[1:]
 
 
-@pytest.mark.parametrize("cpus, workers", [(2, 2), (1, 1), (None, 1)])
-def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
+@pytest.mark.parametrize("cpus, usable, workers", [(2, 2, 2), (1, 1, 1), (None, None, 1), (2, 1, 1)],
+                         ids=["2-2", "1-1", "None-1", "2-usable-1"])
+def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, usable, workers):
     # ``workers`` counts the calling process, which computes block 0 itself.
-    seen = _inline_pool(monkeypatch, cpus)
+    seen = _inline_pool(monkeypatch, cpus, usable)
     if workers == 1:
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
     config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3, steps=5)
@@ -403,24 +414,24 @@ def test_written_files_follow_the_umask(tmp_path):
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path
 
 
-def _csv_columns(path):
-    with open(path, encoding="utf-8") as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh]
-    return rows[0], list(zip(*rows[1:]))
+_spec = importlib.util.spec_from_file_location(
+    "csv_deviation", Path(__file__).resolve().parents[1] / "scripts" / "csv_deviation.py")
+csv_deviation = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(csv_deviation)
 
 
 def _assert_matches_golden(out, golden):
-    header, columns = _csv_columns(out)
-    golden_header, golden_columns = _csv_columns(golden)
+    # Every column's text must match, but gqd_numeric's values only within 1e-14:
+    # %.12g is relative, so tiny Z-channel values may move in the last digit.
+    header, columns = csv_deviation.read_columns(out)
+    golden_header, golden_columns = csv_deviation.read_columns(golden)
     assert header == golden_header
-    for name, got, want in zip(header, columns, golden_columns):
-        assert len(got) == len(want), name
-        if name == "gqd_numeric":
-            # %.12g is relative: tiny Z-channel values may move in the last digit.
-            deviation = max(abs(float(a) - float(b)) for a, b in zip(got, want))
-            assert deviation <= 1e-14, deviation
-        else:
-            assert got == want, name
+    assert [len(c) for c in columns] == [len(c) for c in golden_columns]
+    report = {name: csv_deviation.column_deviation(want, got)
+              for name, got, want in zip(header, columns, golden_columns)}
+    worst, _ = report.pop("gqd_numeric")
+    assert worst <= 1e-14 and all(changed == 0 for _, changed in report.values()), (
+        f"max |a - b| and changed rows per column: {report}, gqd_numeric {worst}")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "3"])
@@ -451,11 +462,8 @@ def test_block_records_equal_one_cell_blocks(size):
     assert block == alone
 
 
-def test_state_sweep_eigenproblem_count_is_pinned(monkeypatch):
-    # 4 channels x 40 steps = 160 cells = 5 chunks of 32 states.  Each chunk
-    # makes one eigvalsh for validation and entropy, one for the partial
-    # transposes and one eigvals for the spin flip; per-cell calls would read 160+.
-    # The states are real, so the flip never takes the complex eigh + svd route.
+def _eigenproblem_counts(monkeypatch, measures):
+    """LAPACK calls by routine of a 160-cell sweep of ``measures``."""
     calls = {"eigvalsh": 0, "eigvals": 0, "eigh": 0, "svd": 0}
 
     def counted(name):
@@ -468,6 +476,20 @@ def test_state_sweep_eigenproblem_count_is_pinned(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
-    records = run_sweep(SweepConfig(measures=("tau", "ppt", "entropy"), steps=40))
-    assert len(records) == 160
-    assert calls == {"eigvalsh": 10, "eigvals": 5, "eigh": 0, "svd": 0}
+    assert len(run_sweep(SweepConfig(measures=measures, steps=40))) == 160
+    return calls
+
+
+def test_state_sweep_eigenproblem_count_is_pinned(monkeypatch):
+    # 4 channels x 40 steps = 160 cells = 5 chunks of 32 states.  Each chunk
+    # makes one eigvalsh for validation and entropy, one for the partial
+    # transposes and one eigvals for the spin flip; per-cell calls would read 160+.
+    # The states are real, so the flip never takes the complex eigh + svd route.
+    assert (_eigenproblem_counts(monkeypatch, ("tau", "ppt", "entropy"))
+            == {"eigvalsh": 10, "eigvals": 5, "eigh": 0, "svd": 0})
+
+
+def test_discord_sweep_eigenproblem_count_is_pinned(monkeypatch):
+    # The discord search takes each chunk's validated spectra: no eigensolve of its own.
+    assert (_eigenproblem_counts(monkeypatch, MEASURES)
+            == {"eigvalsh": 10, "eigvals": 5, "eigh": 0, "svd": 0})
