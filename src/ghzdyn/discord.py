@@ -23,9 +23,10 @@ value that chose it.
 Along one angle x of one qubit every outcome probability is
 ``A + B cos x + C sin x``, so a line search contracts C once, checks those
 probabilities for every x at once, and then prices each trial at O(2**N): a
-few 9-point scans over a shrinking bracket.  The descents run in lockstep,
-one scan a round; their spacings shrink on a schedule that does not depend
-on the state, so all of a line's descents close in the same round.  One
+few 9-point scans over a shrinking bracket, one scan a round for all
+descents in lockstep.  The first sweep opens with one confirmation pass over
+every start's lines; a start that no line improves, as on most channel states,
+ends there.  Outcome probabilities enter as the continuous ``p log2 p``.  One
 search carries a group of up to ``2 * BATCH_ENTRIES // 4**N`` states, 128 at
 N = 4 (each frame is measured on the state that owns it), so a sweep pays a
 round's fixed cost once per group of cells.  No value depends on its batch
@@ -43,8 +44,8 @@ import numpy as np
 from .channels import PAULI_X, PAULI_Y, PAULI_Z, Channel, closed_form_spectrum, coefficients
 from .entanglement import _bisect_root
 from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, EIGENVALUE_FLOOR, PROBABILITY_SUM_TOL,
-                     PSD_FLOOR, _density_spectra, _entropies, _plog2p, assert_density_matrix,
-                     num_qubits, shannon_entropies, shannon_entropy)
+                     PSD_FLOOR, _check_probabilities, _density_spectra, _entropies,
+                     _outcome_plog2p, assert_density_matrix, num_qubits, shannon_entropy)
 
 # The uniform-frame grid: theta over [0, pi] inclusive, phi over [0, 2 pi) exclusive.
 _GRID_THETA = 21
@@ -69,8 +70,9 @@ class DiscordResult:
     """Minimised discord value with the frame that achieved it.
 
     ``branch_values`` records the objective at the named z, x and y frames,
-    three points of the search grid; ``optimizer_evals`` counts every
-    objective evaluation spent: the grid frames and the descents' scan points.
+    three points of the search grid; ``optimizer_evals`` counts the grid
+    frames and the scan points of each descent's cyclic path, not the lines a
+    confirmation pass scanned past a start's first gain.
     """
 
     value: float
@@ -136,6 +138,12 @@ def _pauli_tensors(rhos: np.ndarray, n: int) -> np.ndarray:
     return t.real.reshape(len(rhos), -1)
 
 
+def _outcome_entropies(probs: np.ndarray) -> np.ndarray:
+    """Row entropies of outcome probabilities, checked as by ``shannon_entropies``, unfloored."""
+    _check_probabilities(probs)
+    return -_outcome_plog2p(probs).sum(axis=-1)
+
+
 def _rows(frames: np.ndarray) -> np.ndarray:
     """Row pairs ``0.5 * (1, +-n_j)`` over (I, X, Y, Z) of ``(..., n, 2)`` frames."""
     theta, phi = frames[..., 0], frames[..., 1]
@@ -175,12 +183,12 @@ class _GlobalObjective:
     def _local(self, rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """``S(Phi_j(rho_j)) - S(rho_j)`` of every qubit for ``(B, n, 2, 4)`` row pairs."""
         probs = (rows @ self.bloch[owner][..., None])[..., 0]
-        return shannon_entropies(probs) - self.marginal_entropies[owner]
+        return _outcome_entropies(probs) - self.marginal_entropies[owner]
 
     def __call__(self, frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Objective values of ``(B, n, 2)`` frames on states ``owner``, all in one batch."""
         rows = _rows(frames)
-        total = shannon_entropies(self._contract(list(rows.swapaxes(0, 1)), owner))
+        total = _outcome_entropies(self._contract(list(rows.swapaxes(0, 1)), owner))
         return total - self.state_entropy[owner] - self._local(rows, owner).sum(axis=1)
 
     def uniform(self, frames: np.ndarray) -> np.ndarray:
@@ -199,81 +207,90 @@ class _GlobalObjective:
         states, n = self.bloch.shape[:2]
         columns = np.ascontiguousarray(self.coefficients.T)  # (4**n, states)
         half, step = 2 ** (n - 1), max(1, 4 * BATCH_ENTRIES // columns.size)
-        values = []
+        values, every = [], _rows(frames[:, 0])  # (F, 2, 4)
         for i in range(0, len(frames), step):
-            rows = _rows(frames[i:i + step, 0])  # (f, 2, 4)
+            rows = every[i:i + step]
             count = len(rows)
             t = np.broadcast_to(columns, (count,) + columns.shape)
             for j in range(n - 1):
                 t = rows[:, None] @ t.reshape(count, 2**j, 4, -1)
             # Contiguous rows of 4, so that each (frame, outcome) product is one BLAS gemv.
             last = np.empty((count, states * (half + n), 4))
-            t = np.moveaxis(t.reshape(count, half, 4, states), 3, 1)
+            t = t.reshape(count, half, 4, states).transpose(0, 3, 1, 2)
             last[:, :states * half] = t.reshape(count, -1, 4)
             last[:, states * half:] = self.bloch.reshape(-1, 4)
             probs = (last[:, None] @ rows[..., None])[..., 0]  # (f, 2, rows of last)
-            joint = np.moveaxis(probs[..., :states * half].reshape(count, 2, states, half), 1, -1)
-            local = np.moveaxis(probs[..., states * half:].reshape(count, 2, states, n), 1, -1)
-            local = shannon_entropies(local) - self.marginal_entropies
-            values.append(shannon_entropies(joint.reshape(count, states, -1)) - self.state_entropy
+            joint = probs[..., :states * half].reshape(count, 2, states, half).transpose(0, 2, 3, 1)
+            local = probs[..., states * half:].reshape(count, 2, states, n).transpose(0, 2, 3, 1)
+            local = _outcome_entropies(local) - self.marginal_entropies
+            values.append(_outcome_entropies(joint.reshape(count, states, -1)) - self.state_entropy
                           - local.sum(axis=-1))
         return np.concatenate(values).T
 
-    def line_model(self, frames: np.ndarray, owners: np.ndarray, qubit: int, coord: int):
-        """Probabilities and value offset along angle ``coord`` of ``qubit`` from each frame.
+    def line_model(self, frames: np.ndarray, owners: np.ndarray, qubits, coords):
+        """Probabilities and value offset along angle ``coords[i]`` of ``qubits[i]`` from frame i.
 
-        On the line the qubit's direction is ``a + b cos x + c sin x``, so every
+        On a line the qubit's direction is ``a + b cos x + c sin x``, so every
         outcome probability is ``A + B cos x + C sin x``.  Returns the rows
         ``(A, B, C)`` as ``(F, 3, 2**n + 2)`` coefficients, the joint outcomes
         first and then the qubit's own two, checked for every x at once (see
         :func:`_check_line`), and the part of the value that stays put, so that
-        a value is ``H(joint) - H(own) + shift``.  One contraction per frame
-        (``batch`` at a time) gives them.
+        a value is ``H(joint) - H(own) + shift``.  A scalar qubit or coord serves
+        every frame.  One contraction per qubit (``batch`` frames at a time)
+        gives them, and each frame's arithmetic does not depend on the others.
         """
-        count = len(frames)
+        count, n = frames.shape[:2]
+        qubits, coords, each = np.full(count, qubits), np.full(count, coords), np.arange(count)
         # Theta: n = cos x z + sin x (cos phi, sin phi, 0); phi: n = cos theta z + sin theta
         # (cos x, sin x, 0).  Either way the row pairs r0, r1, r2 at x = 0, pi/2, pi give the
         # line's rows: 0.5 (1, +-a) = (r0 + r2) / 2, 0.5 (0, +-b) = (r0 - r2) / 2 and
         # 0.5 (0, +-c) = r1 - (r0 + r2) / 2.
-        ends = np.repeat(frames[:, qubit, None], 3, axis=1)
-        ends[..., coord] = 0.0, 0.5 * math.pi, math.pi
-        r0, r1, r2 = np.moveaxis(_rows(ends), 1, 0)
-        basis = np.stack([r0 + r2, r0 - r2, 2.0 * r1 - r0 - r2], 2).reshape(count, 6, 4) / 2.0
-        rows = _rows(frames)
-        legs = list(rows.swapaxes(0, 1))
-        legs[qubit] = basis
-        joint = np.concatenate([self._contract([leg[i:i + self.batch] for leg in legs],
-                                               owners[i:i + self.batch])
-                                for i in range(0, count, self.batch)])
-        joint = np.moveaxis(joint.reshape(count, 2**qubit, 2, 3, -1), 3, 1).reshape(count, 3, -1)
-        own = (basis @ self.bloch[owners, qubit][..., None]).reshape(count, 2, 3).swapaxes(1, 2)
-        coef = np.concatenate([joint, own], axis=2)
-        _check_line(coef, joint.shape[2])
-        shift = (self.marginal_entropies[owners, qubit] - self.state_entropy[owners]
-                 - self._local(rows, owners)[:, np.arange(frames.shape[1]) != qubit].sum(axis=1))
+        ends = np.repeat(frames[each, None, qubits], 3, axis=1)
+        ends[each, :, coords] = 0.0, 0.5 * math.pi, math.pi
+        rows = _rows(np.concatenate([frames, ends], axis=1))
+        r0, r1, r2 = rows[:, n], rows[:, n + 1], rows[:, n + 2]
+        basis = np.empty((count, 2, 3, 4))
+        basis[:, :, 0], basis[:, :, 1], basis[:, :, 2] = r0 + r2, r0 - r2, 2.0 * r1 - r0 - r2
+        basis, rows = basis.reshape(count, 6, 4) / 2.0, rows[:, :n]
+        coef = np.empty((count, 3, 2**n + 2))
+        for qubit in np.flatnonzero(np.bincount(qubits, minlength=n)):
+            on = np.flatnonzero(qubits == qubit)
+            for part in (on[i:i + self.batch] for i in range(0, len(on), self.batch)):
+                legs = list(rows[part].swapaxes(0, 1))
+                legs[qubit] = basis[part]
+                t = self._contract(legs, owners[part]).reshape(len(part), 2**qubit, 2, 3, -1)
+                coef[part, :, :2**n] = t.transpose(0, 3, 1, 2, 4).reshape(len(part), 3, -1)
+        own = basis @ self.bloch[owners, qubits][..., None]
+        coef[..., 2**n:] = own.reshape(count, 2, 3).swapaxes(1, 2)
+        _check_line(coef, 2**n)
+        others = np.arange(n - 1) + (np.arange(n - 1) >= qubits[:, None])  # each frame's n - 1
+        local = self._local(rows, owners)[each[:, None], others].sum(axis=1)
+        shift = self.marginal_entropies[owners, qubits] - self.state_entropy[owners] - local
         return coef, shift
 
-    def line(self, frames: np.ndarray, owners: np.ndarray, qubit: int, coord: int):
-        """Evaluator of the objective along angle ``coord`` of ``qubit`` from each of ``frames``.
+    def lines(self, frames: np.ndarray, owners: np.ndarray, qubits, coords):
+        """Evaluator of the objective along angle ``coords[i]`` of qubit ``qubits[i]`` from frame i.
 
-        ``evaluate(xs)`` values ``(F, K)`` angles, row i on frame i, on the
-        :meth:`line_model`, at O(2**n) a trial and with no check of its own:
-        the model's probabilities passed theirs for every x.
+        ``evaluate(xs, rows)`` values ``(len(rows), K)`` angles, row k on frame
+        ``rows[k]`` (every frame by default), on the :meth:`line_model`, at
+        O(2**n) a trial and with no check of its own: the model's probabilities
+        passed theirs for every x.
         """
-        coef, shift = self.line_model(frames, owners, qubit, coord)
+        coef, shift = self.line_model(frames, owners, qubits, coords)
         width = 2 ** frames.shape[1]
 
-        def evaluate(xs: np.ndarray) -> np.ndarray:
+        def evaluate(xs: np.ndarray, rows=slice(None)) -> np.ndarray:
+            model, offset = coef[rows], shift[rows]
             out, step = np.empty(xs.shape), max(1, BATCH_ENTRIES // (coef.shape[2] * xs.shape[1]))
-            for i in range(0, len(xs), step):
-                x = xs[i:i + step]
+            for part in (slice(i, i + step) for i in range(0, len(xs), step)):
+                x = xs[part]
                 trig = np.empty(x.shape + (3,))
                 trig[..., 0] = 1.0
                 np.cos(x, out=trig[..., 1])
                 np.sin(x, out=trig[..., 2])
-                terms = _plog2p(trig @ coef[i:i + step])  # H(joint) - H(own), as sums of terms
+                terms = _outcome_plog2p(trig @ model[part])  # H(joint) - H(own), as sums of terms
                 own = terms[..., width] + terms[..., width + 1]
-                out[i:i + step] = own - terms[..., :width].sum(axis=-1) + shift[i:i + step, None]
+                out[part] = own - np.add.reduce(terms[..., :width], -1) + offset[part, None]
             return out
 
         return evaluate
@@ -322,67 +339,108 @@ class _ConditionalEntropy:
         u = _rows(frames[:, 0]) @ self.c.T
         radius = np.linalg.norm(u[..., 1:], axis=-1)
         lam = 0.5 * (u[..., :1] + np.stack([-radius, radius], -1))
-        return shannon_entropies(lam.reshape(-1, 4)) - shannon_entropies(u[..., 0]) - self.s_a
+        return _outcome_entropies(lam.reshape(-1, 4)) - _outcome_entropies(u[..., 0]) - self.s_a
 
     def uniform(self, frames: np.ndarray) -> np.ndarray:
         """Values ``(1, F)`` of ``(F, 1, 2)`` frames."""
         return self(frames, np.zeros(len(frames), dtype=int))[None]
 
-    def line(self, frames: np.ndarray, owners: np.ndarray, qubit: int, coord: int):
-        """Evaluator of ``(F, K)`` angles, row i on frame i, as whole trial frames."""
-        def evaluate(xs: np.ndarray) -> np.ndarray:
-            trials = np.repeat(frames[:, None], xs.shape[1], axis=1)
-            trials[..., qubit, coord] = xs
-            return self(trials.reshape(-1, 1, 2), owners.repeat(xs.shape[1])).reshape(xs.shape)
+    def lines(self, frames: np.ndarray, owners: np.ndarray, qubits, coords):
+        """Evaluator of ``(len(rows), K)`` angles along angle ``coords[i]`` of frame i (its
+        only qubit), row k on frame ``rows[k]``, as whole trial frames."""
+        coords = np.full(len(frames), coords)
+
+        def evaluate(xs: np.ndarray, rows=slice(None)) -> np.ndarray:
+            trials = np.repeat(frames[rows], xs.shape[1], axis=0)
+            trials[np.arange(xs.size), 0, np.repeat(coords[rows], xs.shape[1])] = xs.reshape(-1)
+            return self(trials, owners[rows].repeat(xs.shape[1])).reshape(xs.shape)
         return evaluate
+
+
+def _scan(evaluate, coords: np.ndarray, bars: np.ndarray | None = None):
+    """Line minima of every row of ``evaluate``, row i along angle ``coords[i]``, in lockstep.
+
+    A row scans ``_SCAN_POINTS`` points over [0, pi] or [0, 2 pi], then one
+    spacing either side of the scan minimum until the spacing is at most
+    ``_ANGLE_TOL`` (brackets unclipped: a minimum just across the phi seam
+    stays in reach).  The spacing starts at pi/8 or pi/4 and shrinks 4x a scan
+    whatever the state: a theta row closes after 12 scans, a phi row after 13.
+    With ``bars``, rows come in equal runs, run s holding start s's lines in
+    sweep order; once a row's best beats ``bars[s]`` its line will gain, and
+    the later rows of the run leave unfinished.  Returns each row's best
+    point, its value and its count of scans.
+    """
+    count, rounds, rows = len(coords), 0, np.arange(len(coords))
+    x, fx, scans, lo = np.zeros(count), np.zeros(count), np.zeros(count, dtype=int), np.zeros(count)
+    hi, best_x, best_f = (1 + coords) * math.pi, np.zeros(count), np.full(count, np.inf)
+    while len(rows):
+        step = (hi - lo) / (_SCAN_POINTS - 1)
+        scan = evaluate(lo[:, None] + step[:, None] * _SCAN_OFFSETS,
+                        rows if len(rows) < count else slice(None))
+        xk, fk = lo + step * scan.argmin(axis=1), np.minimum.reduce(scan, axis=1)
+        gain = fk < best_f
+        best_x, best_f = np.where(gain, xk, best_x), np.where(gain, fk, best_f)
+        lo, hi = xk - step, xk + step
+        rounds += 1
+        keep = step > _ANGLE_TOL
+        if bars is not None:  # rows past their run's first line sure to gain no longer matter
+            run, line = np.divmod(rows, count // len(bars))
+            first = np.full(len(bars), count)
+            sure = best_f < bars[run]
+            np.minimum.at(first, run[sure], line[sure])
+            keep &= line <= first[run]
+        kept = keep.nonzero()[0]
+        if len(kept) < len(rows):  # the others leave with their best so far
+            out = rows[~keep]
+            x[out], fx[out], scans[out] = best_x[~keep], best_f[~keep], rounds
+            rows, lo, hi, best_x, best_f = (a[kept] for a in (rows, lo, hi, best_x, best_f))
+    return x, fx, scans
 
 
 def _lockstep(objective, starts: np.ndarray, values: np.ndarray, owners: np.ndarray):
     """Coordinate descent by repeated line scans from every start, all in lockstep.
 
-    A sweep searches each angle in turn, qubit by qubit: scan ``_SCAN_POINTS``
-    points over [0, pi] or [0, 2 pi], then rescan one spacing either side of
-    the scan minimum until the spacing is at most ``_ANGLE_TOL``.  Brackets
-    are not clipped: an angle past either end is a valid frame, and a minimum
-    just across the phi seam stays in reach.  The best point scanned replaces
-    the angle if it beats the descent's best by more than ``_GAIN_TOL``.  A
-    descent ends after ``_MAX_SWEEPS`` sweeps, or after a sweep that gains
-    less than ``_SWEEP_TOL``.  Each round is one scan, on ``objective.line``,
-    of every live descent.  The spacing starts at pi/8 or pi/4 and shrinks
-    4x a scan, whatever the state, up to rounding far below its distance to
-    ``_ANGLE_TOL``, so every descent on a line closes in the same round.
-    Start ``i``, of objective value ``values[i]``, descends on state
-    ``owners[i]`` exactly as it would alone, and never ends above
-    ``values[i]``.  Returns the descents' values, frames and counts of scan
-    points, as arrays in start order.
+    A sweep searches each angle in turn, qubit by qubit, with :func:`_scan`;
+    the best point replaces the angle if it beats the descent's best by more
+    than ``_GAIN_TOL``.  A descent ends after ``_MAX_SWEEPS`` sweeps, or after
+    one that gains less than ``_SWEEP_TOL``.  The first sweep opens with a
+    confirmation pass: every start's 2n lines, set up from its start frame in
+    one ``objective.lines`` call and scanned together.  Lines 0..k, k a
+    start's first line that gains, see the frame they see in cyclic order, so
+    the start takes line k's angle and value and resumes at line k + 1; its
+    later lines are discarded.  A start that no line improves ends there.
+    Start ``i`` descends on state ``owners[i]`` from value ``values[i]``
+    exactly as it would alone in cyclic order, never ending above it.  Returns
+    values, frames and the scan points of each cyclic path, in start order.
     """
-    frames = np.array(starts, dtype=float)
-    owners = np.asarray(owners)
-    best = np.array(values, dtype=float)
-    evals, live = np.zeros(len(frames), dtype=int), np.arange(len(frames))
+    frames, owners, best = np.array(starts, float), np.asarray(owners), np.array(values, float)
+    (count, n), live, sweep_start = frames.shape[:2], np.arange(len(frames)), best.copy()
+    qubits, coords = np.divmod(np.tile(np.arange(2 * n), count), 2)  # the sweep's line order
+    start = np.repeat(live, 2 * n)
+    x, fx, scans = (a.reshape(count, 2 * n) for a in _scan(
+        objective.lines(frames[start], owners[start], qubits, coords), coords, best - _GAIN_TOL))
+    better = fx < best[:, None] - _GAIN_TOL
+    k = np.where(better.any(axis=1), better.argmax(axis=1), 2 * n - 1)  # first to gain, or last
+    moved = live[better[live, k]]
+    evals = scans.cumsum(axis=1)[live, k] * _SCAN_POINTS
+    frames[moved, k[moved] // 2, k[moved] % 2] = x[moved, k[moved]]
+    best[moved] = fx[moved, k[moved]]
+    resume = k + 1
     for _ in range(_MAX_SWEEPS):
-        sweep_start = best[live]
-        for qubit, coord in np.ndindex(frames.shape[1:]):
-            evaluate = objective.line(frames[live], owners[live], qubit, coord)
-            lo, x, fx = np.zeros(len(live)), np.zeros(len(live)), np.full(len(live), np.inf)
-            hi, scans = np.full(len(live), (1 + coord) * math.pi), 0
-            while True:
-                step = (hi - lo) / (_SCAN_POINTS - 1)
-                scan = evaluate(lo[:, None] + step[:, None] * _SCAN_OFFSETS)
-                scans += 1
-                xk, fk = lo + step * scan.argmin(axis=1), np.minimum.reduce(scan, axis=1)
-                gain = fk < fx
-                x, fx = np.where(gain, xk, x), np.where(gain, fk, fx)
-                lo, hi = xk - step, xk + step
-                if step.max() <= _ANGLE_TOL:
-                    break
-            evals[live] += scans * _SCAN_POINTS
-            better = fx < best[live] - _GAIN_TOL
-            frames[live[better], qubit, coord] = x[better]
-            best[live[better]] = fx[better]
-        live = live[sweep_start - best[live] >= _SWEEP_TOL]
+        for line, (qubit, coord) in enumerate(np.ndindex(frames.shape[1:])):
+            rows = live[resume[live] <= line]
+            if not len(rows):
+                continue
+            x, fx, scans = _scan(objective.lines(frames[rows], owners[rows], qubit, coord),
+                                 np.full(len(rows), coord))
+            evals[rows] += scans * _SCAN_POINTS
+            better = fx < best[rows] - _GAIN_TOL
+            frames[rows[better], qubit, coord] = x[better]
+            best[rows[better]] = fx[better]
+        live = live[sweep_start[live] - best[live] >= _SWEEP_TOL]
         if not len(live):
             break
+        sweep_start, resume = best.copy(), np.zeros_like(resume)
     return best, frames, evals
 
 
@@ -395,8 +453,8 @@ def _grid(n: int) -> np.ndarray:
     return np.repeat(angles[:, None], n, axis=1)
 
 
-def _search(objective, states: int, n: int):
-    """Minimise a batched frame objective over ``n``-qubit product frames for ``states`` states.
+def _search(objective, n: int):
+    """Minimise a batched frame objective over ``n``-qubit product frames for each of its states.
 
     All states pass the two stages together: the uniform grid, priced on
     every state by one ``objective.uniform`` call, then one lockstep descent
@@ -432,8 +490,8 @@ def _global_discords(rhos: np.ndarray, spectra: np.ndarray) -> list[DiscordResul
     """
     n = rhos.shape[-1].bit_length() - 1
     group = max(1, 2 * BATCH_ENTRIES // 4**n)
-    groups = [_search(_GlobalObjective(rhos[i:i + group], n, spectra[i:i + group]),
-                      len(spectra[i:i + group]), n) for i in range(0, len(rhos), group)]
+    groups = [_search(_GlobalObjective(rhos[i:i + group], n, spectra[i:i + group]), n)
+              for i in range(0, len(rhos), group)]
     values, frames, branches, evals = map(np.concatenate, zip(*groups))
     if values.min() < -DISCORD_FLOOR:
         raise RuntimeError(f"discord objective minimised to {values.min():.3e} < 0")
@@ -471,7 +529,7 @@ def bipartite_discord(rho: np.ndarray) -> float:
         raise ValueError(f"bipartite discord needs exactly 2 qubits, got {n}")
     objective = _ConditionalEntropy(rho)
     mutual = objective.s_a + objective.s_b - objective.s_ab
-    best = _search(objective, 1, 1)[0].item()
+    best = _search(objective, 1)[0].item()
 
     value = mutual + best  # best == -max J
     if value < -DISCORD_FLOOR:

@@ -28,7 +28,7 @@ BATCH_ENTRIES = 2**14
 TRACE_TOL = 1e-12            # density matrices: entrywise hermiticity and |trace - 1|
 HERMITICITY_TOL = 1e-10      # other hermitian inputs: entropy, trace-distance differences
 PSD_FLOOR = 1e-10            # eigenvalues and probabilities may dip to -PSD_FLOOR
-EIGENVALUE_FLOOR = 1e-12     # eigenvalues and probabilities at or below it are zeros
+EIGENVALUE_FLOOR = 1e-12     # spectra's entropies (and shannon_entropy) drop values at or below it
 PROBABILITY_SUM_TOL = 1e-9   # |sum - 1| of a row of outcome probabilities
 NORM_TOL = 1e-10             # |norm - 1| of a state vector; integrator trace drift
 INTEGRATOR_TOL = 1e-9        # a-priori RK4 trace-distance bound; steps double above it
@@ -160,12 +160,14 @@ def shannon_entropies(probs: np.ndarray) -> np.ndarray:
 
 
 def _plog2p(p: np.ndarray) -> np.ndarray:
-    """``p log2 p`` entrywise, 0 at or below ``EIGENVALUE_FLOOR``; no checks.
-
-    Minus a row's sum is :func:`shannon_entropies` of the row, for rows checked
-    elsewhere (a discord line search checks its whole line at once).
-    """
+    """``p log2 p`` entrywise, 0 at or below ``EIGENVALUE_FLOOR``, for spectra; no checks."""
     q = np.where(p > EIGENVALUE_FLOOR, p, 1.0)
+    return q * np.log2(q)
+
+
+def _outcome_plog2p(p: np.ndarray) -> np.ndarray:
+    """``p log2 p`` entrywise, 0 for ``p <= 0``: continuous, with no floor; no checks."""
+    q = np.where(p > 0.0, p, 1.0)
     return q * np.log2(q)
 
 

@@ -120,7 +120,7 @@ def check_gqd_x() -> list[CheckResult]:
         _result("gqd-x", "max |optimised - 1| on the plateau {0.02, 0.08, 0.13}",
                 plateau, 0.0, 1e-12),
         _result("gqd-x", "max |optimised - (3 - S)| past the kink {0.2, 0.4}",
-                decay, 0.0, 1e-10),
+                decay, 0.0, 1e-12),
     ]
 
 

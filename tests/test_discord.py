@@ -336,14 +336,28 @@ def test_batched_objective_matches_one_frame_reference(n, rng):
     assert np.abs(batched - reference).max() < 1e-13
 
 
-def test_batch_beyond_the_cap_equals_one_frame_at_a_time(rng):
+def test_one_call_on_197_frames_equals_one_frame_at_a_time(rng):
     rho = random_density(4, rng)
     objective = _objective(rho[None], 4)
-    assert objective.batch == 64
-    frames = _random_frames(4, 3 * objective.batch + 5, rng)
+    frames = _random_frames(4, 197, rng)
     together = objective(frames, np.zeros(len(frames), dtype=int))
     alone = np.concatenate([objective(f[None], np.zeros(1, dtype=int)) for f in frames])
     assert together.shape == (len(frames),)
+    assert np.array_equal(together, alone)
+
+
+def test_batched_lines_beyond_the_cap_equal_one_row_lines(rng):
+    # 150 rows on qubit 2 take three contractions of at most 64 frames; each row's values
+    # are the bits of its own one-row setup.
+    states = np.stack([random_density(4, rng) for _ in range(2)])
+    objective = _objective(states, 4)
+    assert objective.batch == 64
+    frames = _random_frames(4, 150, rng)
+    owners, coords = np.arange(150) % 2, np.arange(150) // 7 % 2
+    xs = rng.uniform(0.0, math.pi, size=(150, 9))
+    together = objective.lines(frames, owners, 2, coords)(xs)
+    alone = np.concatenate([objective.lines(frames[i:i + 1], owners[i:i + 1], 2, coords[i])(
+        xs[i:i + 1]) for i in range(150)])
     assert np.array_equal(together, alone)
 
 
@@ -417,16 +431,16 @@ def test_line_rejects_a_state_whose_probabilities_do_not_sum_to_one(monkeypatch)
     def no_trial(p):
         raise AssertionError("a trial was priced")
 
-    monkeypatch.setattr(discord, "_plog2p", no_trial)
+    monkeypatch.setattr(discord, "_outcome_plog2p", no_trial)
     with pytest.raises(ValueError, match="on a line sum to 2 "):
-        objective.line(np.stack([z_frame(2), x_frame(2)]), np.zeros(2, dtype=int), 0, 0)
+        objective.lines(np.stack([z_frame(2), x_frame(2)]), np.zeros(2, dtype=int), 0, 0)
 
 
 def test_line_rejects_a_nan_coefficient():
     objective = _objective(closed_form_state(Channel.X, 0.2)[None], 4)
     objective.coefficients[0, 37] = math.nan
     with pytest.raises(ValueError, match="not a number"):
-        objective.line(x_frame(4)[None], np.zeros(1, dtype=int), 1, 1)
+        objective.lines(x_frame(4)[None], np.zeros(1, dtype=int), 1, 1)
     coef = np.zeros((1, 3, 6))
     coef[0, 0] = [0.25, 0.25, 0.25, 0.25, 0.5, 0.5]
     discord._check_line(coef, 4)
@@ -508,11 +522,12 @@ def test_evaluation_count_is_pinned(state):
 
 
 def test_search_round_count_is_pinned(monkeypatch):
-    # The grid, then one line scan per round: per sweep 4 theta lines of 12 scans
-    # and 4 phi lines of 13 (the spacing starts at pi/8 or pi/4 and falls 4x a scan
-    # to 1e-7); the GHZ descents stop after one.  No frame is priced whole.
+    # The grid, then the confirmation pass: every start's 4 theta lines of 12 scans and
+    # 4 phi lines of 13 (the spacing starts at pi/8 or pi/4 and falls 4x a scan to 1e-7),
+    # scanned together in 13 rounds.  No GHZ line gains, so no cyclic line follows, and
+    # every scan counts.  No frame is priced whole.
     batches = []
-    uniform, line = _GlobalObjective.uniform, _GlobalObjective.line
+    uniform, lines = _GlobalObjective.uniform, _GlobalObjective.lines
 
     def refused(self, frames, owner):
         raise AssertionError("the search priced whole frames")
@@ -521,19 +536,19 @@ def test_search_round_count_is_pinned(monkeypatch):
         batches.append(len(frames) * len(self.coefficients))
         return uniform(self, frames)
 
-    def counting_line(self, *args):
-        evaluate = line(self, *args)
+    def counting_lines(self, *args):
+        evaluate = lines(self, *args)
 
-        def scan(xs):
+        def scan(xs, rows=slice(None)):
             batches.append(xs.size)
-            return evaluate(xs)
+            return evaluate(xs, rows)
         return scan
 
     monkeypatch.setattr(_GlobalObjective, "__call__", refused)
     monkeypatch.setattr(_GlobalObjective, "uniform", counting_uniform)
-    monkeypatch.setattr(_GlobalObjective, "line", counting_line)
+    monkeypatch.setattr(_GlobalObjective, "lines", counting_lines)
     result = global_discord(ghz_state(4))
-    assert len(batches) == 101
+    assert len(batches) == 14
     assert sum(batches) == result.optimizer_evals == 3006
 
 
@@ -545,7 +560,7 @@ def _reference_descent(objective, frame: np.ndarray, value: float):
         sweep_start = best
         for j in range(frame.shape[0]):
             for coord in range(2):
-                evaluate = objective.line(frame[None], own, j, coord)
+                evaluate = objective.lines(frame[None], own, j, coord)
                 lo, hi, x, fx = 0.0, (1 + coord) * math.pi, 0.0, math.inf
                 while True:
                     step = (hi - lo) / (points - 1)
@@ -567,10 +582,18 @@ def _reference_descent(objective, frame: np.ndarray, value: float):
 
 def test_lockstep_descents_match_lone_descents():
     states = [closed_form_state(Channel.X, 0.2), closed_form_state(Channel.ISO, 0.15)]
-    starts = [uniform_frame(4, 0.3, 1.0), z_frame(4), x_frame(4), y_frame(4)]
+    late = z_frame(4)
+    late[3, 0] = 0.5  # first gains on qubit 3's theta, line 6: the cyclic sweep resumes at 7
+    starts = [uniform_frame(4, 0.3, 1.0), z_frame(4), x_frame(4), y_frame(4), late]
     # values[s][i]: start i's objective value on state s.
     values = [_objective(rho[None], 4)(np.stack(starts), np.zeros(len(starts), dtype=int))
               for rho in states]
+    for rho, start_values in zip(states, values):  # after the pass, its first line is line 7
+        objective, setups = _objective(rho[None], 4), []
+        lines = objective.lines
+        objective.lines = lambda *args: setups.append(args[2:]) or lines(*args)
+        _lockstep(objective, [late], [start_values[-1]], [0])
+        assert np.ndim(setups[0][0]) == 1 and setups[1] == (3, 1)
     # alone[s][i]: start i descending by itself on state s, equal to the scalar reference.
     alone = [[_lockstep(_objective(rho[None], 4), [start], [value], [0])
               for start, value in zip(starts, start_values)]
@@ -582,7 +605,7 @@ def test_lockstep_descents_match_lone_descents():
             assert (lone_value, evals) == (ref_value, ref_evals)
             assert np.array_equal(frame, ref_frame)
     # All starts on one state, then starts owned by two states.
-    for stack, owners in ((states[:1], [0, 0, 0, 0]), (states, [0, 1, 1, 0])):
+    for stack, owners in ((states[:1], [0, 0, 0, 0, 0]), (states, [0, 1, 1, 0, 1])):
         start_values = [values[owner][i] for i, owner in enumerate(owners)]
         together, frames, evals = _lockstep(_objective(np.stack(stack), 4), starts, start_values,
                                             owners)
@@ -609,12 +632,24 @@ def test_line_model_equals_whole_frames(n):
             trials = np.repeat(frames[:, None], xs.shape[1], axis=1)
             trials[..., qubit, coord] = xs
             whole = objective(trials.reshape(-1, n, 2), owners.repeat(xs.shape[1]))
-            evaluate = objective.line(frames, owners, qubit, coord)
+            evaluate = objective.lines(frames, owners, qubit, coord)
             assert np.abs(evaluate(xs).reshape(-1) - whole).max() < 1e-12
-            # A line built on a subset of the frames, in another order, gives the same values.
+            # Lines built on a subset of the frames, in another order, give the same values,
+            # and so does the evaluator given that subset of its rows.
             part = np.arange(len(frames))[::-2]
-            subset = objective.line(frames[part], owners[part], qubit, coord)
+            subset = objective.lines(frames[part], owners[part], qubit, coord)
             assert np.array_equal(subset(xs[part]), evaluate(xs)[part])
+            assert np.array_equal(evaluate(xs[part], part), evaluate(xs)[part])
+    # Every (qubit, coord) of every frame as rows of one call: each row's values are the
+    # bits of its line set up alone.
+    lines = list(np.ndindex(n, 2))
+    rows = np.repeat(np.arange(len(frames)), len(lines))
+    qubits, coords = np.tile(np.array(lines).T, len(frames))
+    xs = rng.uniform(0.0, math.pi, size=(len(rows), 7))
+    mixed = objective.lines(frames[rows], owners[rows], qubits, coords)(xs)
+    for i, (row, qubit, coord) in enumerate(zip(rows, qubits, coords)):
+        alone = objective.lines(frames[row:row + 1], owners[row:row + 1], qubit, coord)
+        assert np.array_equal(mixed[i], alone(xs[i:i + 1])[0])
 
 
 def test_objective_entropies_match_the_partial_trace_route():
@@ -678,6 +713,23 @@ def test_batched_search_equals_one_state_searches():
         _assert_same_as_alone(states, _discords(states))
 
 
+def test_batched_channel_states_finish_in_the_confirmation_pass(monkeypatch):
+    # No line improves a start on a channel state: each search makes one line setup, the
+    # pass of every start's 8 lines, and each start counts its whole first sweep, 900 points.
+    states = np.stack([closed_form_state(channel, kt)
+                       for channel in Channel for kt in np.round(np.arange(13) * 0.05, 2)])
+    setups, lines = [], _GlobalObjective.lines
+
+    def counting_lines(self, frames, *args):
+        setups.append(len(frames))
+        return lines(self, frames, *args)
+
+    monkeypatch.setattr(_GlobalObjective, "lines", counting_lines)
+    starts = (np.array([r.optimizer_evals for r in _discords(states)]) - 306) / 900
+    assert np.array_equal(starts, np.round(starts)) and starts.min() >= 1
+    assert setups == [8 * starts.sum()]
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_batched_search_in_groups_equals_one_state_searches(n, monkeypatch):
     # A group holds 2 * BATCH_ENTRIES // 4**n states: 128 at n = 4, 8 at n = 6.  Each stack
@@ -691,9 +743,9 @@ def test_batched_search_in_groups_equals_one_state_searches(n, monkeypatch):
     group = 2 * discord.BATCH_ENTRIES // 4**n
     searched, search = [], discord._search
 
-    def counting_search(objective, count, qubits):
+    def counting_search(objective, qubits):
         searched.append(len(objective.coefficients))
-        return search(objective, count, qubits)
+        return search(objective, qubits)
 
     monkeypatch.setattr(discord, "_search", counting_search)
     results = _discords(states)
@@ -746,8 +798,8 @@ class _CraftedSearch:
         assert frames.shape[0] == self.rows.shape[1]
         return self.rows
 
-    def line(self, frames, owners, qubit, coord):
-        return lambda xs: np.full(xs.shape, 10.0)
+    def lines(self, frames, owners, qubits, coords):
+        return lambda xs, rows=slice(None): np.full(xs.shape, 10.0)
 
 
 def test_grid_pick_is_the_first_frame_within_the_tie_tolerance():
@@ -759,7 +811,7 @@ def test_grid_pick_is_the_first_frame_within_the_tie_tolerance():
     rows[1, [50, 100]] = 0.5 + 2.0 * tie, 0.5
     # The x frame (145) ties with a later least value, and is its own grid pick.
     rows[2, [discord._NAMED["x"], 250]] = 1.0 + 0.9 * tie, 1.0
-    values, frames, branches, counts = discord._search(_CraftedSearch(rows), 3, 1)
+    values, frames, branches, counts = discord._search(_CraftedSearch(rows), 1)
     picks = [40, 100, discord._NAMED["x"]]
     assert values.tolist() == rows[[0, 1, 2], picks].tolist()
     assert np.array_equal(frames, grid[picks])
@@ -784,7 +836,7 @@ def test_search_result_is_the_smallest_frame_among_near_tied_descents(monkeypatc
         return values, frames, np.arange(1, 8)
 
     monkeypatch.setattr(discord, "_lockstep", crafted)
-    got, picked, _, counts = discord._search(_CraftedSearch(rows), 2, 1)
+    got, picked, _, counts = discord._search(_CraftedSearch(rows), 1)
     # State 0: three descents lie within _TIE_TOL of the least, and (1, 2) is the smallest of
     # their frames; state 1: equal values, and the second angle decides.
     assert got.tolist() == [1.0, 0.5]

@@ -450,6 +450,14 @@ def test_default_sweep_reproduces_the_golden_csv(tmp_path, jobs):
     _assert_matches_golden(out, GOLDEN_DEFAULT)
 
 
+def test_default_sweep_discord_is_its_closed_form():
+    # Outcome probabilities enter the search as continuous p log2 p, with no floor to
+    # push them under, so every cell's optimum meets the closed form to rounding.
+    records = run_sweep(SweepConfig())
+    assert len(records) == 484
+    assert max(abs(r.gqd_numeric - r.gqd_analytic) for r in records) <= 1e-14
+
+
 @pytest.mark.parametrize("size", [33, 65, 129])
 def test_block_records_equal_one_cell_blocks(size):
     # 33, 65 and 129 cells end one cell into a new 32-state chunk.
