@@ -14,9 +14,17 @@ import sys
 
 
 def read_columns(path: str) -> tuple[list[str], list[tuple[str, ...]]]:
-    """Header and columns of a CSV written by ``ghzdyn`` (no quoting, bare newlines)."""
+    """Header and columns of a CSV written by ``ghzdyn`` (no quoting, bare newlines).
+
+    Raises ValueError for an empty file or a row whose field count is not the header's.
+    """
     with open(path, encoding="utf-8") as fh:
         rows = [line.rstrip("\n").split(",") for line in fh]
+    if not rows:
+        raise ValueError(f"{path}: empty file, no header")
+    for lineno, row in enumerate(rows[1:], 2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: {len(row)} fields, the header has {len(rows[0])}")
     return rows[0], list(zip(*rows[1:]))
 
 
@@ -36,8 +44,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("b", help="second CSV")
     args = parser.parse_args(argv)
 
-    header_a, columns_a = read_columns(args.a)
-    header_b, columns_b = read_columns(args.b)
+    try:
+        header_a, columns_a = read_columns(args.a)
+        header_b, columns_b = read_columns(args.b)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if header_a != header_b:
         print(f"headers differ: {header_a} vs {header_b}", file=sys.stderr)
         return 2

@@ -2,8 +2,9 @@
 
 Precedence is flags over config file over defaults.  The config file is
 flat ``key = value`` text, each value read as the flag ``--key=value``, so
-a bad one fails as the flag would; repeatable flags become comma lists, and
-``#`` starts a comment only at a line's start or after whitespace::
+a bad one fails as the flag would; repeatable flags become comma lists, a
+key given twice is a usage error, and ``#`` starts a comment only at a
+line's start or after whitespace::
 
     channel = x, z
     measure = tau, gqd
@@ -77,13 +78,14 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` file, rejecting unknown keys and noise."""
+    """Read a flat ``key = value`` file, rejecting unknown or repeated keys and noise."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw_lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
+    first: dict[str, int] = {}  # each key's line
     for lineno, raw in enumerate(raw_lines, 1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # out = a#1.csv keeps its '#'
         if not line:
@@ -94,7 +96,9 @@ def parse_config_file(path: str) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(_KEYS)})")
-        values[key] = value
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice (first on line {first[key]})")
+        values[key], first[key] = value, lineno
     return values
 
 

@@ -27,10 +27,10 @@ few 9-point scans over a shrinking bracket, one scan a round for all
 descents in lockstep.  The first sweep opens with one confirmation pass over
 every start's lines; a start that no line improves, as on most channel states,
 ends there.  Outcome probabilities enter as the continuous ``p log2 p``.  One
-search carries a group of up to ``2 * BATCH_ENTRIES // 4**N`` states, 128 at
-N = 4 (each frame is measured on the state that owns it), so a sweep pays a
-round's fixed cost once per group of cells.  No value depends on its batch
-or group: each state gets the result it gets when searched alone.
+search carries the whole stack it is given (each frame is measured on the
+state that owns it); a sweep gives it one chunk of up to 128 cells, so it
+pays a round's fixed cost once per chunk.  No value depends on the stack: each
+state gets the result it gets when searched alone.
 :func:`analytic_gqd` gives the closed forms of the 4-qubit channel states.
 """
 
@@ -485,14 +485,12 @@ def _search(objective, n: int):
 def _global_discords(rhos: np.ndarray, spectra: np.ndarray) -> list[DiscordResult]:
     """:func:`global_discord` of a validated ``(B, d, d)`` stack, given its :func:`_density_spectra`.
 
-    The states are searched ``2 * BATCH_ENTRIES // 4**n`` at a time, 128 at 4 qubits; each
-    result is the one :func:`global_discord` gives for that state alone.
+    One search of the whole stack, which the caller bounds: at most 128 states from a sweep
+    chunk, one from :func:`global_discord`, at most 10 from ``--verify``.  Each result is the
+    one :func:`global_discord` gives for that state alone.
     """
     n = rhos.shape[-1].bit_length() - 1
-    group = max(1, 2 * BATCH_ENTRIES // 4**n)
-    groups = [_search(_GlobalObjective(rhos[i:i + group], n, spectra[i:i + group]), n)
-              for i in range(0, len(rhos), group)]
-    values, frames, branches, evals = map(np.concatenate, zip(*groups))
+    values, frames, branches, evals = _search(_GlobalObjective(rhos, n, spectra), n)
     if values.min() < -DISCORD_FLOOR:
         raise RuntimeError(f"discord objective minimised to {values.min():.3e} < 0")
     frames.setflags(write=False)

@@ -19,9 +19,9 @@ import numpy as np
 
 MAX_QUBITS = 10
 # Entries per batched call, so memory stays flat in the batch size: 4**n per n-qubit
-# frame or state (64 line frames at 4 qubits; a sweep chunk of 32 real states takes half,
-# a discord search group of 128 states twice), 2**n + 2 per line-scan trial, and 4**n per
-# state for each fixed discord frame, whose chunks take four times the budget.
+# frame or state (64 line frames at 4 qubits; a sweep chunk of 128 states, one discord
+# search, takes twice the budget), 2**n + 2 per line-scan trial, and 4**n per state for
+# each fixed discord frame, whose chunks take four times the budget.
 BATCH_ENTRIES = 2**14
 
 # Tolerances (README *Conventions* lists the same table).

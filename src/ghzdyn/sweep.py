@@ -13,19 +13,20 @@ splits into one contiguous block of cells per process, at most one per
 cell and per usable CPU, and the calling process computes the first; the
 record order never depends on the job count.
 
-A block builds its closed-form states in chunks of at most 32 (half of
-the ``BATCH_ENTRIES`` budget), as one real array per channel run, and
-measures each chunk as one stack in real arithmetic: one ``eigvalsh``
-validates the states and gives their entropy spectra, one ``eigvals`` of
-``rho F`` the Wootters roots (the spin flip F is a signed index reversal),
-one ``eigvalsh`` the partial transposes.  The block's discord searches those
-real stacks and spectra in groups of at most 128 states
-(:func:`ghzdyn.discord._global_discords`); no value depends on chunk or group.
+A block takes its cells in chunks of at most 128 (``2 * BATCH_ENTRIES // 4**4``)
+and finishes each chunk before it builds the next.  A chunk's closed-form states,
+one real array built per channel run, are measured as one stack in real
+arithmetic: one ``eigvalsh`` validates them and gives their entropy spectra, one
+``eigvals`` of ``rho F`` the Wootters roots (the spin flip F is a signed index
+reversal), one ``eigvalsh`` the partial transposes, and one discord search
+(:func:`ghzdyn.discord._global_discords`) takes the same stack and spectra.  Only
+the output columns outlive a chunk; no value depends on the chunking.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -43,10 +44,13 @@ from .linalg import BATCH_ENTRIES, _density_spectra, _entropies
 MEASURES = ("tau", "gqd", "ppt", "entropy")
 METHODS = ("analytic", "numeric", "both")
 ALL_CHANNELS = (Channel.X, Channel.Y, Channel.Z, Channel.ISO)
-# Half of the batch budget, 32 states at 4 qubits: 32 real states take the bytes of 16 complex
-# ones, and a chunk's flip holds about three temporaries of its size.  64-state chunks raised a
-# state sweep's peak RSS about 0.3 MiB over 16- and 32-state ones.
-_CHUNK = BATCH_ENTRIES // (2 * 4**4)
+# Cells per chunk, each chunk one discord search: 128 states at 4 qubits, twice the batch budget.
+_CHUNK = 2 * BATCH_ENTRIES // 4**4
+
+
+def _is(value, kind: type) -> bool:
+    """Whether ``value`` is a ``kind`` number (numpy's included), bools excepted."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -66,26 +70,23 @@ class SweepConfig:
         problems = []
         if not self.channels:
             problems.append("channels must not be empty")
-        for ch in self.channels:
-            if not isinstance(ch, Channel):
-                problems.append(f"unknown channel {ch!r}")
+        problems += [f"unknown channel {ch!r}" for ch in self.channels if not isinstance(ch, Channel)]
         if not self.measures:
             problems.append("measures must not be empty")
-        for m in self.measures:
-            if m not in MEASURES:
-                problems.append(f"unknown measure {m!r} (expected one of {MEASURES})")
+        problems += [f"unknown measure {m!r} (expected one of {MEASURES})"
+                     for m in self.measures if m not in MEASURES]
         if len(set(self.measures)) != len(self.measures):
             problems.append(f"duplicate measures in {self.measures}")
         if len(set(self.channels)) != len(self.channels):
             problems.append(f"duplicate channels in {tuple(c.value for c in self.channels)}")
-        if not 0.0 < self.kt_max < math.inf:
-            problems.append(f"kt_max must be finite and positive, got {self.kt_max}")
-        if self.steps < 2:
-            problems.append(f"steps must be >= 2, got {self.steps}")
+        if not _is(self.kt_max, numbers.Real) or not 0.0 < self.kt_max < math.inf:
+            problems.append(f"kt_max must be finite and positive, got {self.kt_max!r}")
+        if not _is(self.steps, numbers.Integral) or self.steps < 2:
+            problems.append(f"steps must be an integer >= 2, got {self.steps!r}")
         if self.method not in METHODS:
             problems.append(f"unknown method {self.method!r} (expected one of {METHODS})")
-        if self.jobs < 1:
-            problems.append(f"jobs must be >= 1, got {self.jobs}")
+        if not _is(self.jobs, numbers.Integral) or self.jobs < 1:
+            problems.append(f"jobs must be an integer >= 1, got {self.jobs!r}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -108,7 +109,7 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
 def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -> list[SweepRecord]:
-    """Records of a block of cells, measured ``_CHUNK`` at a time; its discord searched last.
+    """Records of a block of cells, ``_CHUNK`` at a time, each chunk measured and searched in turn.
 
     A chunk's coefficients are computed once per channel run and give both its closed-form
     states and its analytic tau; every column is built as arrays, and the records once.
@@ -124,7 +125,6 @@ def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -
               "entropy": "entropy" in measures}
     needs_state = any(wanted[name] for name in ("tau_numeric", "gqd_numeric", "ppt_min_eig", "entropy"))
     parts: dict[str, list[np.ndarray]] = {name: [] for name, on in wanted.items() if on}
-    searched: list[tuple[np.ndarray, np.ndarray]] = []  # each chunk's (states, spectra)
     for lo in range(0, len(cells), _CHUNK):
         chunk = cells[lo:lo + _CHUNK]
         runs = []  # (channel, coefficient columns) of each channel run, in cell order
@@ -141,14 +141,11 @@ def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -
         if wanted["tau_numeric"]:
             parts["tau_numeric"].append(_tau_lower_bounds(states))
         if wanted["gqd_numeric"]:
-            searched.append((states, spectra))
+            parts["gqd_numeric"].append([d.value for d in _global_discords(states, spectra)])
         if wanted["ppt_min_eig"]:
             parts["ppt_min_eig"].append(_ppt_min_eigenvalues(states, (0,)))
         if wanted["entropy"]:
             parts["entropy"].append(_entropies(spectra))
-    if wanted["gqd_numeric"]:
-        rhos, spectra = map(np.concatenate, zip(*searched))
-        parts["gqd_numeric"].append([d.value for d in _global_discords(rhos, spectra)])
     columns = [np.concatenate(parts[name]).tolist() if name in parts else repeat(None)
                for name in CSV_HEADER.split(",")[2:]]
     return list(map(SweepRecord, [c for c, _ in cells], [kt for _, kt in cells], *columns))

@@ -118,6 +118,14 @@ def test_config_file_edge_values(tmp_path, capsys):
     assert "channels must not be empty" in capsys.readouterr().err
 
 
+def test_a_config_key_given_twice_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("channel = x\nsteps = 5\n\nchannel = z\n")
+    assert cli.main(["--config", str(path)]) == 1
+    assert capsys.readouterr().err.rstrip().endswith(
+        f"{path}:4: key 'channel' given twice (first on line 1)")
+
+
 def test_a_hash_inside_a_config_value_is_part_of_it(tmp_path):
     # '#' starts a comment only at the start of a line or after whitespace.
     target = tmp_path / "a#1.csv"

@@ -730,27 +730,11 @@ def test_batched_channel_states_finish_in_the_confirmation_pass(monkeypatch):
     assert setups == [8 * starts.sum()]
 
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_batched_search_in_groups_equals_one_state_searches(n, monkeypatch):
-    # A group holds 2 * BATCH_ENTRIES // 4**n states: 128 at n = 4, 8 at n = 6.  Each stack
-    # ends one state into a second group.
-    if n == 4:
-        kts = np.linspace(0.0, 0.6, 33)
-        states = np.stack([closed_form_state(c, kt) for c in Channel for kt in kts])[:129]
-    else:
-        rng = np.random.default_rng(66)
-        states = np.stack([random_density(n, rng) for _ in range(9)])
-    group = 2 * discord.BATCH_ENTRIES // 4**n
-    searched, search = [], discord._search
-
-    def counting_search(objective, qubits):
-        searched.append(len(objective.coefficients))
-        return search(objective, qubits)
-
-    monkeypatch.setattr(discord, "_search", counting_search)
-    results = _discords(states)
-    assert searched == [group, 1]
-    _assert_same_as_alone(states, results)
+def test_batched_six_qubit_search_equals_one_state_searches():
+    # 9 random 6-qubit states searched as one stack; the caller bounds the stack.
+    rng = np.random.default_rng(66)
+    states = np.stack([random_density(6, rng) for _ in range(9)])
+    _assert_same_as_alone(states, _discords(states))
 
 
 def _result_bits(result: DiscordResult):

@@ -50,3 +50,9 @@ def test_csv_deviation_rejects_files_that_do_not_line_up(tmp_path):
     assert proc.returncode == 2 and "headers differ" in proc.stderr
     proc = _deviation_report(tmp_path, "channel,tau\nx,1\n", "channel,tau\nx,1\nz,1\n")
     assert proc.returncode == 2 and "row counts differ" in proc.stderr
+    proc = _deviation_report(tmp_path, "", "channel,tau\nx,1\n")
+    assert proc.returncode == 2 and "a.csv: empty file" in proc.stderr and not proc.stdout
+    # A short row would otherwise drop the trailing columns from the report.
+    proc = _deviation_report(tmp_path, "channel,tau,ppt\nx,1,2\n", "channel,tau,ppt\nx,1\n")
+    assert proc.returncode == 2 and "b.csv:2: 2 fields, the header has 3" in proc.stderr
+    assert not proc.stdout

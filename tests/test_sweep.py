@@ -7,12 +7,14 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghzdyn.discord as discord
 import ghzdyn.sweep as sweep
 from ghzdyn.channels import Channel, closed_form_state
 from ghzdyn.cli import main
@@ -56,6 +58,18 @@ def test_config_validation_rejects_bad_fields():
     for config in cases:
         with pytest.raises(ValueError):
             config.validate()
+
+
+@pytest.mark.parametrize("field, value", [("steps", 2.5), ("steps", True), ("steps", "3"),
+                                          ("jobs", 1.5), ("jobs", True), ("kt_max", "0.4"),
+                                          ("kt_max", True), ("kt_max", None)])
+def test_config_validation_reports_bad_types(field, value):
+    # Reported with the other problems, not left to fail later with a TypeError; the
+    # field's good value as a numpy scalar passes.
+    config = replace(FAST, channels=(), **{field: value})
+    with pytest.raises(ValueError, match=f"channels must not be empty; .*{field}"):
+        config.validate()
+    replace(FAST, **{field: np.asarray(getattr(FAST, field))[()]}).validate()
 
 
 def test_run_sweep_orders_channel_major():
@@ -458,16 +472,54 @@ def test_default_sweep_discord_is_its_closed_form():
     assert max(abs(r.gqd_numeric - r.gqd_analytic) for r in records) <= 1e-14
 
 
-@pytest.mark.parametrize("size", [33, 65, 129])
-def test_block_records_equal_one_cell_blocks(size):
-    # 33, 65 and 129 cells end one cell into a new 32-state chunk.
-    assert sweep._CHUNK == 32
-    grid = np.linspace(0.0, 0.6, 33)
-    cells = [(c.value, float(kt)) for c in sweep.ALL_CHANNELS for kt in grid][:size]
-    measures = ("tau", "ppt", "entropy")
+def _cells(size):
+    """The first ``size`` cells of a 4-channel, 65-step grid to kappa*t = 0.6, channel-major."""
+    grid = np.linspace(0.0, 0.6, 65)
+    return [(c.value, float(kt)) for c in sweep.ALL_CHANNELS for kt in grid][:size]
+
+
+@pytest.mark.parametrize("size, measures", [pytest.param(129, MEASURES, id="129"),
+                                            pytest.param(257, ("tau", "ppt", "entropy"), id="257")])
+def test_block_records_equal_one_cell_blocks(size, measures):
+    # 129 and 257 cells end one cell into a new 128-cell chunk; at 129 the discord
+    # search, which takes each chunk's stack, crosses the chunk boundary too.
+    assert sweep._CHUNK == 128
+    cells = _cells(size)
     block = sweep._compute_block((cells, measures, "both"))
     alone = [sweep._compute_block(([cell], measures, "both"))[0] for cell in cells]
     assert block == alone
+
+
+def test_sweep_searches_each_chunk_as_one_stack(monkeypatch):
+    # 129 cells: the discord search of the 128-cell chunk, then of the 1-cell chunk.
+    searched, search = [], discord._search
+
+    def counting_search(objective, qubits):
+        searched.append(len(objective.coefficients))
+        return search(objective, qubits)
+
+    monkeypatch.setattr(discord, "_search", counting_search)
+    records = sweep._compute_block((_cells(129), MEASURES, "both"))
+    assert searched == [128, 1]
+    assert max(abs(r.gqd_numeric - r.gqd_analytic) for r in records) <= 1e-14
+
+
+def _block_peak(cells):
+    """tracemalloc peak, in bytes, of one all-measure block of ``cells``."""
+    tracemalloc.start()
+    try:
+        sweep._compute_block((cells, MEASURES, "both"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_memory_is_flat_in_its_cell_count():
+    # Only the output columns outlive a chunk: 128 more cells add their records, not their
+    # states.  Keeping each chunk's states for one search after the loop added 565 KiB here.
+    sweep._compute_block((_cells(2), MEASURES, "both"))  # first-call caches
+    small, large = _block_peak(_cells(129)), _block_peak(_cells(257))
+    assert large - small < 128 * 1024, (small, large)
 
 
 def _eigenproblem_counts(monkeypatch, measures):
@@ -489,15 +541,15 @@ def _eigenproblem_counts(monkeypatch, measures):
 
 
 def test_state_sweep_eigenproblem_count_is_pinned(monkeypatch):
-    # 4 channels x 40 steps = 160 cells = 5 chunks of 32 states.  Each chunk
+    # 4 channels x 40 steps = 160 cells = 2 chunks, of 128 and 32 states.  Each chunk
     # makes one eigvalsh for validation and entropy, one for the partial
     # transposes and one eigvals for the spin flip; per-cell calls would read 160+.
     # The states are real, so the flip never takes the complex eigh + svd route.
     assert (_eigenproblem_counts(monkeypatch, ("tau", "ppt", "entropy"))
-            == {"eigvalsh": 10, "eigvals": 5, "eigh": 0, "svd": 0})
+            == {"eigvalsh": 4, "eigvals": 2, "eigh": 0, "svd": 0})
 
 
 def test_discord_sweep_eigenproblem_count_is_pinned(monkeypatch):
     # The discord search takes each chunk's validated spectra: no eigensolve of its own.
     assert (_eigenproblem_counts(monkeypatch, MEASURES)
-            == {"eigvalsh": 10, "eigvals": 5, "eigh": 0, "svd": 0})
+            == {"eigvalsh": 4, "eigvals": 2, "eigh": 0, "svd": 0})
