@@ -68,8 +68,9 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     parser.add_argument("--plot", action="store_true", default=None,
                         help="also emit a standalone matplotlib script next to the CSV")
     parser.add_argument("--jobs", type=int, default=None,
-                        help=f"processes, one contiguous sweep block each (at most one per cell and per "
-                             f"usable CPU); the caller computes the first (default {_SWEEP_DEFAULTS.jobs})")
+                        help=f"processes computing the sweep's 128-cell chunks (at most one per 128-cell "
+                             f"chunk and per usable CPU, so a sweep of 128 cells or fewer starts no "
+                             f"pool); the caller computes the first share (default {_SWEEP_DEFAULTS.jobs})")
     parser.add_argument("--config", default=None,
                         help="flat key = value file supplying defaults for the flags above")
     parser.add_argument("--verify", action="store_true",

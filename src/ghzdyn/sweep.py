@@ -8,19 +8,20 @@ CSV carries both columns when ``method = "both"``; ``ppt`` and
 
 Output is byte-reproducible: records are ordered channel-major, floats
 are rendered with 12 significant digits, rows end with a bare newline,
-and the file is written atomically.  ``jobs`` counts processes: the grid
-splits into one contiguous block of cells per process, at most one per
-cell and per usable CPU, and the calling process computes the first; the
-record order never depends on the job count.
+and the file is written atomically.
 
-A block takes its cells in chunks of at most 128 (``2 * BATCH_ENTRIES // 4**4``)
-and finishes each chunk before it builds the next.  A chunk's closed-form states,
-one real array built per channel run, are measured as one stack in real
-arithmetic: one ``eigvalsh`` validates them and gives their entropy spectra, one
-``eigvals`` of ``rho F`` the Wootters roots (the spin flip F is a signed index
-reversal), one ``eigvalsh`` the partial transposes, and one discord search
+The sweep's one unit of work is a chunk of at most 128 cells
+(``2 * BATCH_ENTRIES // 4**4``), cut from the channel-major cell list at
+multiples of 128 whatever ``jobs`` is.  A chunk's closed-form states, one real
+array built per channel run, are measured as one stack in real arithmetic: one
+``eigvalsh`` validates them and gives their entropy spectra, one ``eigvals`` of
+``rho F`` the Wootters roots (the spin flip F is a signed index reversal), one
+``eigvalsh`` the partial transposes, and one discord search
 (:func:`ghzdyn.discord._global_discords`) takes the same stack and spectra.  Only
-the output columns outlive a chunk; no value depends on the chunking.
+the output columns outlive a chunk.  ``jobs`` counts processes, at most one per
+chunk and per usable CPU: the calling process computes the first share of
+chunks and a pool the rest, so every cell is measured in the same stack under
+every ``jobs``, and the record order never depends on it.
 """
 
 from __future__ import annotations
@@ -68,17 +69,17 @@ class SweepConfig:
 
     def validate(self) -> None:
         problems = []
-        if not self.channels:
-            problems.append("channels must not be empty")
-        problems += [f"unknown channel {ch!r}" for ch in self.channels if not isinstance(ch, Channel)]
-        if not self.measures:
-            problems.append("measures must not be empty")
-        problems += [f"unknown measure {m!r} (expected one of {MEASURES})"
-                     for m in self.measures if m not in MEASURES]
-        if len(set(self.measures)) != len(self.measures):
-            problems.append(f"duplicate measures in {self.measures}")
-        if len(set(self.channels)) != len(self.channels):
-            problems.append(f"duplicate channels in {tuple(c.value for c in self.channels)}")
+        for name, items, known, expected in (
+                ("channels", self.channels, lambda ch: isinstance(ch, Channel), ""),
+                ("measures", self.measures, MEASURES.__contains__, f" (expected one of {MEASURES})")):
+            if not isinstance(items, (tuple, list)):
+                problems.append(f"{name} must be a tuple or list, got {items!r}")
+            elif not items:
+                problems.append(f"{name} must not be empty")
+            elif unknown := [item for item in items if not known(item)]:
+                problems += [f"unknown {name[:-1]} {item!r}{expected}" for item in unknown]
+            elif len(set(items)) != len(items):
+                problems.append(f"duplicate {name} in {tuple(getattr(i, 'value', i) for i in items)}")
         if not _is(self.kt_max, numbers.Real) or not 0.0 < self.kt_max < math.inf:
             problems.append(f"kt_max must be finite and positive, got {self.kt_max!r}")
         if not _is(self.steps, numbers.Integral) or self.steps < 2:
@@ -87,6 +88,10 @@ class SweepConfig:
             problems.append(f"unknown method {self.method!r} (expected one of {METHODS})")
         if not _is(self.jobs, numbers.Integral) or self.jobs < 1:
             problems.append(f"jobs must be an integer >= 1, got {self.jobs!r}")
+        if not isinstance(self.out, str) or not self.out:
+            problems.append(f"out must be a non-empty path, got {self.out!r}")
+        if not isinstance(self.plot, bool):
+            problems.append(f"plot must be a bool, got {self.plot!r}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -108,69 +113,62 @@ class SweepRecord:
 CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
-def _compute_block(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -> list[SweepRecord]:
-    """Records of a block of cells, ``_CHUNK`` at a time, each chunk measured and searched in turn.
+def _compute_chunk(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -> list[SweepRecord]:
+    """Records of one chunk of cells, measured and searched as one stack.
 
-    A chunk's coefficients are computed once per channel run and give both its closed-form
-    states and its analytic tau; every column is built as arrays, and the records once.
+    Coefficients computed once per channel run give both the closed-form states and the
+    analytic tau; every column is built as an array, and the records once.
     """
     cells, measures, method = args
     analytic = method in ("analytic", "both")
     numeric = method in ("numeric", "both")
-    wanted = {"tau_analytic": analytic and "tau" in measures,
-              "tau_numeric": numeric and "tau" in measures,
-              "gqd_analytic": analytic and "gqd" in measures,
-              "gqd_numeric": numeric and "gqd" in measures,
-              "ppt_min_eig": "ppt" in measures,
-              "entropy": "entropy" in measures}
-    needs_state = any(wanted[name] for name in ("tau_numeric", "gqd_numeric", "ppt_min_eig", "entropy"))
-    parts: dict[str, list[np.ndarray]] = {name: [] for name, on in wanted.items() if on}
-    for lo in range(0, len(cells), _CHUNK):
-        chunk = cells[lo:lo + _CHUNK]
-        runs = []  # (channel, coefficient columns) of each channel run, in cell order
-        for value, run in groupby(chunk, itemgetter(0)):
-            channel = Channel(value)
-            runs.append((channel, _coefficient_columns(channel, [kt for _, kt in run])))
-        if wanted["tau_analytic"]:
-            parts["tau_analytic"] += [_analytic_taus(co) for _, co in runs]
-        if wanted["gqd_analytic"]:
-            parts["gqd_analytic"].append([analytic_gqd(channel, kt) for channel, kt in chunk])
-        if needs_state:
-            states = np.concatenate([_closed_form_states(channel, co) for channel, co in runs])
-            spectra = _density_spectra(states)
-        if wanted["tau_numeric"]:
-            parts["tau_numeric"].append(_tau_lower_bounds(states))
-        if wanted["gqd_numeric"]:
-            parts["gqd_numeric"].append([d.value for d in _global_discords(states, spectra)])
-        if wanted["ppt_min_eig"]:
-            parts["ppt_min_eig"].append(_ppt_min_eigenvalues(states, (0,)))
-        if wanted["entropy"]:
-            parts["entropy"].append(_entropies(spectra))
-    columns = [np.concatenate(parts[name]).tolist() if name in parts else repeat(None)
-               for name in CSV_HEADER.split(",")[2:]]
-    return list(map(SweepRecord, [c for c, _ in cells], [kt for _, kt in cells], *columns))
+    runs = []  # (channel, coefficient columns) of each channel run, in cell order
+    for value, run in groupby(cells, itemgetter(0)):
+        channel = Channel(value)
+        runs.append((channel, _coefficient_columns(channel, [kt for _, kt in run])))
+    columns = {}
+    if analytic and "tau" in measures:
+        columns["tau_analytic"] = np.concatenate([_analytic_taus(co) for _, co in runs])
+    if analytic and "gqd" in measures:
+        columns["gqd_analytic"] = [analytic_gqd(channel, kt) for channel, kt in cells]
+    if numeric or "ppt" in measures or "entropy" in measures:
+        states = np.concatenate([_closed_form_states(channel, co) for channel, co in runs])
+        spectra = _density_spectra(states)
+        if numeric and "tau" in measures:
+            columns["tau_numeric"] = _tau_lower_bounds(states)
+        if numeric and "gqd" in measures:
+            columns["gqd_numeric"] = [d.value for d in _global_discords(states, spectra)]
+        if "ppt" in measures:
+            columns["ppt_min_eig"] = _ppt_min_eigenvalues(states, (0,))
+        if "entropy" in measures:
+            columns["entropy"] = _entropies(spectra)
+    values = [np.asarray(columns[name]).tolist() if name in columns else repeat(None)
+              for name in CSV_HEADER.split(",")[2:]]
+    return list(map(SweepRecord, [c for c, _ in cells], [kt for _, kt in cells], *values))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured grid, channel-major, in deterministic order.
 
-    One process per contiguous block of cells, ``min(config.jobs, cells, usable CPUs)`` of
-    them: the calling process computes the first block, and a pool of one worker per other
-    block the rest; with one block no pool starts.
+    The cells are cut once into chunks of ``_CHUNK``, and ``min(config.jobs, chunks,
+    usable CPUs)`` processes compute them: the calling process the first
+    ``ceil(chunks / processes)``, a pool of the other processes the rest; with one
+    process no pool starts.
     """
     config.validate()
     grid = np.linspace(0.0, config.kt_max, config.steps)
     cells = [(channel.value, float(kt)) for channel in config.channels for kt in grid]
+    chunks = [(cells[lo:lo + _CHUNK], config.measures, config.method)
+              for lo in range(0, len(cells), _CHUNK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    count = min(config.jobs, len(cells), cpus)
-    bounds = [len(cells) * i // count for i in range(count + 1)]
-    blocks = [(cells[lo:hi], config.measures, config.method) for lo, hi in zip(bounds, bounds[1:])]
+    count = min(config.jobs, len(chunks), cpus)
     if count == 1:
-        return _compute_block(blocks[0])
+        return [record for chunk in chunks for record in _compute_chunk(chunk)]
+    own = -(-len(chunks) // count)
     with ProcessPoolExecutor(max_workers=count - 1) as pool:
-        rest = pool.map(_compute_block, blocks[1:])
-        first = _compute_block(blocks[0])
-        return first + [record for block in rest for record in block]
+        rest = pool.map(_compute_chunk, chunks[own:])
+        first = [record for chunk in chunks[:own] for record in _compute_chunk(chunk)]
+        return first + [record for records in rest for record in records]
 
 
 def _write_atomic(path: str, text: str) -> None:

@@ -234,7 +234,7 @@ def check_structure() -> list[CheckResult]:
                            "unit trace, positive", worst, 0.0, 1e-12))
 
     config = SweepConfig(channels=(Channel.X, Channel.Z), measures=("tau", "entropy"),
-                         kt_max=0.2, steps=3)
+                         kt_max=0.2, steps=65)  # 130 cells, two chunks: jobs=2 starts a worker
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("a.csv", "b.csv", "c.csv")]
         for path, jobs in zip(paths, (1, 1, 2)):

@@ -472,3 +472,19 @@ def test_rk4_error_bound_doubles_the_steps_for_seven_isotropic_qubits():
     bound = channels._rk4_error_bound(4.0, 7, 0.0336, steps)
     assert bound == pytest.approx(1.62e-9, rel=0.01)
     assert bound > INTEGRATOR_TOL >= channels._rk4_error_bound(4.0, 7, 0.0336, 2 * steps)
+
+
+def test_seven_isotropic_qubits_run_the_fewest_steps_that_meet_the_bound(monkeypatch):
+    # The schedule's 54 steps miss INTEGRATOR_TOL at kt = 0.0336; 61 are the fewest that
+    # meet it.
+    runs = []
+
+    def record(v0, a, b, t, steps):
+        runs.append(steps)
+        return v0
+
+    monkeypatch.setattr(channels, "_rk4", record)
+    evolve_numeric(ghz_state(7), Channel.ISO, 0.0336)
+    assert runs == [61]
+    assert channels._rk4_error_bound(4.0, 7, 0.0336, 60) > INTEGRATOR_TOL
+    assert channels._rk4_error_bound(4.0, 7, 0.0336, 61) <= INTEGRATOR_TOL

@@ -62,14 +62,26 @@ def test_config_validation_rejects_bad_fields():
 
 @pytest.mark.parametrize("field, value", [("steps", 2.5), ("steps", True), ("steps", "3"),
                                           ("jobs", 1.5), ("jobs", True), ("kt_max", "0.4"),
-                                          ("kt_max", True), ("kt_max", None)])
+                                          ("kt_max", True), ("kt_max", None),
+                                          ("channels", None), ("channels", "x"), ("channels", 3),
+                                          ("measures", None), ("measures", "tau"),
+                                          ("measures", {"tau"}), ("out", None), ("out", ""),
+                                          ("plot", "yes"), ("plot", None)])
 def test_config_validation_reports_bad_types(field, value):
-    # Reported with the other problems, not left to fail later with a TypeError; the
-    # field's good value as a numpy scalar passes.
-    config = replace(FAST, channels=(), **{field: value})
-    with pytest.raises(ValueError, match=f"channels must not be empty; .*{field}"):
+    # Reported with the other problems, not left to fail later with a TypeError; a
+    # numeric field's good value as a numpy scalar passes, as does a list of channels
+    # or measures.  A bare string is no sequence of measures: "tau" is not 't', 'a', 'u'.
+    other = "measures" if field == "channels" else "channels"
+    config = replace(FAST, **{other: (), field: value})
+    with pytest.raises(ValueError, match=f"(?=.*{other} must not be empty)(?=.*{field} must )") as info:
         config.validate()
-    replace(FAST, **{field: np.asarray(getattr(FAST, field))[()]}).validate()
+    assert "unknown" not in str(info.value)
+    good = getattr(FAST, field)
+    if field in ("steps", "jobs", "kt_max"):
+        good = np.asarray(good)[()]
+    elif field in ("channels", "measures"):
+        good = list(good)
+    replace(FAST, **{field: good}).validate()
 
 
 def test_run_sweep_orders_channel_major():
@@ -163,9 +175,12 @@ def test_csv_bytes_are_reproducible(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-@pytest.mark.parametrize("channels, steps, jobs", [((Channel.Z,), 2, 3), ((Channel.ISO,), 5, 2)],
-                         ids=["more-jobs-than-cells", "unequal-blocks"])
+@pytest.mark.parametrize("channels, steps, jobs", [((Channel.Z,), 2, 3), ((Channel.ISO,), 5, 2),
+                                                   ((Channel.X, Channel.Y, Channel.Z), 43, 2)],
+                         ids=["more-jobs-than-cells", "unequal-blocks", "chunks-of-128-and-1"])
 def test_csv_bytes_do_not_depend_on_the_blocks(tmp_path, channels, steps, jobs):
+    # 3 x 43 = 129 cells, every measure: under jobs=2, on two usable CPUs, a real pool
+    # worker computes, and searches, the second chunk's one cell.
     config = SweepConfig(channels=channels, kt_max=0.3, steps=steps)
     paths = [str(tmp_path / "one.csv"), str(tmp_path / "many.csv")]
     emit_csv(run_sweep(config), paths[0])
@@ -173,16 +188,17 @@ def test_csv_bytes_do_not_depend_on_the_blocks(tmp_path, channels, steps, jobs):
     assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
 
-def _inline_pool(monkeypatch, cpus, usable=None):
-    """Run pool blocks in-process on a host of ``cpus`` CPUs; returns what the pool saw.
+def _inline_pool(monkeypatch, cpus, usable=None, chunk=None):
+    """Run pool chunks in-process on a host of ``cpus`` CPUs; returns what the pool saw.
 
     ``usable`` of them are the process's own (default: all).  ``cpus`` None, as
     ``os.cpu_count`` may return, stands for a platform without an affinity call too.
+    ``chunk``, if given, stands in for the 128 cells of a chunk.
     """
     seen = []
 
     class InlinePool:
-        """Process-pool stand-in that records its size and the cells of the blocks it is given."""
+        """Process-pool stand-in that records its size and the cells of the chunks it is given."""
 
         def __init__(self, max_workers):
             seen.append(max_workers)
@@ -193,10 +209,10 @@ def _inline_pool(monkeypatch, cpus, usable=None):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, blocks):
-            blocks = list(blocks)
-            seen.append([cells for cells, *_ in blocks])
-            return map(fn, blocks)
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            seen.append([cells for cells, *_ in chunks])
+            return map(fn, chunks)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
@@ -205,62 +221,95 @@ def _inline_pool(monkeypatch, cpus, usable=None):
     else:
         affinity = set(range(cpus if usable is None else usable))
         monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    if chunk is not None:
+        monkeypatch.setattr(sweep, "_CHUNK", chunk)
     return seen
 
 
-@pytest.mark.parametrize("steps, jobs, sizes", [(2, 3, [1, 1]), (2, 5, [1, 1]), (5, 2, [2, 3])])
+@pytest.mark.parametrize("steps, jobs, sizes", [(2, 3, [1, 1]), (2, 5, [1, 1]), (5, 2, [3, 2])])
 def test_no_empty_block_reaches_the_pool(monkeypatch, steps, jobs, sizes):
-    # ``sizes`` lists every block; the calling process computes the first itself.
-    seen = _inline_pool(monkeypatch, cpus=64)
+    # One-cell chunks; ``sizes`` counts the chunks of the calling process, which
+    # computes the first share itself, then those mapped over the pool.
+    seen = _inline_pool(monkeypatch, cpus=64, chunk=1)
     config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3,
                          steps=steps, jobs=jobs)
     assert len(run_sweep(config)) == steps
-    assert seen[0] == len(sizes) - 1
-    assert [len(cells) for cells in seen[1]] == sizes[1:]
+    assert seen[0] == min(jobs, steps) - 1
+    assert [steps - len(seen[1]), len(seen[1])] == sizes and all(seen[1])
 
 
 @pytest.mark.parametrize("cpus, usable, workers", [(2, 2, 2), (1, 1, 1), (None, None, 1), (2, 1, 1)],
                          ids=["2-2", "1-1", "None-1", "2-usable-1"])
 def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, usable, workers):
-    # ``workers`` counts the calling process, which computes block 0 itself.
-    seen = _inline_pool(monkeypatch, cpus, usable)
+    # ``workers`` counts the calling process, which computes the first share itself.
+    seen = _inline_pool(monkeypatch, cpus, usable, chunk=1)
     if workers == 1:
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
     config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3, steps=5)
     records = run_sweep(replace(config, jobs=5))
     if workers > 1:
-        # One block per process: bounds 0, 2, 5, the worker taking cells 2-4.
+        # Five one-cell chunks, two processes: the caller takes cells 0-2, the worker 3 and 4.
         grid = np.linspace(0.0, 0.3, 5)
-        assert seen == [workers - 1, [[("z", float(kt)) for kt in grid[2:]]]]
+        assert seen == [workers - 1, [[("z", float(kt))] for kt in grid[3:]]]
     assert records == run_sweep(config)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_large_job_count_gives_one_block_per_cpu(monkeypatch, cpus):
-    seen = _inline_pool(monkeypatch, cpus)
+    # Ten cells in five two-cell chunks; the caller takes ceil(5 / cpus) of them.
+    seen = _inline_pool(monkeypatch, cpus, chunk=2)
     config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("tau", "entropy"),
                          kt_max=0.3, steps=5)
     records = run_sweep(replace(config, jobs=64))
     workers, pooled = seen
-    assert workers == cpus - 1 and len(pooled) == workers
     cells = [(c.value, float(kt)) for c in config.channels for kt in np.linspace(0.0, 0.3, 5)]
-    first = len(cells) - sum(map(len, pooled))
-    assert 0 < first and all(pooled)
-    assert [cell for block in pooled for cell in block] == cells[first:]
+    first = 2 * -(-5 // cpus)
+    assert workers == cpus - 1
+    assert pooled == [cells[lo:lo + 2] for lo in range(first, 10, 2)]
     assert records == run_sweep(config)
 
 
 def test_a_huge_job_count_splits_into_one_block_per_cell(monkeypatch):
-    seen = _inline_pool(monkeypatch, cpus=64)
+    # One-cell chunks: one process per chunk, the caller's included.
+    seen = _inline_pool(monkeypatch, cpus=64, chunk=1)
     config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("tau", "entropy"),
                          kt_max=0.3, steps=3)
     assert run_sweep(replace(config, jobs=10**12)) == run_sweep(config)
     assert seen[0] == 5 and [len(cells) for cells in seen[1]] == [1] * 5
 
 
+def test_every_job_count_computes_the_same_chunks(monkeypatch):
+    # The default 484-cell grid is four chunks, 128, 128, 128 and 100 cells, whichever
+    # process computes them.
+    _inline_pool(monkeypatch, cpus=64)
+    computed, compute = [], sweep._compute_chunk
+
+    def recording(args):
+        computed.append(args)
+        return compute(args)
+
+    monkeypatch.setattr(sweep, "_compute_chunk", recording)
+    config = SweepConfig(measures=("tau",), method="analytic")
+    chunks = []
+    for jobs in (1, 2, 3, 64):
+        computed.clear()
+        run_sweep(replace(config, jobs=jobs))
+        chunks.append(list(computed))
+    assert [len(cells) for cells, *_ in chunks[0]] == [128, 128, 128, 100]
+    assert chunks[0] == chunks[1] == chunks[2] == chunks[3]
+
+
 def test_a_single_block_runs_without_a_pool(monkeypatch):
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
     assert len(run_sweep(replace(FAST, jobs=1))) == 6
+
+
+def test_a_one_chunk_sweep_starts_no_pool_whatever_the_jobs(monkeypatch):
+    # 128 cells are one chunk, so a process count above one adds nothing.
+    _inline_pool(monkeypatch, cpus=64)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
+    config = SweepConfig(channels=(Channel.X, Channel.Y), measures=("tau",), steps=64, jobs=64)
+    assert len(run_sweep(config)) == 128
 
 
 def test_emit_plot_script_declares_one_curve_per_channel(tmp_path):
@@ -472,22 +521,26 @@ def test_default_sweep_discord_is_its_closed_form():
     assert max(abs(r.gqd_numeric - r.gqd_analytic) for r in records) <= 1e-14
 
 
-def _cells(size):
-    """The first ``size`` cells of a 4-channel, 65-step grid to kappa*t = 0.6, channel-major."""
-    grid = np.linspace(0.0, 0.6, 65)
-    return [(c.value, float(kt)) for c in sweep.ALL_CHANNELS for kt in grid][:size]
+def _sweep(channels, steps, measures=MEASURES):
+    """A sweep of ``channels`` on ``steps`` grid points to kappa*t = 0.6, and its cells."""
+    config = SweepConfig(channels=channels, measures=measures, steps=steps)
+    grid = np.linspace(0.0, 0.6, steps)
+    return config, [(c.value, float(kt)) for c in channels for kt in grid]
 
 
-@pytest.mark.parametrize("size, measures", [pytest.param(129, MEASURES, id="129"),
-                                            pytest.param(257, ("tau", "ppt", "entropy"), id="257")])
-def test_block_records_equal_one_cell_blocks(size, measures):
+XYZ = (Channel.X, Channel.Y, Channel.Z)
+
+
+@pytest.mark.parametrize("channels, steps, measures",
+                         [pytest.param(XYZ, 43, MEASURES, id="129"),
+                          pytest.param((Channel.ISO,), 257, ("tau", "ppt", "entropy"), id="257")])
+def test_block_records_equal_one_cell_blocks(channels, steps, measures):
     # 129 and 257 cells end one cell into a new 128-cell chunk; at 129 the discord
     # search, which takes each chunk's stack, crosses the chunk boundary too.
     assert sweep._CHUNK == 128
-    cells = _cells(size)
-    block = sweep._compute_block((cells, measures, "both"))
-    alone = [sweep._compute_block(([cell], measures, "both"))[0] for cell in cells]
-    assert block == alone
+    config, cells = _sweep(channels, steps, measures)
+    alone = [sweep._compute_chunk(([cell], measures, "both"))[0] for cell in cells]
+    assert run_sweep(config) == alone
 
 
 def test_sweep_searches_each_chunk_as_one_stack(monkeypatch):
@@ -499,26 +552,27 @@ def test_sweep_searches_each_chunk_as_one_stack(monkeypatch):
         return search(objective, qubits)
 
     monkeypatch.setattr(discord, "_search", counting_search)
-    records = sweep._compute_block((_cells(129), MEASURES, "both"))
+    records = run_sweep(_sweep(XYZ, 43)[0])
     assert searched == [128, 1]
     assert max(abs(r.gqd_numeric - r.gqd_analytic) for r in records) <= 1e-14
 
 
-def _block_peak(cells):
-    """tracemalloc peak, in bytes, of one all-measure block of ``cells``."""
+def _sweep_peak(steps):
+    """tracemalloc peak, in bytes, of an all-measure X, Y, Z sweep of ``steps`` points."""
+    config = _sweep(XYZ, steps)[0]
     tracemalloc.start()
     try:
-        sweep._compute_block((cells, MEASURES, "both"))
+        run_sweep(config)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_block_memory_is_flat_in_its_cell_count():
-    # Only the output columns outlive a chunk: 128 more cells add their records, not their
+    # Only the output columns outlive a chunk: 129 more cells add their records, not their
     # states.  Keeping each chunk's states for one search after the loop added 565 KiB here.
-    sweep._compute_block((_cells(2), MEASURES, "both"))  # first-call caches
-    small, large = _block_peak(_cells(129)), _block_peak(_cells(257))
+    run_sweep(_sweep(XYZ, 2)[0])  # first-call caches
+    small, large = _sweep_peak(43), _sweep_peak(86)
     assert large - small < 128 * 1024, (small, large)
 
 
