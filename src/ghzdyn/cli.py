@@ -24,7 +24,7 @@ import sys
 from dataclasses import replace
 
 from .channels import Channel
-from .sweep import MEASURES, METHODS, SweepConfig, emit_csv, emit_plot_script, run_sweep
+from .sweep import _CHUNK, MEASURES, METHODS, SweepConfig, emit_csv, emit_plot_script, run_sweep
 from .verify import format_report, run_checks
 
 _CHANNEL_VALUES = tuple(c.value for c in Channel)
@@ -68,9 +68,9 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     parser.add_argument("--plot", action="store_true", default=None,
                         help="also emit a standalone matplotlib script next to the CSV")
     parser.add_argument("--jobs", type=int, default=None,
-                        help=f"processes computing the sweep's 128-cell chunks (at most one per 128-cell "
-                             f"chunk and per usable CPU, so a sweep of 128 cells or fewer starts no "
-                             f"pool); the caller computes the first share (default {_SWEEP_DEFAULTS.jobs})")
+                        help=f"processes computing the sweep's {_CHUNK}-cell chunks (at most one per chunk "
+                             f"and per usable CPU, so a sweep of {_CHUNK} cells or fewer starts no pool); "
+                             f"the caller computes the first share (default {_SWEEP_DEFAULTS.jobs})")
     parser.add_argument("--config", default=None,
                         help="flat key = value file supplying defaults for the flags above")
     parser.add_argument("--verify", action="store_true",

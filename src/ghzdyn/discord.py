@@ -50,8 +50,6 @@ from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, EIGENVALUE_FLOOR, PROBABILITY
 # The uniform-frame grid: theta over [0, pi] inclusive, phi over [0, 2 pi) exclusive.
 _GRID_THETA = 21
 _GRID_PHI = 16
-# Grid indices of the named frames: after the theta = 0 pole, circle 9 and phi index 4 are pi/2.
-_NAMED = {"z": 0, "x": 1 + 9 * _GRID_PHI, "y": 1 + 9 * _GRID_PHI + 4}
 _SCAN_POINTS = 9
 _SCAN_OFFSETS = np.arange(_SCAN_POINTS)
 _ANGLE_TOL = 1e-7
@@ -451,6 +449,11 @@ def _grid(n: int) -> np.ndarray:
     circles = np.stack(np.meshgrid(theta[1:-1], phi, indexing="ij"), -1).reshape(-1, 2)
     angles = np.concatenate([[[theta[0], 0.0]], circles, [[theta[-1], 0.0]]])
     return np.repeat(angles[:, None], n, axis=1)
+
+
+# Grid indices of the named frames, whose grid values each search reports.
+_NAMED = {name: int(np.flatnonzero((_grid(1) == frame(1)).all(axis=(1, 2)))[0])
+          for name, frame in (("z", z_frame), ("x", x_frame), ("y", y_frame))}
 
 
 def _search(objective, n: int):

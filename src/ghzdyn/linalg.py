@@ -31,7 +31,7 @@ PSD_FLOOR = 1e-10            # eigenvalues and probabilities may dip to -PSD_FLO
 EIGENVALUE_FLOOR = 1e-12     # spectra's entropies (and shannon_entropy) drop values at or below it
 PROBABILITY_SUM_TOL = 1e-9   # |sum - 1| of a row of outcome probabilities
 NORM_TOL = 1e-10             # |norm - 1| of a state vector; integrator trace drift
-INTEGRATOR_TOL = 1e-9        # a-priori RK4 trace-distance bound; steps double above it
+INTEGRATOR_TOL = 1e-9        # a-priori RK4 trace-distance bound; steps rise to the fewest that meet it
 DISCORD_FLOOR = 1e-9         # a minimised discord may dip to -DISCORD_FLOOR, then clamps to 0
 
 

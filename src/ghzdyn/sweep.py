@@ -204,8 +204,8 @@ def emit_csv(records: list[SweepRecord], path: str) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-_PLOT_PRELUDE = '''#!/usr/bin/env python3
-"""Render sweep curves from {csv_name} (auto-generated)."""
+_PLOT_SCRIPT = '''#!/usr/bin/env python3
+"""Render the tau and gqd curves of {csv_name}, or of the sweep CSV given as the first argument."""
 import csv
 import os
 import sys
@@ -216,52 +216,42 @@ import matplotlib.pyplot as plt
 
 CSV_PATH = sys.argv[1] if len(sys.argv) > 1 else {csv_path!r}
 OUT_PATH = os.path.splitext(CSV_PATH)[0] + "_curves.png"
-
-
-def series(rows, channel, column):
-    xs, ys = [], []
-    for row in rows:
-        if row["channel"] == channel and row[column]:
-            xs.append(float(row["kappa_t"]))
-            ys.append(float(row[column]))
-    return xs, ys
-
+STYLES = dict(x="-", y="--", z="-.", iso=":")
+NAMES = dict(x="Pauli-X", y="Pauli-Y", z="Pauli-Z", iso="isotropic")
 
 with open(CSV_PATH, newline="") as fh:
     rows = list(csv.DictReader(fh))
+channels = list(dict.fromkeys(row["channel"] for row in rows))
+# A tau panel, then a gqd panel, each on its numeric column if any cell holds it, else the analytic one.
+panels = [(held[0], label) for measure, label in (("tau", "concurrence bound"), ("gqd", "global discord"))
+          if (held := [c for c in (measure + "_numeric", measure + "_analytic") if any(r[c] for r in rows)])]
+if not panels:
+    sys.exit(CSV_PATH + " holds neither tau nor gqd values; nothing to plot")
 
+fig, axes = plt.subplots(1, len(panels), figsize=(5.5 * len(panels), 4.2), squeeze=False)
+for ax, (column, label) in zip(axes[0], panels):
+    for channel in channels:
+        mine = [row for row in rows if row["channel"] == channel and row[column]]
+        ax.plot([float(row["kappa_t"]) for row in mine], [float(row[column]) for row in mine],
+                STYLES.get(channel, "-"), label=NAMES.get(channel, channel))
+    ax.set(xlabel="kappa * t", ylabel=label)
+    ax.legend()
+    ax.grid(alpha=0.3)
+fig.tight_layout()
+fig.savefig(OUT_PATH, dpi=150)
+print("wrote", OUT_PATH)
 '''
 
 
 def emit_plot_script(records: list[SweepRecord], csv_path: str) -> str:
-    """Generate a standalone matplotlib script for the swept tau/gqd curves.
+    """Write ``<csv stem>_plot.py``, a standalone matplotlib script, and return its path.
 
-    One explicit curve declaration is emitted per channel and panel, so
-    the script stays readable and editable.  Returns its path, ``<csv stem>_plot.py``.
+    The script is fixed but for its default CSV: when run, it reads that CSV, or the sweep CSV
+    given as its first argument, and draws one curve per channel on each panel it picks.
     """
-    def column_for(prefix: str) -> str | None:
-        return next((c for c in (f"{prefix}_numeric", f"{prefix}_analytic")
-                     if any(getattr(r, c) is not None for r in records)), None)
-
-    panels = [(m, col, label) for m, label in (("tau", "concurrence bound"), ("gqd", "global discord"))
-              if (col := column_for(m)) is not None]
-    if not panels:
+    plotted = attrgetter("tau_analytic", "tau_numeric", "gqd_analytic", "gqd_numeric")
+    if all(v is None for r in records for v in plotted(r)):
         raise ValueError("records carry neither tau nor gqd values; nothing to plot")
-
-    channels = list(dict.fromkeys(r.channel for r in records))
-    styles = {"x": "-", "y": "--", "z": "-.", "iso": ":"}
-    names = {"x": "Pauli-X", "y": "Pauli-Y", "z": "Pauli-Z", "iso": "isotropic"}
-
-    body = [f"fig, axes = plt.subplots(1, {len(panels)}, figsize=({5.5 * len(panels):.1f}, 4.2), squeeze=False)"]
-    for idx, (_, column, label) in enumerate(panels):
-        body.append(f"ax = axes[0][{idx}]")
-        body += [f'ax.plot(*series(rows, "{ch}", "{column}"), "{styles.get(ch, "-")}", '
-                 f'label="{names.get(ch, ch)}")' for ch in channels]
-        body += ['ax.set_xlabel("kappa * t")', f'ax.set_ylabel("{label}")', "ax.legend()",
-                 "ax.grid(alpha=0.3)"]
-    body += ["fig.tight_layout()", "fig.savefig(OUT_PATH, dpi=150)", 'print(f"wrote {OUT_PATH}")']
-
     script_path = os.path.splitext(csv_path)[0] + "_plot.py"
-    text = _PLOT_PRELUDE.format(csv_name=os.path.basename(csv_path), csv_path=csv_path) + "\n".join(body) + "\n"
-    _write_atomic(script_path, text)
+    _write_atomic(script_path, _PLOT_SCRIPT.format(csv_name=os.path.basename(csv_path), csv_path=csv_path))
     return script_path

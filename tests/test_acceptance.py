@@ -6,6 +6,8 @@ plain ``pytest tests/test_acceptance.py -v -s`` doubles as the acceptance
 report.
 """
 
+import pytest
+
 from ghzdyn.verify import CHECKS, format_report, run_checks
 
 
@@ -34,6 +36,11 @@ def test_registry_covers_all_criteria():
         "integrator",
         "structure",
     ]
+
+
+def test_run_checks_rejects_unknown_names():
+    with pytest.raises(ValueError, match=r"unknown check names \['nope'\]"):
+        run_checks(["nope"])
 
 
 def test_01_concurrence_bound_reproduces_closed_forms():

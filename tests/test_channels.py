@@ -467,7 +467,7 @@ def test_one_rk4_run_per_integration_up_to_six_qubits(monkeypatch):
                 assert runs == [2 * math.ceil(kt / BASE_STEP)], (n, channel, kt)
 
 
-def test_rk4_error_bound_doubles_the_steps_for_seven_isotropic_qubits():
+def test_rk4_error_bound_misses_the_tolerance_at_the_scheduled_steps_for_seven_isotropic_qubits():
     steps = 2 * math.ceil(0.0336 / BASE_STEP)
     bound = channels._rk4_error_bound(4.0, 7, 0.0336, steps)
     assert bound == pytest.approx(1.62e-9, rel=0.01)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import ghzdyn.cli as cli
+import ghzdyn.verify as verify
 from ghzdyn.channels import Channel
 from ghzdyn.sweep import CSV_HEADER, MEASURES
 from ghzdyn.verify import CheckResult
@@ -211,7 +212,7 @@ def test_main_runs_sweep_and_plot(tmp_path, capsys):
     assert len(lines) == 4
     script = str(tmp_path / "run_plot.py")
     assert "wrote plot script" in captured
-    assert Path(script).read_text().count("ax.plot(") == 1
+    compile(Path(script).read_text(), script, "exec")
 
 
 def test_back_to_back_main_calls_share_no_state(tmp_path):
@@ -244,6 +245,15 @@ def test_main_verify_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_checks", lambda: failing)
     assert cli.main(["--verify"]) == 2
     assert "FAIL demo" in capsys.readouterr().out
+
+
+def test_main_verify_maps_a_raising_check_to_exit_three(monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("check crashed")
+
+    monkeypatch.setattr(verify, "CHECKS", {"broken": broken})
+    assert cli.main(["--verify"]) == 3
+    assert "runtime error: check crashed" in capsys.readouterr().err
 
 
 def test_main_maps_runtime_errors_to_exit_three(monkeypatch, capsys):

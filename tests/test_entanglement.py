@@ -10,6 +10,7 @@ from ghzdyn.channels import Channel, closed_form_state, ghz_ket, ghz_state
 from ghzdyn.entanglement import (
     L0,
     TAU_SCALE,
+    _bisect_root,
     _cut_arrays,
     _flip_signs,
     _flip_values,
@@ -107,6 +108,11 @@ def test_pure_concurrence_reference_states():
     assert pure_concurrence(w) == pytest.approx(math.sqrt(3.0 / 8.0), abs=1e-12)
     with pytest.raises(ValueError, match="norm"):
         pure_concurrence(2.0 * zero)
+
+
+def test_pure_concurrence_rejects_a_non_vector():
+    with pytest.raises(ValueError, match="expected a state vector"):
+        pure_concurrence(ghz_state(2))
 
 
 @given(seeds)
@@ -278,6 +284,11 @@ def test_tau_vanishing_times():
     assert tau_vanishing_time(Channel.ISO) == pytest.approx(ROOT_ISO, abs=1e-9)
     assert abs(tau_vanishing_time(Channel.ISO) - 0.0619) < 1e-4
     assert tau_vanishing_time(Channel.Z) is None
+
+
+def test_bisect_root_needs_a_sign_change():
+    with pytest.raises(ValueError, match=r"no sign change on \[0.0, 2.0\]"):
+        _bisect_root(lambda x: x * x + 1.0, 0.0, 2.0)
 
 
 def test_ppt_reference_values():

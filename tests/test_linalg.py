@@ -149,6 +149,12 @@ def test_partial_transpose_complement_has_same_spectrum(rng):
     assert np.allclose(one, rest, atol=1e-10)
 
 
+def test_partial_transpose_rejects_a_qubit_out_of_range():
+    for subset in ((2,), (-1,), (0, 3)):
+        with pytest.raises(ValueError, match="out of range for 2 qubits"):
+            partial_transpose(bell_state(), subset)
+
+
 def test_bell_partial_transpose_floor():
     lam = np.linalg.eigvalsh(partial_transpose(bell_state(), (0,)))
     assert abs(lam.min() + 0.5) < 1e-12

@@ -269,7 +269,7 @@ def test_a_large_job_count_gives_one_block_per_cpu(monkeypatch, cpus):
     assert records == run_sweep(config)
 
 
-def test_a_huge_job_count_splits_into_one_block_per_cell(monkeypatch):
+def test_a_huge_job_count_starts_one_process_per_chunk(monkeypatch):
     # One-cell chunks: one process per chunk, the caller's included.
     seen = _inline_pool(monkeypatch, cpus=64, chunk=1)
     config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("tau", "entropy"),
@@ -299,7 +299,7 @@ def test_every_job_count_computes_the_same_chunks(monkeypatch):
     assert chunks[0] == chunks[1] == chunks[2] == chunks[3]
 
 
-def test_a_single_block_runs_without_a_pool(monkeypatch):
+def test_a_single_chunk_runs_without_a_pool(monkeypatch):
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
     assert len(run_sweep(replace(FAST, jobs=1))) == 6
 
@@ -310,49 +310,6 @@ def test_a_one_chunk_sweep_starts_no_pool_whatever_the_jobs(monkeypatch):
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
     config = SweepConfig(channels=(Channel.X, Channel.Y), measures=("tau",), steps=64, jobs=64)
     assert len(run_sweep(config)) == 128
-
-
-def test_emit_plot_script_declares_one_curve_per_channel(tmp_path):
-    config = SweepConfig(measures=("tau",), kt_max=0.2, steps=2)
-    records = run_sweep(config)
-    csv_path = str(tmp_path / "sweep.csv")
-    emit_csv(records, csv_path)
-    script_path = emit_plot_script(records, csv_path)
-    assert script_path == str(tmp_path / "sweep_plot.py")
-    text = Path(script_path).read_text()
-    assert text.count("ax.plot(") == 4
-    for channel in ("x", "y", "z", "iso"):
-        assert f'series(rows, "{channel}", "tau_numeric")' in text
-    compile(text, script_path, "exec")
-
-
-def test_emit_plot_script_handles_two_panels(tmp_path):
-    config = SweepConfig(channels=(Channel.Z,), measures=("tau", "gqd"),
-                         kt_max=0.1, steps=2)
-    records = run_sweep(config)
-    csv_path = str(tmp_path / "sweep.csv")
-    emit_csv(records, csv_path)
-    text = Path(emit_plot_script(records, csv_path)).read_text()
-    assert text.count("ax.plot(") == 2
-    assert '"gqd_numeric"' in text
-
-
-def test_emit_plot_script_rejects_plotless_measures(tmp_path):
-    records = run_sweep(replace(FAST, measures=("entropy",)))
-    with pytest.raises(ValueError, match="neither tau nor gqd"):
-        emit_plot_script(records, str(tmp_path / "sweep.csv"))
-
-
-def test_emitted_plot_script_runs(tmp_path):
-    pytest.importorskip("matplotlib")
-    records = run_sweep(replace(FAST, measures=("tau",)))
-    csv_path = str(tmp_path / "sweep.csv")
-    emit_csv(records, csv_path)
-    script_path = emit_plot_script(records, csv_path)
-    proc = subprocess.run([sys.executable, script_path], capture_output=True,
-                          text=True, cwd=tmp_path, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert os.path.exists(str(tmp_path / "sweep_curves.png"))
 
 
 _STUB_MATPLOTLIB = """\
@@ -394,6 +351,92 @@ class _Figure:
 def subplots(rows, cols, **kwargs):
     return _Figure(), [[_Axes(c) for c in range(cols)] for _ in range(rows)]
 """
+
+
+def _stub_plot_calls(tmp_path, script_path, *args):
+    """Run a plot script under the stub matplotlib; returns its exit status, stderr and calls."""
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True, exist_ok=True)
+    (stub / "__init__.py").write_text(_STUB_MATPLOTLIB)
+    (stub / "pyplot.py").write_text(_STUB_PYPLOT)
+    log = tmp_path / "calls.json"
+    log.unlink(missing_ok=True)
+    env = dict(os.environ, STUB_LOG=str(log),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(tmp_path / "stub"),
+                                                       os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, script_path, *args], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=120)
+    return proc.returncode, proc.stderr, json.loads(log.read_text()) if log.exists() else None
+
+
+def _csv_curves(csv_path, panel, column):
+    """The (panel, xs, ys) curve of ``column`` for each channel of a sweep CSV, in file order."""
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    channels = list(dict.fromkeys(r["channel"] for r in rows))
+    return [(panel, [float(r["kappa_t"]) for r in rows if r["channel"] == c],
+             [float(r[column]) for r in rows if r["channel"] == c]) for c in channels]
+
+
+def test_emit_plot_script_declares_one_curve_per_channel(tmp_path):
+    config = SweepConfig(measures=("tau",), kt_max=0.2, steps=2)
+    records = run_sweep(config)
+    csv_path = str(tmp_path / "sweep.csv")
+    emit_csv(records, csv_path)
+    script_path = emit_plot_script(records, csv_path)
+    assert script_path == str(tmp_path / "sweep_plot.py")
+    code, err, calls = _stub_plot_calls(tmp_path, script_path)
+    assert code == 0, err
+    plots = [call[1:] for call in calls if call[0] == "plot"]
+    assert [tuple(p[:3]) for p in plots] == _csv_curves(csv_path, 0, "tau_numeric")
+    assert [tuple(p[3:]) for p in plots] == [("-", "Pauli-X"), ("--", "Pauli-Y"),
+                                             ("-.", "Pauli-Z"), (":", "isotropic")]
+
+
+def test_emit_plot_script_handles_two_panels(tmp_path):
+    config = SweepConfig(channels=(Channel.Z,), measures=("tau", "gqd"),
+                         kt_max=0.1, steps=2)
+    records = run_sweep(config)
+    csv_path = str(tmp_path / "sweep.csv")
+    emit_csv(records, csv_path)
+    code, err, calls = _stub_plot_calls(tmp_path, emit_plot_script(records, csv_path))
+    assert code == 0, err
+    plots = [tuple(call[1:4]) for call in calls if call[0] == "plot"]
+    assert plots == _csv_curves(csv_path, 0, "tau_numeric") + _csv_curves(csv_path, 1, "gqd_numeric")
+
+
+def test_the_plot_script_draws_the_csv_given_as_its_argument(tmp_path):
+    # The script picks its panels when run: one written for a tau sweep draws a gqd-only CSV
+    # on its analytic column, and refuses a CSV with neither measure.
+    records = run_sweep(replace(FAST, measures=("tau",)))
+    script_path = emit_plot_script(records, str(tmp_path / "sweep.csv"))
+    other = str(tmp_path / "other.csv")
+    emit_csv(run_sweep(replace(FAST, measures=("gqd",), method="analytic")), other)
+    code, err, calls = _stub_plot_calls(tmp_path, script_path, other)
+    assert code == 0, err
+    assert [tuple(call[1:4]) for call in calls if call[0] == "plot"] == _csv_curves(other, 0, "gqd_analytic")
+    assert calls[-1] == ["savefig", str(tmp_path / "other_curves.png")]
+    emit_csv(run_sweep(replace(FAST, measures=("entropy",))), other)
+    code, err, calls = _stub_plot_calls(tmp_path, script_path, other)
+    assert code == 1 and "neither tau nor gqd" in err and calls is None
+
+
+def test_emit_plot_script_rejects_plotless_measures(tmp_path):
+    records = run_sweep(replace(FAST, measures=("entropy",)))
+    with pytest.raises(ValueError, match="neither tau nor gqd"):
+        emit_plot_script(records, str(tmp_path / "sweep.csv"))
+
+
+def test_emitted_plot_script_runs(tmp_path):
+    pytest.importorskip("matplotlib")
+    records = run_sweep(replace(FAST, measures=("tau",)))
+    csv_path = str(tmp_path / "sweep.csv")
+    emit_csv(records, csv_path)
+    script_path = emit_plot_script(records, csv_path)
+    proc = subprocess.run([sys.executable, script_path], capture_output=True,
+                          text=True, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert os.path.exists(str(tmp_path / "sweep_curves.png"))
 
 
 def test_emitted_plot_script_draws_the_csv_series(tmp_path):
@@ -568,7 +611,7 @@ def _sweep_peak(steps):
         tracemalloc.stop()
 
 
-def test_block_memory_is_flat_in_its_cell_count():
+def test_chunk_memory_is_flat_in_the_cell_count():
     # Only the output columns outlive a chunk: 129 more cells add their records, not their
     # states.  Keeping each chunk's states for one search after the loop added 565 KiB here.
     run_sweep(_sweep(XYZ, 2)[0])  # first-call caches
