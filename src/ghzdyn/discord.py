@@ -26,11 +26,16 @@ probabilities for every x at once, and then prices each trial at O(2**N): a
 few 9-point scans over a shrinking bracket, one scan a round for all
 descents in lockstep.  The first sweep opens with one confirmation pass over
 every start's lines; a start that no line improves, as on most channel states,
-ends there.  Outcome probabilities enter as the continuous ``p log2 p``.  One
-search carries the whole stack it is given (each frame is measured on the
-state that owns it); a sweep gives it one chunk of up to 128 cells, so it
-pays a round's fixed cost once per chunk.  No value depends on the stack: each
-state gets the result it gets when searched alone.
+ends there.  Outcome probabilities enter as the continuous ``p log2 p``.
+The paper's states are real and invariant under qubit permutations, and the
+search uses both, keyed on what it can see: a real stack prices only the grid
+frames with phi in [0, pi] (a real state cannot tell phi from -phi), and a
+uniform start on a real state equal to its cyclic qubit shift scans only
+qubit 0's two lines, the others being copies.  A complex stack takes neither
+shortcut.  One search carries the whole stack it is given (each frame is
+measured on the state that owns it); a sweep gives it one chunk of up to 128
+cells, so it pays a round's fixed cost once per chunk.  No value depends on
+the stack: each state gets the result it gets when searched alone.
 :func:`analytic_gqd` gives the closed forms of the 4-qubit channel states.
 """
 
@@ -69,8 +74,9 @@ class DiscordResult:
 
     ``branch_values`` records the objective at the named z, x and y frames,
     three points of the search grid; ``optimizer_evals`` counts the grid
-    frames and the scan points of each descent's cyclic path, not the lines a
-    confirmation pass scanned past a start's first gain.
+    frames priced (173 on a real state, 306 on a complex one) and the scan
+    points of each descent's cyclic path, not the lines a confirmation pass
+    scanned past a start's first gain nor the lines it copied.
     """
 
     value: float
@@ -169,6 +175,11 @@ class _GlobalObjective:
         halves = 0.5 * (self.bloch[..., :1] + np.stack([-radius, radius], -1))
         self.marginal_entropies = _entropies(halves.reshape(-1, 2)).reshape(len(rhos), n)
         self.batch = max(1, BATCH_ENTRIES // self.coefficients.shape[1])  # 4**n entries a frame
+        # The symmetries the search uses: a real stack, whose Pauli entries with an odd count of
+        # Y vanish, and its states equal bit for bit to their cyclic qubit shift.
+        self.real = not np.iscomplexobj(rhos)
+        shifted = np.moveaxis(rhos.reshape((len(rhos),) + (2,) * (2 * n)), (1, n + 1), (n, 2 * n))
+        self.symmetric = self.real & (rhos == shifted.reshape(rhos.shape)).all(axis=(1, 2))
 
     def _contract(self, rows: list[np.ndarray], owner: np.ndarray) -> np.ndarray:
         """States ``owner``'s Pauli tensors contracted on qubit j with ``(B, m_j, 4)`` ``rows[j]``."""
@@ -324,8 +335,11 @@ class _ConditionalEntropy:
     ``(u_0 + u . sigma) / 2``, ``u = C . 0.5 (1, +-n)`` for the Pauli tensor
     C, of eigenvalues ``(u_0 +- |u|) / 2``: the value is H(those four) - H(p) - S(rho_0).
     The one-state :class:`_GlobalObjective` of rho, validated on the way, holds C and
-    the entropies ``s_a``, ``s_b`` and ``s_ab`` of rho_0, rho_1 and rho.
+    the entropies ``s_a``, ``s_b`` and ``s_ab`` of rho_0, rho_1 and rho.  The search
+    takes no symmetry shortcut on it.
     """
+
+    real, symmetric = False, np.zeros(1, dtype=bool)
 
     def __init__(self, rho: np.ndarray) -> None:
         state = _GlobalObjective(rho[None], 2, _density_spectra(rho[None]))
@@ -355,7 +369,8 @@ class _ConditionalEntropy:
         return evaluate
 
 
-def _scan(evaluate, coords: np.ndarray, bars: np.ndarray | None = None):
+def _scan(evaluate, coords: np.ndarray, runs: np.ndarray | None = None,
+          bars: np.ndarray | None = None):
     """Line minima of every row of ``evaluate``, row i along angle ``coords[i]``, in lockstep.
 
     A row scans ``_SCAN_POINTS`` points over [0, pi] or [0, 2 pi], then one
@@ -363,10 +378,11 @@ def _scan(evaluate, coords: np.ndarray, bars: np.ndarray | None = None):
     ``_ANGLE_TOL`` (brackets unclipped: a minimum just across the phi seam
     stays in reach).  The spacing starts at pi/8 or pi/4 and shrinks 4x a scan
     whatever the state: a theta row closes after 12 scans, a phi row after 13.
-    With ``bars``, rows come in equal runs, run s holding start s's lines in
-    sweep order; once a row's best beats ``bars[s]`` its line will gain, and
-    the later rows of the run leave unfinished.  Returns each row's best
-    point, its value and its count of scans.
+    With ``runs`` and ``bars``, row i belongs to run ``runs[i]``, a run's rows
+    being contiguous, of any count, and one start's lines in sweep order; once
+    a row's best beats its run's ``bars[runs[i]]`` its line will gain, and the
+    later rows of the run leave unfinished, whatever the other runs hold.
+    Returns each row's best point, its value and its count of scans.
     """
     count, rounds, rows = len(coords), 0, np.arange(len(coords))
     x, fx, scans, lo = np.zeros(count), np.zeros(count), np.zeros(count, dtype=int), np.zeros(count)
@@ -382,11 +398,10 @@ def _scan(evaluate, coords: np.ndarray, bars: np.ndarray | None = None):
         rounds += 1
         keep = step > _ANGLE_TOL
         if bars is not None:  # rows past their run's first line sure to gain no longer matter
-            run, line = np.divmod(rows, count // len(bars))
-            first = np.full(len(bars), count)
+            run, first = runs[rows], np.full(len(bars), count)
             sure = best_f < bars[run]
-            np.minimum.at(first, run[sure], line[sure])
-            keep &= line <= first[run]
+            np.minimum.at(first, run[sure], rows[sure])
+            keep &= rows <= first[run]
         kept = keep.nonzero()[0]
         if len(kept) < len(rows):  # the others leave with their best so far
             out = rows[~keep]
@@ -402,28 +417,38 @@ def _lockstep(objective, starts: np.ndarray, values: np.ndarray, owners: np.ndar
     the best point replaces the angle if it beats the descent's best by more
     than ``_GAIN_TOL``.  A descent ends after ``_MAX_SWEEPS`` sweeps, or after
     one that gains less than ``_SWEEP_TOL``.  The first sweep opens with a
-    confirmation pass: every start's 2n lines, set up from its start frame in
+    confirmation pass: every start's lines, set up from its start frame in
     one ``objective.lines`` call and scanned together.  Lines 0..k, k a
     start's first line that gains, see the frame they see in cyclic order, so
     the start takes line k's angle and value and resumes at line k + 1; its
     later lines are discarded.  A start that no line improves ends there.
-    Start ``i`` descends on state ``owners[i]`` from value ``values[i]``
-    exactly as it would alone in cyclic order, never ending above it.  Returns
-    values, frames and the scan points of each cyclic path, in start order.
+
+    A start scans its 2n lines, except a uniform start on a state that
+    ``objective.symmetric`` marks: there qubit j's theta and phi lines are
+    qubit 0's in exact arithmetic, so the start scans only lines 0 and 1, and
+    line 2j + c is by rule a copy of line c.  If neither gains, no line gains
+    and the start ends; otherwise its first gain is line 0 or 1, as when all
+    its lines are scanned.  Start ``i`` descends on state ``owners[i]`` from
+    value ``values[i]`` exactly as it would alone in cyclic order, copied
+    lines by that rule, never ending above it.  Returns values, frames and
+    the scan points of each cyclic path, copies not counted, in start order.
     """
     frames, owners, best = np.array(starts, float), np.asarray(owners), np.array(values, float)
     (count, n), live, sweep_start = frames.shape[:2], np.arange(len(frames)), best.copy()
-    qubits, coords = np.divmod(np.tile(np.arange(2 * n), count), 2)  # the sweep's line order
-    start = np.repeat(live, 2 * n)
-    x, fx, scans = (a.reshape(count, 2 * n) for a in _scan(
-        objective.lines(frames[start], owners[start], qubits, coords), coords, best - _GAIN_TOL))
-    better = fx < best[:, None] - _GAIN_TOL
-    k = np.where(better.any(axis=1), better.argmax(axis=1), 2 * n - 1)  # first to gain, or last
-    moved = live[better[live, k]]
-    evals = scans.cumsum(axis=1)[live, k] * _SCAN_POINTS
-    frames[moved, k[moved] // 2, k[moved] % 2] = x[moved, k[moved]]
-    best[moved] = fx[moved, k[moved]]
-    resume = k + 1
+    copied = objective.symmetric[owners] & (frames == frames[:, :1]).all(axis=(1, 2))
+    width = np.where(copied, 2, 2 * n)  # the lines each start scans
+    start, ends = np.repeat(live, width), np.cumsum(width)
+    heads, row = ends - width, np.arange(ends[-1])  # each start's first row
+    qubits, coords = np.divmod(row - heads[start], 2)  # the sweep's line order
+    x, fx, scans = _scan(objective.lines(frames[start], owners[start], qubits, coords), coords,
+                         start, best - _GAIN_TOL)
+    better = fx < best[start] - _GAIN_TOL
+    k = np.minimum.reduceat(np.where(better, row, (ends - 1)[start]), heads)  # first gain, or last
+    evals = np.add.reduceat(np.where(row <= k[start], scans, 0), heads) * _SCAN_POINTS
+    moved, line = np.flatnonzero(better[k]), k - heads
+    frames[moved, line[moved] // 2, line[moved] % 2] = x[k[moved]]
+    best[moved] = fx[k[moved]]
+    resume = np.where(better[k], line + 1, 2 * n)
     for _ in range(_MAX_SWEEPS):
         for line, (qubit, coord) in enumerate(np.ndindex(frames.shape[1:])):
             rows = live[resume[live] <= line]
@@ -456,20 +481,42 @@ _NAMED = {name: int(np.flatnonzero((_grid(1) == frame(1)).all(axis=(1, 2)))[0])
           for name, frame in (("z", z_frame), ("x", x_frame), ("y", y_frame))}
 
 
+def _mirror() -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices of the frames with phi in [0, pi], and each grid frame's partner among them.
+
+    A real state takes the same value at (theta, phi) and (theta, 2 pi - phi), as its Pauli
+    entries with an odd count of Y vanish.  Frame i's partner, ``priced[partner[i]]``, shares its
+    theta and ``|phi - pi|``: itself, or its phi_k <-> phi_(16 - k) mirror.
+    """
+    angles = _grid(1)[:, 0]
+    priced, key = np.flatnonzero(angles[:, 1] <= math.pi), np.abs(angles - [0.0, math.pi])
+    return priced, np.abs(key[:, None] - key[priced]).sum(axis=-1).argmin(axis=1)
+
+
+_PRICED, _MIRROR = _mirror()
+
+
 def _search(objective, n: int):
     """Minimise a batched frame objective over ``n``-qubit product frames for each of its states.
 
     All states pass the two stages together: the uniform grid, priced on
     every state by one ``objective.uniform`` call, then one lockstep descent
     from each state's grid optimum and named frames (grid points ``_NAMED``),
-    distinct by grid index, each from its grid value.  Both stages take the
-    lexicographically smallest angle vector within ``_TIE_TOL`` of the least
-    value: on the grid, which is theta-major, the first such index; then the
-    best descent, as none ends above its start.  Returns per-state arrays of
-    values, frames, named frames' grid values and evaluation counts.
+    distinct by grid index, each from its grid value.  A stack that
+    ``objective.real`` marks prices only the 173 frames ``_PRICED`` and gives
+    the other 133 their mirror partners' values (:func:`_mirror`), so a grid
+    pick is always a priced frame.  Both stages take the lexicographically
+    smallest angle vector within ``_TIE_TOL`` of the least value: on the
+    grid, which is theta-major, the first such index; then the best descent,
+    as none ends above its start.  Returns per-state arrays of values,
+    frames, named frames' grid values and evaluation counts, the grid
+    counting the frames priced.
     """
     grid = _grid(n)
-    grid_values = objective.uniform(grid)
+    if objective.real:
+        priced, grid_values = len(_PRICED), objective.uniform(grid[_PRICED])[:, _MIRROR]
+    else:
+        priced, grid_values = len(grid), objective.uniform(grid)
     first = np.argmax(grid_values <= grid_values.min(axis=1, keepdims=True) + _TIE_TOL, axis=1)
     named = np.array(list(_NAMED.values()))
     # -1 stands for a named frame that is also the grid pick: one descent from it suffices.
@@ -481,7 +528,7 @@ def _search(objective, n: int):
     tied = values <= np.minimum.reduceat(values, heads)[owners] + _TIE_TOL
     # By state, then near-tied first, then by angle vector (lexsort's last key leads).
     pick = np.lexsort((*frames.reshape(len(frames), -1).T[::-1], ~tied, owners))[heads]
-    counts = len(grid) + np.add.reduceat(evals, heads)
+    counts = priced + np.add.reduceat(evals, heads)
     return values[pick], frames[pick], grid_values[:, named], counts
 
 

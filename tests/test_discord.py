@@ -511,21 +511,25 @@ def test_row_entropies_match_the_scalar_entropy(rng):
     assert np.abs(shannon_entropies(rows) - expected).max() < 1e-15
 
 
-@pytest.mark.parametrize("state", [
-    ghz_state(4),
-    *(closed_form_state(channel, 0.3) for channel in Channel),
-], ids=["ghz", *(f"{c.value}-0.3" for c in Channel)])
-def test_evaluation_count_is_pinned(state):
-    # The 306 grid frames + 3 distinct starts, each descending for one sweep:
-    # 4 x (12 + 13) scans of 9 points (see the round count).
-    assert global_discord(state).optimizer_evals == 3006
+@pytest.mark.parametrize("state, evals", [
+    (ghz_state(4), 3006),
+    (ghz_state(4).real, 848),
+    *((closed_form_state(channel, 0.3), 848) for channel in Channel),
+], ids=["ghz", "ghz-real", *(f"{c.value}-0.3" for c in Channel)])
+def test_evaluation_count_is_pinned(state, evals):
+    # 3 distinct starts, each descending for one sweep (see the round count).  A complex state
+    # takes the general path: the 306 grid frames, then 4 x (12 + 13) scans of 9 points a start.
+    # A real state, each of these its own cyclic qubit shift, prices the 173 grid frames with
+    # phi in [0, pi] and scans only qubit 0's two lines: 173 + 3 x 225.
+    assert global_discord(state).optimizer_evals == evals
 
 
 def test_search_round_count_is_pinned(monkeypatch):
     # The grid, then the confirmation pass: every start's 4 theta lines of 12 scans and
     # 4 phi lines of 13 (the spacing starts at pi/8 or pi/4 and falls 4x a scan to 1e-7),
     # scanned together in 13 rounds.  No GHZ line gains, so no cyclic line follows, and
-    # every scan counts.  No frame is priced whole.
+    # every scan counts.  No frame is priced whole.  The real GHZ state prices 173 grid frames
+    # and each start's qubit-0 lines only, in as many rounds.
     batches = []
     uniform, lines = _GlobalObjective.uniform, _GlobalObjective.lines
 
@@ -547,18 +551,27 @@ def test_search_round_count_is_pinned(monkeypatch):
     monkeypatch.setattr(_GlobalObjective, "__call__", refused)
     monkeypatch.setattr(_GlobalObjective, "uniform", counting_uniform)
     monkeypatch.setattr(_GlobalObjective, "lines", counting_lines)
-    result = global_discord(ghz_state(4))
-    assert len(batches) == 14
-    assert sum(batches) == result.optimizer_evals == 3006
+    for state, evals in ((ghz_state(4), 3006), (ghz_state(4).real, 173 + 3 * 225)):
+        batches.clear()
+        result = global_discord(state)
+        assert len(batches) == 14
+        assert sum(batches) == result.optimizer_evals == evals
 
 
-def _reference_descent(objective, frame: np.ndarray, value: float):
-    """One descent at a time, scalar control flow: what each lockstep descent must reproduce."""
+def _reference_descent(objective, frame: np.ndarray, value: float, copies: bool = False):
+    """One descent at a time, scalar control flow: what each lockstep descent must reproduce.
+
+    Every line is scanned.  With ``copies``, for a uniform start on a state that is its own
+    cyclic qubit shift, a descent that no line of its first sweep improves counts only the
+    points of qubit 0's two lines, the ones the search scans.
+    """
     frame, own, points = frame.copy(), np.zeros(1, dtype=int), discord._SCAN_POINTS
     best, evals = value, 0
-    for _ in range(discord._MAX_SWEEPS):
+    for sweep in range(discord._MAX_SWEEPS):
         sweep_start = best
         for j in range(frame.shape[0]):
+            if copies and (sweep, j) == (0, 1):
+                opening = evals
             for coord in range(2):
                 evaluate = objective.lines(frame[None], own, j, coord)
                 lo, hi, x, fx = 0.0, (1 + coord) * math.pi, 0.0, math.inf
@@ -575,6 +588,8 @@ def _reference_descent(objective, frame: np.ndarray, value: float):
                         break
                 if fx < best - 1e-15:
                     frame[j, coord], best = x, fx
+        if copies and sweep == 0 and best == value:
+            return float(best), frame, opening
         if sweep_start - best < discord._SWEEP_TOL:
             break
     return float(best), frame, evals
@@ -600,8 +615,8 @@ def test_lockstep_descents_match_lone_descents():
              for rho, start_values in zip(states, values)]
     for rho, start_values, lone in zip(states, values, alone):
         for start, value, ((lone_value,), (frame,), (evals,)) in zip(starts, start_values, lone):
-            ref_value, ref_frame, ref_evals = _reference_descent(_objective(rho[None], 4), start,
-                                                                 value)
+            ref_value, ref_frame, ref_evals = _reference_descent(
+                _objective(rho[None], 4), start, value, copies=bool((start == start[0]).all()))
             assert (lone_value, evals) == (ref_value, ref_evals)
             assert np.array_equal(frame, ref_frame)
     # All starts on one state, then starts owned by two states.
@@ -704,20 +719,27 @@ def _assert_same_as_alone(states: np.ndarray, results: list[DiscordResult]) -> N
         assert together.optimizer_evals == alone.optimizer_evals
 
 
+def _channel_states() -> np.ndarray:
+    """The 52 real closed-form channel states: 4 channels x kappa*t = 0, 0.05, ..., 0.6."""
+    return np.stack([closed_form_state(channel, kt)
+                     for channel in Channel for kt in np.round(np.arange(13) * 0.05, 2)])
+
+
 def test_batched_search_equals_one_state_searches():
-    # 52 real closed-form channel states, kappa*t = 0, 0.05, ..., 0.6, and 4 random full-rank ones.
-    channel_states = np.stack([closed_form_state(channel, kt)
-                               for channel in Channel for kt in np.round(np.arange(13) * 0.05, 2)])
+    # The 52 channel states, 4 random full-rank ones, and, in one real stack, channel states
+    # (2-line starts) between the real parts of the random ones (8-line starts).
+    channel_states = _channel_states()
     random_states = np.stack([random_density(4, np.random.default_rng(seed)) for seed in range(4)])
-    for states in (channel_states, random_states):
+    mixed = np.concatenate([channel_states[:26:2], random_states.real, channel_states[26::2]])
+    for states in (channel_states, random_states, mixed):
         _assert_same_as_alone(states, _discords(states))
 
 
 def test_batched_channel_states_finish_in_the_confirmation_pass(monkeypatch):
-    # No line improves a start on a channel state: each search makes one line setup, the
-    # pass of every start's 8 lines, and each start counts its whole first sweep, 900 points.
-    states = np.stack([closed_form_state(channel, kt)
-                       for channel in Channel for kt in np.round(np.arange(13) * 0.05, 2)])
+    # No line improves a start on a channel state: each search prices the 173 grid frames with
+    # phi in [0, pi] and makes one line setup, the pass of every start's qubit-0 lines (the
+    # other 6 are copies), and each start counts those 2 lines, 225 points.
+    states = _channel_states()
     setups, lines = [], _GlobalObjective.lines
 
     def counting_lines(self, frames, *args):
@@ -725,9 +747,76 @@ def test_batched_channel_states_finish_in_the_confirmation_pass(monkeypatch):
         return lines(self, frames, *args)
 
     monkeypatch.setattr(_GlobalObjective, "lines", counting_lines)
-    starts = (np.array([r.optimizer_evals for r in _discords(states)]) - 306) / 900
+    starts = (np.array([r.optimizer_evals for r in _discords(states)]) - 173) / 225
     assert np.array_equal(starts, np.round(starts)) and starts.min() >= 1
-    assert setups == [8 * starts.sum()]
+    assert setups == [2 * starts.sum()]
+
+
+def test_the_symmetry_shortcuts_equal_the_general_search(monkeypatch):
+    # Every channel state is real and equal to its cyclic qubit shift bit for bit, so its search
+    # prices half the grid and scans each start's qubit-0 lines only.
+    states = _channel_states()
+    assert _objective(states, 4).real and _objective(states, 4).symmetric.all()
+    fast = _discords(states)
+    init = _GlobalObjective.__init__
+
+    def general(self, *args):  # the same objective, with both shortcuts' flags off
+        init(self, *args)
+        self.real, self.symmetric = False, np.zeros_like(self.symmetric)
+
+    monkeypatch.setattr(_GlobalObjective, "__init__", general)
+    slow = _discords(states)
+    for rho, a, b in zip(states, fast, slow):
+        assert abs(a.value - b.value) <= 1e-15
+        assert np.array_equal(a.frame, b.frame)
+        assert a.branch_values == b.branch_values
+        # 173 of the 306 grid frames, and each start a quarter of its scan points.
+        assert 4 * (a.optimizer_evals - 173) == b.optimizer_evals - 306
+        assert abs(a.value - _reference_objective(rho, a.frame)) <= 1e-13
+
+
+def test_random_states_and_complex_copies_take_no_line_shortcut(monkeypatch):
+    # A random state is not its own cyclic qubit shift, and a complex copy is not real: every
+    # start sets up its 8 lines.  A complex stack prices the 306 grid frames, a real one 173.
+    random_states = np.stack([random_density(4, np.random.default_rng(seed)) for seed in range(3)])
+    stacks = ((random_states, 306), (random_states.real.copy(), 173),
+              (_channel_states()[::4].astype(complex), 306))
+    priced, setups = [], []
+    uniform, lines = _GlobalObjective.uniform, _GlobalObjective.lines
+
+    def counting_uniform(self, frames):
+        priced.append(len(frames))
+        return uniform(self, frames)
+
+    def counting_lines(self, frames, owners, qubits, coords):
+        setups.append(np.broadcast_to(qubits, len(frames)))
+        return lines(self, frames, owners, qubits, coords)
+
+    monkeypatch.setattr(_GlobalObjective, "uniform", counting_uniform)
+    monkeypatch.setattr(_GlobalObjective, "lines", counting_lines)
+    for states, frames in stacks:
+        priced.clear()
+        setups.clear()
+        _discords(states)
+        assert priced == [frames]
+        starts = len(setups[0]) // 8  # the confirmation pass comes first
+        assert starts >= len(states)
+        assert np.array_equal(setups[0], np.tile(np.repeat(np.arange(4), 2), starts))
+
+
+def test_the_grid_mirror_pairs_frames_of_equal_value_on_real_states(rng):
+    grid, priced, mirror = discord._grid(1)[:, 0], discord._PRICED, discord._MIRROR
+    assert len(priced) == 173 and (grid[priced, 1] <= math.pi).all()
+    partner = grid[priced[mirror]]
+    assert np.array_equal(partner[:, 0], grid[:, 0])
+    assert np.abs(partner[:, 1] - np.minimum(grid[:, 1], 2.0 * math.pi - grid[:, 1])).max() <= 1e-15
+    # A partner never follows its frame, so a grid pick, the first near-least frame, is priced.
+    assert (priced[mirror] <= np.arange(len(grid))).all()
+    # Fully priced, partners agree to rounding on a real state, not on a complex one.
+    rho = random_density(4, rng)
+    for state, real in ((rho.real.copy(), True), (rho, False)):
+        values = _objective(state[None], 4).uniform(discord._grid(4))[0]
+        assert (np.abs(values - values[priced[mirror]]).max() <= 1e-14) == real
 
 
 def test_batched_six_qubit_search_equals_one_state_searches():
@@ -745,8 +834,9 @@ def _result_bits(result: DiscordResult):
 def test_real_states_search_as_their_complex_copies():
     # Within one dtype a state gets the same bits alone as in a stack.  A real state and its
     # complex copy are the same matrix, but their spectra, and so their entropies, come from
-    # real and complex eigensolves that may round apart in the last bits: over 4 channels x 61
-    # times up to kappa*t = 1.2 the discords differ by at most 1.33e-15.
+    # real and complex eigensolves that may round apart in the last bits, and only the real
+    # stack takes the search's symmetry shortcuts: over 4 channels x 61 times up to
+    # kappa*t = 1.2 the discords differ by at most 1.33e-15.
     kts = np.linspace(0.0, 1.2, 61)
     real = np.stack([closed_form_state(channel, kt) for channel in Channel for kt in kts])
     copies = real.astype(complex)
@@ -775,8 +865,11 @@ def test_global_discord_vanishes_on_locally_rotated_classical_states(n):
 class _CraftedSearch:
     """Search objective with given grid values whose line scans never improve a descent."""
 
+    real = False
+
     def __init__(self, rows: np.ndarray) -> None:
         self.rows = rows
+        self.symmetric = np.zeros(len(rows), dtype=bool)
 
     def uniform(self, frames: np.ndarray) -> np.ndarray:
         assert frames.shape[0] == self.rows.shape[1]

@@ -177,8 +177,8 @@ def test_csv_bytes_are_reproducible(tmp_path):
 
 @pytest.mark.parametrize("channels, steps, jobs", [((Channel.Z,), 2, 3), ((Channel.ISO,), 5, 2),
                                                    ((Channel.X, Channel.Y, Channel.Z), 43, 2)],
-                         ids=["more-jobs-than-cells", "unequal-blocks", "chunks-of-128-and-1"])
-def test_csv_bytes_do_not_depend_on_the_blocks(tmp_path, channels, steps, jobs):
+                         ids=["more-jobs-than-cells", "one-chunk-of-5", "chunks-of-128-and-1"])
+def test_csv_bytes_do_not_depend_on_how_the_chunks_are_shared(tmp_path, channels, steps, jobs):
     # 3 x 43 = 129 cells, every measure: under jobs=2, on two usable CPUs, a real pool
     # worker computes, and searches, the second chunk's one cell.
     config = SweepConfig(channels=channels, kt_max=0.3, steps=steps)
@@ -227,7 +227,7 @@ def _inline_pool(monkeypatch, cpus, usable=None, chunk=None):
 
 
 @pytest.mark.parametrize("steps, jobs, sizes", [(2, 3, [1, 1]), (2, 5, [1, 1]), (5, 2, [3, 2])])
-def test_no_empty_block_reaches_the_pool(monkeypatch, steps, jobs, sizes):
+def test_no_empty_chunk_reaches_the_pool(monkeypatch, steps, jobs, sizes):
     # One-cell chunks; ``sizes`` counts the chunks of the calling process, which
     # computes the first share itself, then those mapped over the pool.
     seen = _inline_pool(monkeypatch, cpus=64, chunk=1)
@@ -255,7 +255,7 @@ def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, usable, work
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_a_large_job_count_gives_one_block_per_cpu(monkeypatch, cpus):
+def test_a_large_job_count_shares_the_chunks_among_the_cpus(monkeypatch, cpus):
     # Ten cells in five two-cell chunks; the caller takes ceil(5 / cpus) of them.
     seen = _inline_pool(monkeypatch, cpus, chunk=2)
     config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("tau", "entropy"),
@@ -577,7 +577,7 @@ XYZ = (Channel.X, Channel.Y, Channel.Z)
 @pytest.mark.parametrize("channels, steps, measures",
                          [pytest.param(XYZ, 43, MEASURES, id="129"),
                           pytest.param((Channel.ISO,), 257, ("tau", "ppt", "entropy"), id="257")])
-def test_block_records_equal_one_cell_blocks(channels, steps, measures):
+def test_chunk_records_equal_one_cell_chunks(channels, steps, measures):
     # 129 and 257 cells end one cell into a new 128-cell chunk; at 129 the discord
     # search, which takes each chunk's stack, crosses the chunk boundary too.
     assert sweep._CHUNK == 128
