@@ -69,8 +69,9 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
                         help="also emit a standalone matplotlib script next to the CSV")
     parser.add_argument("--jobs", type=int, default=None,
                         help=f"processes computing the sweep's {_CHUNK}-cell chunks (at most one per chunk "
-                             f"and per usable CPU, so a sweep of {_CHUNK} cells or fewer starts no pool); "
-                             f"the caller computes the first share (default {_SWEEP_DEFAULTS.jobs})")
+                             f"and per usable CPU, so a sweep of {_CHUNK} cells or fewer starts no worker); "
+                             f"the caller computes the first share, each worker process the next "
+                             f"(default {_SWEEP_DEFAULTS.jobs})")
     parser.add_argument("--config", default=None,
                         help="flat key = value file supplying defaults for the flags above")
     parser.add_argument("--verify", action="store_true",

@@ -20,17 +20,17 @@ array built per channel run, are measured as one stack in real arithmetic: one
 (:func:`ghzdyn.discord._global_discords`) takes the same stack and spectra.  Only
 the output columns outlive a chunk.  ``jobs`` counts processes, at most one per
 chunk and per usable CPU: the calling process computes the first share of
-chunks and a pool the rest, so every cell is measured in the same stack under
-every ``jobs``, and the record order never depends on it.
+chunks and each worker process the next share, so every cell is measured
+in the same stack under every ``jobs``, and the record order never depends on it.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import groupby, repeat
 from operator import attrgetter, itemgetter
@@ -147,13 +147,49 @@ def _compute_chunk(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -
     return list(map(SweepRecord, [c for c, _ in cells], [kt for _, kt in cells], *values))
 
 
+def _records(chunks: list) -> list[SweepRecord]:
+    return [record for chunk in chunks for record in _compute_chunk(chunk)]
+
+
+def _send_records(share: list, send) -> None:
+    """Worker body: send ``share``'s records, or the exception computing them raised."""
+    try:
+        result = _records(share)
+    except Exception as exc:
+        result = exc
+    send.send(result)
+
+
+def _start(share: list):
+    """Start a process computing ``share``; returns it and the read end of its one-way pipe."""
+    receive, send = multiprocessing.Pipe(duplex=False)
+    process = multiprocessing.Process(target=_send_records, args=(share, send))
+    process.start()
+    send.close()  # the worker holds the only write end, so its death reads as EOF
+    return process, receive
+
+
+def _receive(process, receive) -> list[SweepRecord]:
+    """A worker's records; its exception is re-raised, its death without records a RuntimeError."""
+    try:
+        result = receive.recv()
+    except EOFError:
+        process.join()
+        raise RuntimeError(f"sweep worker exited with code {process.exitcode} "
+                           "before sending its records") from None
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured grid, channel-major, in deterministic order.
 
     The cells are cut once into chunks of ``_CHUNK``, and ``min(config.jobs, chunks,
     usable CPUs)`` processes compute them: the calling process the first
-    ``ceil(chunks / processes)``, a pool of the other processes the rest; with one
-    process no pool starts.
+    ``ceil(chunks / processes)``, and each worker process the next as many, sending its
+    records back over a pipe; with one process no worker starts.  A worker's exception
+    is re-raised here, and on any failure every worker is stopped before the call returns.
     """
     config.validate()
     grid = np.linspace(0.0, config.kt_max, config.steps)
@@ -163,12 +199,24 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     count = min(config.jobs, len(chunks), cpus)
     if count == 1:
-        return [record for chunk in chunks for record in _compute_chunk(chunk)]
+        return _records(chunks)
     own = -(-len(chunks) // count)
-    with ProcessPoolExecutor(max_workers=count - 1) as pool:
-        rest = pool.map(_compute_chunk, chunks[own:])
-        first = [record for chunk in chunks[:own] for record in _compute_chunk(chunk)]
-        return first + [record for records in rest for record in records]
+    workers = []
+    try:
+        for lo in range(own, len(chunks), own):
+            workers.append(_start(chunks[lo:lo + own]))
+        records = _records(chunks[:own])
+        for worker in workers:
+            records += _receive(*worker)
+        return records
+    except BaseException:
+        for process, _ in workers:
+            process.terminate()
+        raise
+    finally:
+        for process, receive in workers:
+            process.join()
+            receive.close()
 
 
 def _write_atomic(path: str, text: str) -> None:

@@ -3,11 +3,15 @@ import errno
 import importlib.util
 import json
 import math
+import multiprocessing
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -179,8 +183,8 @@ def test_csv_bytes_are_reproducible(tmp_path):
                                                    ((Channel.X, Channel.Y, Channel.Z), 43, 2)],
                          ids=["more-jobs-than-cells", "one-chunk-of-5", "chunks-of-128-and-1"])
 def test_csv_bytes_do_not_depend_on_how_the_chunks_are_shared(tmp_path, channels, steps, jobs):
-    # 3 x 43 = 129 cells, every measure: under jobs=2, on two usable CPUs, a real pool
-    # worker computes, and searches, the second chunk's one cell.
+    # 3 x 43 = 129 cells, every measure: under jobs=2, on two usable CPUs, a real worker
+    # process computes, and searches, the second chunk's one cell.
     config = SweepConfig(channels=channels, kt_max=0.3, steps=steps)
     paths = [str(tmp_path / "one.csv"), str(tmp_path / "many.csv")]
     emit_csv(run_sweep(config), paths[0])
@@ -188,33 +192,37 @@ def test_csv_bytes_do_not_depend_on_how_the_chunks_are_shared(tmp_path, channels
     assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
 
-def _inline_pool(monkeypatch, cpus, usable=None, chunk=None):
-    """Run pool chunks in-process on a host of ``cpus`` CPUs; returns what the pool saw.
+def _inline_workers(monkeypatch, cpus, usable=None, chunk=None):
+    """Run worker shares in-process on a host of ``cpus`` CPUs; returns what the workers saw.
 
-    ``usable`` of them are the process's own (default: all).  ``cpus`` None, as
+    That is the worker count, then the cells of each chunk the workers were given.
+    ``usable`` of the CPUs are the process's own (default: all).  ``cpus`` None, as
     ``os.cpu_count`` may return, stands for a platform without an affinity call too.
     ``chunk``, if given, stands in for the 128 cells of a chunk.
     """
-    seen = []
+    seen = [0, []]
 
-    class InlinePool:
-        """Process-pool stand-in that records its size and the cells of the chunks it is given."""
+    class Finished:
+        """Worker process and pipe end in one: ``recv`` computes the share when read, in order."""
 
-        def __init__(self, max_workers):
-            seen.append(max_workers)
+        def __init__(self, share):
+            self.share = share
 
-        def __enter__(self):
-            return self
+        def recv(self):
+            return sweep._records(self.share)
 
-        def __exit__(self, *exc):
-            return False
+        def terminate(self):
+            pass
 
-        def map(self, fn, chunks):
-            chunks = list(chunks)
-            seen.append([cells for cells, *_ in chunks])
-            return map(fn, chunks)
+        join = close = terminate
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    def start(share):
+        seen[0] += 1
+        seen[1] += [cells for cells, *_ in share]
+        worker = Finished(share)
+        return worker, worker
+
+    monkeypatch.setattr(sweep, "_start", start)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
     if cpus is None:
         monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
@@ -229,8 +237,8 @@ def _inline_pool(monkeypatch, cpus, usable=None, chunk=None):
 @pytest.mark.parametrize("steps, jobs, sizes", [(2, 3, [1, 1]), (2, 5, [1, 1]), (5, 2, [3, 2])])
 def test_no_empty_chunk_reaches_the_pool(monkeypatch, steps, jobs, sizes):
     # One-cell chunks; ``sizes`` counts the chunks of the calling process, which
-    # computes the first share itself, then those mapped over the pool.
-    seen = _inline_pool(monkeypatch, cpus=64, chunk=1)
+    # computes the first share itself, then those given to the workers.
+    seen = _inline_workers(monkeypatch, cpus=64, chunk=1)
     config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3,
                          steps=steps, jobs=jobs)
     assert len(run_sweep(config)) == steps
@@ -242,9 +250,9 @@ def test_no_empty_chunk_reaches_the_pool(monkeypatch, steps, jobs, sizes):
                          ids=["2-2", "1-1", "None-1", "2-usable-1"])
 def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, usable, workers):
     # ``workers`` counts the calling process, which computes the first share itself.
-    seen = _inline_pool(monkeypatch, cpus, usable, chunk=1)
+    seen = _inline_workers(monkeypatch, cpus, usable, chunk=1)
     if workers == 1:
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(sweep, "_start", None)
     config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3, steps=5)
     records = run_sweep(replace(config, jobs=5))
     if workers > 1:
@@ -257,7 +265,7 @@ def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, usable, work
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_large_job_count_shares_the_chunks_among_the_cpus(monkeypatch, cpus):
     # Ten cells in five two-cell chunks; the caller takes ceil(5 / cpus) of them.
-    seen = _inline_pool(monkeypatch, cpus, chunk=2)
+    seen = _inline_workers(monkeypatch, cpus, chunk=2)
     config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("tau", "entropy"),
                          kt_max=0.3, steps=5)
     records = run_sweep(replace(config, jobs=64))
@@ -271,7 +279,7 @@ def test_a_large_job_count_shares_the_chunks_among_the_cpus(monkeypatch, cpus):
 
 def test_a_huge_job_count_starts_one_process_per_chunk(monkeypatch):
     # One-cell chunks: one process per chunk, the caller's included.
-    seen = _inline_pool(monkeypatch, cpus=64, chunk=1)
+    seen = _inline_workers(monkeypatch, cpus=64, chunk=1)
     config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("tau", "entropy"),
                          kt_max=0.3, steps=3)
     assert run_sweep(replace(config, jobs=10**12)) == run_sweep(config)
@@ -281,7 +289,7 @@ def test_a_huge_job_count_starts_one_process_per_chunk(monkeypatch):
 def test_every_job_count_computes_the_same_chunks(monkeypatch):
     # The default 484-cell grid is four chunks, 128, 128, 128 and 100 cells, whichever
     # process computes them.
-    _inline_pool(monkeypatch, cpus=64)
+    _inline_workers(monkeypatch, cpus=64)
     computed, compute = [], sweep._compute_chunk
 
     def recording(args):
@@ -300,16 +308,89 @@ def test_every_job_count_computes_the_same_chunks(monkeypatch):
 
 
 def test_a_single_chunk_runs_without_a_pool(monkeypatch):
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(sweep, "_start", None)
     assert len(run_sweep(replace(FAST, jobs=1))) == 6
 
 
 def test_a_one_chunk_sweep_starts_no_pool_whatever_the_jobs(monkeypatch):
     # 128 cells are one chunk, so a process count above one adds nothing.
-    _inline_pool(monkeypatch, cpus=64)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
+    _inline_workers(monkeypatch, cpus=64)
+    monkeypatch.setattr(sweep, "_start", None)
     config = SweepConfig(channels=(Channel.X, Channel.Y), measures=("tau",), steps=64, jobs=64)
     assert len(run_sweep(config)) == 128
+
+
+# 129 cells: two chunks, so under jobs=2 the caller computes the first and one real
+# worker the second.  The patched ``_compute_chunk`` reaches a worker only through fork.
+_TWO_CHUNKS = SweepConfig(channels=(Channel.X, Channel.Y, Channel.Z), measures=("tau",),
+                          kt_max=0.3, steps=43, jobs=2)
+_FORKED = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                             reason="a worker sees the patched chunk only when forked")
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block has not finished within ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not finished within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _before_each_chunk(monkeypatch, caller=None, worker=None):
+    """Patch ``_compute_chunk`` to call ``caller()`` first in this process, ``worker()`` in a worker."""
+    pid, compute = os.getpid(), sweep._compute_chunk
+
+    def compute_chunk(args):
+        act = caller if os.getpid() == pid else worker
+        if act is not None:
+            act()
+        return compute(args)
+
+    monkeypatch.setattr(sweep, "_compute_chunk", compute_chunk)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _raise(message):
+    def fail():
+        raise ValueError(message)
+    return fail
+
+
+@_FORKED
+def test_a_worker_exception_is_raised_in_the_caller(monkeypatch):
+    _before_each_chunk(monkeypatch, worker=_raise("no chunk in the worker"))
+    with _deadline(60), pytest.raises(ValueError, match="^no chunk in the worker$"):
+        run_sweep(_TWO_CHUNKS)
+    assert multiprocessing.active_children() == []
+
+
+@_FORKED
+def test_a_worker_that_dies_is_a_runtime_error_naming_its_exit_code(monkeypatch, tmp_path, capsys):
+    _before_each_chunk(monkeypatch, worker=lambda: os._exit(7))
+    out = tmp_path / "sweep.csv"
+    with _deadline(60):
+        with pytest.raises(RuntimeError, match="exited with code 7 "):
+            run_sweep(_TWO_CHUNKS)
+        assert main(["--channel", "x", "--channel", "y", "--channel", "z", "--measure", "tau",
+                     "--kt-max", "0.3", "--steps", "43", "--jobs", "2", "--out", str(out)]) == 3
+    assert "exited with code 7 " in capsys.readouterr().err and not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@_FORKED
+def test_a_caller_failure_leaves_no_worker_running(monkeypatch):
+    # The worker would take 30 s: the caller must stop it, not wait for it.
+    _before_each_chunk(monkeypatch, caller=_raise("no chunk in the caller"), worker=lambda: time.sleep(30))
+    with _deadline(10), pytest.raises(ValueError, match="^no chunk in the caller$"):
+        run_sweep(_TWO_CHUNKS)
+    assert multiprocessing.active_children() == []
 
 
 _STUB_MATPLOTLIB = """\
