@@ -25,14 +25,18 @@ normalised so that the 4-qubit GHZ state scores sqrt(2):
 
 No root is taken as a square root, which would halve the digits of a root
 near zero.  A real rho has ``rho F rho F = (rho F)**2``, so its roots are
-``|eigvals(rho F)|``, one eigensolve; for a complex rho that identity fails,
-and the roots are the singular values of ``W^T F W`` with ``rho = W W^H``
-from ``eigh`` (Uhlmann, PRA 62, 032307).  The generator pairs take the same
-two routes with ``F = kron(L0, L0)``, the 2-qubit spin flip.
+``|eigvals(rho F)|``.  On a real X state (nonzero only on the diagonal and
+anti-diagonal, as every noisy GHZ state is) ``rho F`` is X-shaped too, and
+those eigenvalues come from its 2 x 2 blocks in closed form; any other real
+rho takes one ``eigvals``.  For a complex rho the identity fails, and the
+roots are the singular values of ``W^T F W`` with ``rho = W W^H`` from
+``eigh`` (Uhlmann, PRA 62, 032307).  The generator pairs take the same
+routes with ``F = kron(L0, L0)``, the 2-qubit spin flip.
 
 The two bounds share ``TAU_SCALE = sqrt(2)``, fixed once by the GHZ calibration.
-The spin-flip bound and the PPT witness run on stacks of validated states,
-one batched solve each; the public functions pass a stack of one.
+The spin-flip bound and the PPT witness run on stacks of validated states; the
+route is chosen per state, so the public functions, which pass a stack of one,
+give each state the bits it gets in any stack.
 """
 
 from __future__ import annotations
@@ -45,9 +49,12 @@ import numpy as np
 from .channels import Channel, ChannelCoefficients, coefficients
 from .linalg import (
     NORM_TOL,
+    _hermitian_spectra,
+    _partial_transposes,
+    _rows,
+    _x_or_dense,
     assert_density_matrix,
     num_qubits,
-    _partial_transposes,
     partial_trace,
     permute_qubits,
 )
@@ -113,10 +120,28 @@ def _wootters_roots(rhos: np.ndarray) -> np.ndarray:
     """
     signs = _flip_signs(rhos.shape[-1].bit_length() - 1)[::-1]
     if not np.iscomplexobj(rhos):
-        return np.sort(np.abs(np.linalg.eigvals(rhos[..., ::-1] * signs)), axis=-1)[..., ::-1]
+        roots = _x_or_dense(rhos, _pair_roots, lambda m: np.abs(np.linalg.eigvals(m[..., ::-1] * signs)))
+        return np.sort(roots, axis=-1)[..., ::-1]
     w, v = np.linalg.eigh(rhos)
     root = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     return np.linalg.svd((root.swapaxes(-1, -2)[..., ::-1] * signs) @ root, compute_uv=False)
+
+
+def _pair_roots(entries: np.ndarray) -> np.ndarray:
+    """Ascending Wootters roots of X-shaped real matrices from their pair entries.
+
+    F flips an even number of qubits, so ``s_{d-1-i} = s_i``, and ``rho F`` is X-shaped with the
+    block ``s_i [[rho_ij, rho_ii], [rho_jj, rho_ji]]`` on the pair (i, j = d-1-i).  Its roots are
+    ``|m +- sqrt(h**2 + rho_ii rho_jj)|``, m and h the half sum and half difference of ``rho_ij``
+    and ``rho_ji``, or twice ``hypot(m, sqrt(-h**2 - rho_ii rho_jj))`` for a complex pair.
+    """
+    ii, ji, jj, ij = entries[:, 0], entries[:, 1], entries[:, 2], entries[:, 3]
+    m, h = 0.5 * (ij + ji), 0.5 * (ij - ji)
+    disc = h * h + ii * jj
+    root = np.sqrt(np.abs(disc))
+    real = disc >= 0.0
+    return _rows(np.where(real, np.abs(m - root), np.hypot(m, root)),
+                 np.where(real, np.abs(m + root), np.hypot(m, root)))
 
 
 def _quadrature(values) -> float:
@@ -254,7 +279,7 @@ def tau_vanishing_time(channel: Channel) -> float | None:
 def _ppt_min_eigenvalues(rhos: np.ndarray, subset: tuple[int, ...] | list[int]) -> np.ndarray:
     """Smallest eigenvalue of each validated state in a stack after transposing ``subset``."""
     # A partial transpose keeps the state's entrywise hermiticity deviation.
-    return np.linalg.eigvalsh(_partial_transposes(rhos, subset)).min(axis=-1)
+    return _hermitian_spectra(_partial_transposes(rhos, subset)).min(axis=-1)
 
 
 def ppt_min_eigenvalue(rho: np.ndarray, subset: tuple[int, ...] | list[int]) -> float:

@@ -7,6 +7,13 @@ Conventions used throughout the package:
 * Entropies are measured in bits (logarithms base 2).
 * The tolerances of state validation and of the measures sit in one
   table below; README *Conventions* lists the same values.
+* Every hermitian spectrum (state validation, entropies, trace distances,
+  partial transposes) comes from ``_hermitian_spectra``.  A real matrix
+  that is nonzero only on its diagonal and anti-diagonal, an X state as
+  every state of the paper is, splits into 2 x 2 blocks on the index
+  pairs (i, d-1-i), solved in closed form; any other matrix goes to
+  ``np.linalg.eigvalsh``.  The route is chosen per matrix, so a state's
+  spectrum has the same bits alone as in any stack.
 
 States are plain real or complex ndarrays.  Helpers here validate shape and
 physicality but never wrap arrays in custom classes, so results compose
@@ -14,6 +21,8 @@ directly with numpy.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -48,8 +57,73 @@ def num_qubits(mat: np.ndarray) -> int:
     return n
 
 
+@cache
+def _x_entries(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of a d x d matrix, d even: those off the X (the diagonal and anti-diagonal),
+    then a ``(4, d/2)`` table of ``m_ii, m_ji, m_jj, m_ij`` on the pairs (i < d/2, j = d-1-i)."""
+    k = np.arange(d)
+    i, j = k[:d // 2], k[::-1][:d // 2]
+    off = (k[:, None] != k) & (k[:, None] + k != d - 1)
+    tables = np.flatnonzero(off), np.stack([i * (d + 1), j * d + i, j * (d + 1), i * d + j])
+    for table in tables:
+        table.flags.writeable = False  # cached: every caller shares these arrays
+    return tables
+
+
+def _x_or_dense(mats: np.ndarray, x_route, dense_route) -> np.ndarray:
+    """``x_route`` of the X-shaped matrices of a ``(B, d, d)`` stack, ``dense_route`` of the rest.
+
+    X-shaped means float64 with d even, every entry off the diagonal and anti-diagonal exactly 0
+    and every entry on them finite: such a matrix is d/2 independent 2 x 2 blocks on the pairs
+    (i, d-1-i), and ``x_route`` gets only their entries, as a ``(B, 4, d/2)`` stack of
+    :func:`_x_entries` tables.  The route is chosen per matrix, so a matrix gets the same bits
+    alone as in any stack; both routes return one row per matrix.
+    """
+    if mats.dtype != np.float64 or mats.ndim != 3 or mats.shape[-1] % 2 or mats.shape[-1] != mats.shape[-2]:
+        return dense_route(mats)
+    d = mats.shape[-1]
+    off, pairs = _x_entries(d)
+    flat = mats.reshape(len(mats), d * d)
+    entries = flat[:, pairs]
+    x = ~flat[:, off].any(axis=1) & np.isfinite(entries).all(axis=(1, 2))
+    if x.all():
+        return x_route(entries)
+    if not x.any():
+        return dense_route(mats)
+    out = np.empty(mats.shape[:-1])
+    out[x] = x_route(entries[x])
+    out[~x] = dense_route(mats[~x])
+    return out
+
+
+def _pair_spectra(entries: np.ndarray) -> np.ndarray:
+    """Ascending spectra of X-shaped symmetric matrices from their pair entries: ``(a+c)/2 +-
+    hypot((a-c)/2, b)`` per pair, with b read from the lower triangle as ``eigvalsh`` reads it."""
+    a, b, c = entries[:, 0], entries[:, 1], entries[:, 2]
+    mean, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    return _rows(mean - radius, mean + radius)
+
+
+def _rows(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """``[low, high]`` side by side as C-ordered ascending rows, so a row reduces as it would alone."""
+    half = low.shape[1]
+    out = np.empty((len(low), 2 * half))
+    out[:, :half], out[:, half:] = low, high
+    out.sort(axis=1)
+    return out
+
+
+def _hermitian_spectra(mats: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a ``(B, d, d)`` stack of hermitian matrices, read from the lower triangle.
+
+    X-shaped real matrices (see :func:`_x_or_dense`) take their 2 x 2 pairs in closed form;
+    every other matrix (complex, dense, non-finite) takes ``np.linalg.eigvalsh``.
+    """
+    return _x_or_dense(mats, _pair_spectra, np.linalg.eigvalsh)
+
+
 def _density_spectra(rhos: np.ndarray, name: str = "state") -> np.ndarray:
-    """Ascending spectra of a ``(B, d, d)`` stack of density matrices, one eigvalsh call.
+    """Ascending spectra of a ``(B, d, d)`` stack of density matrices, by :func:`_hermitian_spectra`.
 
     Checks each state as :func:`assert_density_matrix`; the first bad one raises its own error,
     except that a state with a NaN or infinite entry raises before the eigensolve, which would
@@ -62,7 +136,7 @@ def _density_spectra(rhos: np.ndarray, name: str = "state") -> np.ndarray:
         k = int(finite.argmin())
         raise ValueError(f"{name} is not finite: hermiticity deviation {herm[k]:.3e}, "
                          f"trace {complex(traces[k]):.15g}")
-    spectra = np.linalg.eigvalsh(rhos)
+    spectra = _hermitian_spectra(rhos)
     bad = (herm > TRACE_TOL) | (np.abs(traces - 1.0) > TRACE_TOL) | (spectra[:, 0] < -PSD_FLOOR)
     if bad.any():
         k = int(bad.argmax())
@@ -186,9 +260,9 @@ def _entropies(spectra: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr rho log2 rho via the eigenvalue spectrum."""
     dev = float(np.abs(rho - rho.conj().T).max())
-    if not dev <= HERMITICITY_TOL:  # NaN fails: eigvalsh reads one triangle
+    if not dev <= HERMITICITY_TOL:  # NaN fails: the spectrum reads one triangle
         raise ValueError(f"matrix is not hermitian: max deviation {dev:.3e}")
-    return float(_entropies(np.linalg.eigvalsh(rho)[None])[0])
+    return float(_entropies(_hermitian_spectra(rho[None]))[0])
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -197,6 +271,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
     dev = float(np.abs(diff - diff.conj().T).max())
-    if not dev <= HERMITICITY_TOL:  # NaN fails: eigvalsh reads one triangle
+    if not dev <= HERMITICITY_TOL:  # NaN fails: the spectrum reads one triangle
         raise ValueError(f"difference is not hermitian: max deviation {dev:.3e}")
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+    return float(0.5 * np.abs(_hermitian_spectra(diff[None])[0]).sum())

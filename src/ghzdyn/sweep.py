@@ -13,10 +13,12 @@ and the file is written atomically.
 The sweep's one unit of work is a chunk of at most 128 cells
 (``2 * BATCH_ENTRIES // 4**4``), cut from the channel-major cell list at
 multiples of 128 whatever ``jobs`` is.  A chunk's closed-form states, one real
-array built per channel run, are measured as one stack in real arithmetic: one
-``eigvalsh`` validates them and gives their entropy spectra, one ``eigvals`` of
-``rho F`` the Wootters roots (the spin flip F is a signed index reversal), one
-``eigvalsh`` the partial transposes, and one discord search
+array built per channel run, are measured as one stack in real arithmetic.  They are
+X states (nonzero only on the diagonal and anti-diagonal), and so are their partial
+transposes and ``rho F`` (the spin flip F is a signed index reversal), so the spectra
+that validate them and give their entropies, the Wootters roots and the partial
+transposes' spectra all come from 2 x 2 pairs in closed form, with no LAPACK call
+(:func:`ghzdyn.linalg._hermitian_spectra`); one discord search
 (:func:`ghzdyn.discord._global_discords`) takes the same stack and spectra.  Only
 the output columns outlive a chunk.  ``jobs`` counts processes, at most one per
 chunk and per usable CPU: the calling process computes the first share of
@@ -216,6 +218,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     finally:
         for process, receive in workers:
             process.join()
+            process.close()  # its sentinel pipe, else open while a traceback holds it
             receive.close()
 
 
@@ -241,14 +244,22 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _format(value: float | None) -> str:
-    return "" if value is None else f"{value:.12g}"
-
-
 def emit_csv(records: list[SweepRecord], path: str) -> None:
-    """Write records atomically with fixed header, digits and line endings."""
+    """Write records atomically with fixed header, digits and line endings.
+
+    A row is one ``%`` template after the channel: ``%.12g`` for each filled column and
+    ``%.0s``, which prints nothing, for each None one.  Records may mix None columns, so
+    the template is built once per pattern of column types.
+    """
     values = attrgetter(*CSV_HEADER.split(",")[1:])
-    lines = [CSV_HEADER] + [",".join([r.channel, *map(_format, values(r))]) for r in records]
+    templates = {}
+    lines = [CSV_HEADER]
+    for record in records:
+        row = values(record)
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            templates[kinds] = "".join(",%.0s" if kind is type(None) else ",%.12g" for kind in kinds)
+        lines.append(record.channel + templates[kinds] % row)
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

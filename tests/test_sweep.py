@@ -23,13 +23,15 @@ import ghzdyn.sweep as sweep
 from ghzdyn.channels import Channel, closed_form_state
 from ghzdyn.cli import main
 from ghzdyn.discord import analytic_gqd, global_discord
-from ghzdyn.entanglement import analytic_tau, ppt_min_eigenvalue, tau_lower_bound
-from ghzdyn.linalg import von_neumann_entropy
+from ghzdyn.entanglement import (_ppt_min_eigenvalues, _tau_lower_bounds, analytic_tau,
+                                 ppt_min_eigenvalue, tau_lower_bound)
+from ghzdyn.linalg import _density_spectra, von_neumann_entropy
 from ghzdyn.sweep import (
     CSV_HEADER,
     MEASURES,
     METHODS,
     SweepConfig,
+    SweepRecord,
     emit_csv,
     emit_plot_script,
     run_sweep,
@@ -168,6 +170,31 @@ def test_emit_csv_format(tmp_path):
     for cell in (cells[2], cells[3]):
         assert f"{float(cell):.12g}" == cell
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+def test_emit_csv_bytes_equal_per_value_formatting(tmp_path):
+    # One % template per pattern of None columns must give the bytes of formatting each
+    # value on its own, on records that mix patterns and carry signed zeros, infinities,
+    # NaN, subnormals and numpy floats.
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 2.2250738585072014e-308,
+                1.7976931348623157e308, 1.0, 1.0 / 3.0, -123456789012.345, 1e-12, 0.1 + 0.2]
+    rng = np.random.default_rng(29)
+    values = specials + (rng.normal(size=60) * 10.0 ** rng.integers(-30, 30, size=60)).tolist()
+    records = []
+    for k in range(200):
+        filled = [(k >> bit) & 1 for bit in range(6)]
+        row = [values[(7 * k + j) % len(values)] for j in range(7)]
+        if k % 5 == 0:
+            row = [np.float64(v) for v in row]
+        records.append(SweepRecord(("x", "y", "z", "iso", Channel.Z)[k % 5], row[0],
+                                   *[v if f else None for v, f in zip(row[1:], filled)]))
+    path = tmp_path / "mixed.csv"
+    emit_csv(records, str(path))
+    lines = [CSV_HEADER] + [
+        ",".join([r.channel, *("" if v is None else f"{v:.12g}" for v in
+                               (getattr(r, name) for name in CSV_HEADER.split(",")[1:]))])
+        for r in records]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_bytes_are_reproducible(tmp_path):
@@ -390,6 +417,35 @@ def test_a_caller_failure_leaves_no_worker_running(monkeypatch):
     _before_each_chunk(monkeypatch, caller=_raise("no chunk in the caller"), worker=lambda: time.sleep(30))
     with _deadline(10), pytest.raises(ValueError, match="^no chunk in the caller$"):
         run_sweep(_TWO_CHUNKS)
+    assert multiprocessing.active_children() == []
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@_FORKED
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+@pytest.mark.parametrize("fail", [None, "worker", "caller"])
+def test_a_two_process_sweep_leaves_no_descriptor_open(monkeypatch, fail):
+    # A pipe end left open is closed by its finalizer without a ResourceWarning, so the
+    # warning filters cannot see a leak; the descriptor count can.  The failing runs keep
+    # run_sweep's frame alive in the traceback, so an end it did not close stays counted.
+    started = []
+    start = sweep._start
+    monkeypatch.setattr(sweep, "_start", lambda share: started.append(share) or start(share))
+    act = _raise(f"no chunk in the {fail}")
+    _before_each_chunk(monkeypatch, **({fail: act} if fail else {}))
+    before = _open_descriptors()
+    with _deadline(60):
+        if fail is None:
+            assert len(run_sweep(_TWO_CHUNKS)) == 129
+        else:
+            with pytest.raises(ValueError, match=f"^no chunk in the {fail}$") as raised:
+                run_sweep(_TWO_CHUNKS)
+            assert raised.traceback
+    assert len(started) == 1
+    assert _open_descriptors() == before
     assert multiprocessing.active_children() == []
 
 
@@ -700,34 +756,59 @@ def test_chunk_memory_is_flat_in_the_cell_count():
     assert large - small < 128 * 1024, (small, large)
 
 
-def _eigenproblem_counts(monkeypatch, measures):
-    """LAPACK calls by routine of a 160-cell sweep of ``measures``."""
-    calls = {"eigvalsh": 0, "eigvals": 0, "eigh": 0, "svd": 0}
+def _count_eigenproblems(monkeypatch):
+    """Record the stack shape of every LAPACK eigenproblem call, by routine."""
+    calls = {"eigvalsh": [], "eigvals": [], "eigh": [], "svd": []}
 
     def counted(name):
         original = getattr(np.linalg, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            calls[name].append(a.shape)
+            return original(a, *args, **kwargs)
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
-    assert len(run_sweep(SweepConfig(measures=measures, steps=40))) == 160
     return calls
 
 
+def _eigenproblem_counts(monkeypatch, measures):
+    """LAPACK calls by routine of a 160-cell sweep of ``measures``."""
+    calls = _count_eigenproblems(monkeypatch)
+    assert len(run_sweep(SweepConfig(measures=measures, steps=40))) == 160
+    return {name: len(shapes) for name, shapes in calls.items()}
+
+
 def test_state_sweep_eigenproblem_count_is_pinned(monkeypatch):
-    # 4 channels x 40 steps = 160 cells = 2 chunks, of 128 and 32 states.  Each chunk
-    # makes one eigvalsh for validation and entropy, one for the partial
-    # transposes and one eigvals for the spin flip; per-cell calls would read 160+.
-    # The states are real, so the flip never takes the complex eigh + svd route.
+    # 4 channels x 40 steps = 160 cells = 2 chunks, of 128 and 32 states.  Every channel
+    # state is real and X-shaped (nonzero only on the diagonal and anti-diagonal), and so
+    # are its partial transposes and rho F, so the spectra, PPT minima and Wootters roots
+    # all come from 2 x 2 pairs in closed form: no chunk makes a LAPACK eigensolve.  The
+    # dense route's one call per stack is pinned by the dense-stack test below.
     assert (_eigenproblem_counts(monkeypatch, ("tau", "ppt", "entropy"))
-            == {"eigvalsh": 4, "eigvals": 2, "eigh": 0, "svd": 0})
+            == {"eigvalsh": 0, "eigvals": 0, "eigh": 0, "svd": 0})
 
 
 def test_discord_sweep_eigenproblem_count_is_pinned(monkeypatch):
-    # The discord search takes each chunk's validated spectra: no eigensolve of its own.
+    # The discord search takes each chunk's validated spectra: no eigensolve of its own,
+    # and the channel states' spectra need none (see the state sweep's pin).
     assert (_eigenproblem_counts(monkeypatch, MEASURES)
-            == {"eigvalsh": 4, "eigvals": 2, "eigh": 0, "svd": 0})
+            == {"eigvalsh": 0, "eigvals": 0, "eigh": 0, "svd": 0})
+
+
+def test_a_dense_stack_makes_one_eigensolve_per_call(monkeypatch):
+    # Real states that are not X-shaped still go to LAPACK as one stack per call; beside
+    # X-shaped channel states, only the dense ones do.
+    rng = np.random.default_rng(17)
+    factors = [rng.normal(size=(16, rank)) for rank in (1, 3, 16, 16, 5)]
+    dense = np.stack([a @ a.T / np.trace(a @ a.T) for a in factors])
+    x = np.stack([closed_form_state(channel, 0.2) for channel in Channel])
+    calls = _count_eigenproblems(monkeypatch)
+    for stack in (dense, np.concatenate([x[:2], dense, x[2:]])):
+        for name in calls:
+            calls[name].clear()
+        _density_spectra(stack)
+        _ppt_min_eigenvalues(stack, (0,))
+        _tau_lower_bounds(stack)
+        assert calls == {"eigvalsh": [(5, 16, 16)] * 2, "eigvals": [(5, 16, 16)], "eigh": [], "svd": []}
