@@ -369,8 +369,7 @@ class _ConditionalEntropy:
         return evaluate
 
 
-def _scan(evaluate, coords: np.ndarray, runs: np.ndarray | None = None,
-          bars: np.ndarray | None = None):
+def _scan(evaluate, coords: np.ndarray):
     """Line minima of every row of ``evaluate``, row i along angle ``coords[i]``, in lockstep.
 
     A row scans ``_SCAN_POINTS`` points over [0, pi] or [0, 2 pi], then one
@@ -378,10 +377,6 @@ def _scan(evaluate, coords: np.ndarray, runs: np.ndarray | None = None,
     ``_ANGLE_TOL`` (brackets unclipped: a minimum just across the phi seam
     stays in reach).  The spacing starts at pi/8 or pi/4 and shrinks 4x a scan
     whatever the state: a theta row closes after 12 scans, a phi row after 13.
-    With ``runs`` and ``bars``, row i belongs to run ``runs[i]``, a run's rows
-    being contiguous, of any count, and one start's lines in sweep order; once
-    a row's best beats its run's ``bars[runs[i]]`` its line will gain, and the
-    later rows of the run leave unfinished, whatever the other runs hold.
     Returns each row's best point, its value and its count of scans.
     """
     count, rounds, rows = len(coords), 0, np.arange(len(coords))
@@ -397,11 +392,6 @@ def _scan(evaluate, coords: np.ndarray, runs: np.ndarray | None = None,
         lo, hi = xk - step, xk + step
         rounds += 1
         keep = step > _ANGLE_TOL
-        if bars is not None:  # rows past their run's first line sure to gain no longer matter
-            run, first = runs[rows], np.full(len(bars), count)
-            sure = best_f < bars[run]
-            np.minimum.at(first, run[sure], rows[sure])
-            keep &= rows <= first[run]
         kept = keep.nonzero()[0]
         if len(kept) < len(rows):  # the others leave with their best so far
             out = rows[~keep]
@@ -440,8 +430,7 @@ def _lockstep(objective, starts: np.ndarray, values: np.ndarray, owners: np.ndar
     start, ends = np.repeat(live, width), np.cumsum(width)
     heads, row = ends - width, np.arange(ends[-1])  # each start's first row
     qubits, coords = np.divmod(row - heads[start], 2)  # the sweep's line order
-    x, fx, scans = _scan(objective.lines(frames[start], owners[start], qubits, coords), coords,
-                         start, best - _GAIN_TOL)
+    x, fx, scans = _scan(objective.lines(frames[start], owners[start], qubits, coords), coords)
     better = fx < best[start] - _GAIN_TOL
     k = np.minimum.reduceat(np.where(better, row, (ends - 1)[start]), heads)  # first gain, or last
     evals = np.add.reduceat(np.where(row <= k[start], scans, 0), heads) * _SCAN_POINTS

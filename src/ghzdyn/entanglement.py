@@ -25,10 +25,9 @@ normalised so that the 4-qubit GHZ state scores sqrt(2):
 
 No root is taken as a square root, which would halve the digits of a root
 near zero.  A real rho has ``rho F rho F = (rho F)**2``, so its roots are
-``|eigvals(rho F)|``.  On a real X state (nonzero only on the diagonal and
-anti-diagonal, as every noisy GHZ state is) ``rho F`` is X-shaped too, and
-those eigenvalues come from its 2 x 2 blocks in closed form; any other real
-rho takes one ``eigvals``.  For a complex rho the identity fails, and the
+``|eigvals(rho F)|``, from 2 x 2 blocks in closed form on a real X state
+(the route of :mod:`ghzdyn.linalg`) and from one ``eigvals`` on any other
+real rho.  For a complex rho the identity fails, and the
 roots are the singular values of ``W^T F W`` with ``rho = W W^H`` from
 ``eigh`` (Uhlmann, PRA 62, 032307).  The generator pairs take the same
 routes with ``F = kron(L0, L0)``, the 2-qubit spin flip.

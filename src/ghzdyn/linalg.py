@@ -12,8 +12,11 @@ Conventions used throughout the package:
   that is nonzero only on its diagonal and anti-diagonal, an X state as
   every state of the paper is, splits into 2 x 2 blocks on the index
   pairs (i, d-1-i), solved in closed form; any other matrix goes to
-  ``np.linalg.eigvalsh``.  The route is chosen per matrix, so a state's
-  spectrum has the same bits alone as in any stack.
+  ``np.linalg.eigvalsh``.  The partial transposes of an X state, its
+  ``rho F`` and the cut blocks of the generator-pair bound are X-shaped
+  too, and the Wootters roots take the same router (``_x_or_dense``), so
+  a stack of channel states makes no LAPACK call.  The route is chosen
+  per matrix, so a state's spectrum has the same bits alone as in any stack.
 
 States are plain real or complex ndarrays.  Helpers here validate shape and
 physicality but never wrap arrays in custom classes, so results compose

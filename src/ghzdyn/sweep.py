@@ -10,20 +10,10 @@ Output is byte-reproducible: records are ordered channel-major, floats
 are rendered with 12 significant digits, rows end with a bare newline,
 and the file is written atomically.
 
-The sweep's one unit of work is a chunk of at most 128 cells
-(``2 * BATCH_ENTRIES // 4**4``), cut from the channel-major cell list at
-multiples of 128 whatever ``jobs`` is.  A chunk's closed-form states, one real
-array built per channel run, are measured as one stack in real arithmetic.  They are
-X states (nonzero only on the diagonal and anti-diagonal), and so are their partial
-transposes and ``rho F`` (the spin flip F is a signed index reversal), so the spectra
-that validate them and give their entropies, the Wootters roots and the partial
-transposes' spectra all come from 2 x 2 pairs in closed form, with no LAPACK call
-(:func:`ghzdyn.linalg._hermitian_spectra`); one discord search
-(:func:`ghzdyn.discord._global_discords`) takes the same stack and spectra.  Only
-the output columns outlive a chunk.  ``jobs`` counts processes, at most one per
-chunk and per usable CPU: the calling process computes the first share of
-chunks and each worker process the next share, so every cell is measured
-in the same stack under every ``jobs``, and the record order never depends on it.
+The cells are measured in fixed chunks, each one stack of closed-form states; how the
+chunks are cut and shared among ``jobs`` processes is :func:`run_sweep`'s rule, and how
+a stack of X states is solved is :mod:`ghzdyn.linalg`'s.  Only float64 columns cross a
+chunk or process boundary; the records are built once, from all of them.
 """
 
 from __future__ import annotations
@@ -34,8 +24,8 @@ import numbers
 import os
 import tempfile
 from dataclasses import dataclass, fields
-from itertools import groupby, repeat
-from operator import attrgetter, itemgetter
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -115,26 +105,21 @@ class SweepRecord:
 CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
-def _compute_chunk(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -> list[SweepRecord]:
-    """Records of one chunk of cells, measured and searched as one stack.
+def _compute_chunk(runs: list, measures: tuple[str, ...], method: str) -> dict[str, np.ndarray]:
+    """Float64 columns of one chunk, its ``(channel, kts)`` runs measured and searched as one stack.
 
-    Coefficients computed once per channel run give both the closed-form states and the
-    analytic tau; every column is built as an array, and the records once.
+    Coefficients computed once per run give both the closed-form states and the analytic tau.
     """
-    cells, measures, method = args
     analytic = method in ("analytic", "both")
     numeric = method in ("numeric", "both")
-    runs = []  # (channel, coefficient columns) of each channel run, in cell order
-    for value, run in groupby(cells, itemgetter(0)):
-        channel = Channel(value)
-        runs.append((channel, _coefficient_columns(channel, [kt for _, kt in run])))
+    coefficients = [(channel, _coefficient_columns(channel, kts)) for channel, kts in runs]
     columns = {}
     if analytic and "tau" in measures:
-        columns["tau_analytic"] = np.concatenate([_analytic_taus(co) for _, co in runs])
+        columns["tau_analytic"] = np.concatenate([_analytic_taus(co) for _, co in coefficients])
     if analytic and "gqd" in measures:
-        columns["gqd_analytic"] = [analytic_gqd(channel, kt) for channel, kt in cells]
+        columns["gqd_analytic"] = [analytic_gqd(channel, kt) for channel, kts in runs for kt in kts]
     if numeric or "ppt" in measures or "entropy" in measures:
-        states = np.concatenate([_closed_form_states(channel, co) for channel, co in runs])
+        states = np.concatenate([_closed_form_states(channel, co) for channel, co in coefficients])
         spectra = _density_spectra(states)
         if numeric and "tau" in measures:
             columns["tau_numeric"] = _tau_lower_bounds(states)
@@ -144,35 +129,37 @@ def _compute_chunk(args: tuple[list[tuple[str, float]], tuple[str, ...], str]) -
             columns["ppt_min_eig"] = _ppt_min_eigenvalues(states, (0,))
         if "entropy" in measures:
             columns["entropy"] = _entropies(spectra)
-    values = [np.asarray(columns[name]).tolist() if name in columns else repeat(None)
-              for name in CSV_HEADER.split(",")[2:]]
-    return list(map(SweepRecord, [c for c, _ in cells], [kt for _, kt in cells], *values))
+    return {name: np.asarray(column, dtype=np.float64) for name, column in columns.items()}
 
 
-def _records(chunks: list) -> list[SweepRecord]:
-    return [record for chunk in chunks for record in _compute_chunk(chunk)]
+def _concatenate(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
-def _send_records(share: list, send) -> None:
-    """Worker body: send ``share``'s records, or the exception computing them raised."""
+def _compute_share(share: list, measures: tuple[str, ...], method: str) -> dict[str, np.ndarray]:
+    return _concatenate([_compute_chunk(runs, measures, method) for runs in share])
+
+
+def _send_columns(share: list, measures: tuple[str, ...], method: str, send) -> None:
+    """Worker body: send ``share``'s columns, or the exception computing them raised."""
     try:
-        result = _records(share)
+        result = _compute_share(share, measures, method)
     except Exception as exc:
         result = exc
     send.send(result)
 
 
-def _start(share: list):
+def _start(share: list, measures: tuple[str, ...], method: str):
     """Start a process computing ``share``; returns it and the read end of its one-way pipe."""
     receive, send = multiprocessing.Pipe(duplex=False)
-    process = multiprocessing.Process(target=_send_records, args=(share, send))
+    process = multiprocessing.Process(target=_send_columns, args=(share, measures, method, send))
     process.start()
     send.close()  # the worker holds the only write end, so its death reads as EOF
     return process, receive
 
 
-def _receive(process, receive) -> list[SweepRecord]:
-    """A worker's records; its exception is re-raised, its death without records a RuntimeError."""
+def _receive(process, receive) -> dict[str, np.ndarray]:
+    """A worker's columns; its exception is re-raised, its death without columns a RuntimeError."""
     try:
         result = receive.recv()
     except EOFError:
@@ -187,30 +174,33 @@ def _receive(process, receive) -> list[SweepRecord]:
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured grid, channel-major, in deterministic order.
 
-    The cells are cut once into chunks of ``_CHUNK``, and ``min(config.jobs, chunks,
-    usable CPUs)`` processes compute them: the calling process the first
-    ``ceil(chunks / processes)``, and each worker process the next as many, sending its
-    records back over a pipe; with one process no worker starts.  A worker's exception
-    is re-raised here, and on any failure every worker is stopped before the call returns.
+    The channel-major cells are cut once into chunks of ``_CHUNK`` (128: ``2 *
+    BATCH_ENTRIES // 4**4``), the same chunks under every ``jobs``; a chunk is a list of
+    ``(channel, kts)`` runs, measured as one stack and searched by one discord search, and a
+    process finishes it before it builds the next.  ``min(config.jobs, chunks, usable CPUs)``
+    processes compute them (the usable CPUs are the affinity set where the platform has one,
+    else ``os.cpu_count()``): the calling process the first ``ceil(chunks / processes)``, and
+    each worker process, started from ``multiprocessing``'s default context, the next as many,
+    sending its share's columns back over a one-way pipe.  So every cell is measured in the
+    same stack under every ``jobs``, and a ``jobs`` above the chunk count starts no more workers.
+    A worker's exception is re-raised here, a worker that dies before sending is a RuntimeError
+    naming its exit code, and on any failure every worker is stopped before the call returns.
     """
     config.validate()
-    grid = np.linspace(0.0, config.kt_max, config.steps)
-    cells = [(channel.value, float(kt)) for channel in config.channels for kt in grid]
-    chunks = [(cells[lo:lo + _CHUNK], config.measures, config.method)
-              for lo in range(0, len(cells), _CHUNK)]
+    grid = np.linspace(0.0, config.kt_max, config.steps).tolist()
+    steps, cells = len(grid), len(config.channels) * len(grid)
+    chunks = [[(channel, grid[max(lo - first, 0):lo + _CHUNK - first])
+               for first, channel in zip(range(0, cells, steps), config.channels)
+               if lo - steps < first < lo + _CHUNK]
+              for lo in range(0, cells, _CHUNK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    count = min(config.jobs, len(chunks), cpus)
-    if count == 1:
-        return _records(chunks)
-    own = -(-len(chunks) // count)
+    own = -(-len(chunks) // min(config.jobs, len(chunks), cpus))
     workers = []
     try:
         for lo in range(own, len(chunks), own):
-            workers.append(_start(chunks[lo:lo + own]))
-        records = _records(chunks[:own])
-        for worker in workers:
-            records += _receive(*worker)
-        return records
+            workers.append(_start(chunks[lo:lo + own], config.measures, config.method))
+        columns = _concatenate([_compute_share(chunks[:own], config.measures, config.method)]
+                               + [_receive(*worker) for worker in workers])
     except BaseException:
         for process, _ in workers:
             process.terminate()
@@ -220,6 +210,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
             process.join()
             process.close()  # its sentinel pipe, else open while a traceback holds it
             receive.close()
+    values = [columns[name].tolist() if name in columns else repeat(None)
+              for name in CSV_HEADER.split(",")[2:]]
+    names = [channel.value for channel in config.channels]
+    return list(map(SweepRecord, [name for name in names for _ in grid], grid * len(names), *values))
 
 
 def _write_atomic(path: str, text: str) -> None:

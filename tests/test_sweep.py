@@ -219,6 +219,11 @@ def test_csv_bytes_do_not_depend_on_how_the_chunks_are_shared(tmp_path, channels
     assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
 
+def _cells(runs):
+    """The ``(channel value, kt)`` cells of a chunk's ``(channel, kts)`` runs."""
+    return [(channel.value, kt) for channel, kts in runs for kt in kts]
+
+
 def _inline_workers(monkeypatch, cpus, usable=None, chunk=None):
     """Run worker shares in-process on a host of ``cpus`` CPUs; returns what the workers saw.
 
@@ -232,21 +237,21 @@ def _inline_workers(monkeypatch, cpus, usable=None, chunk=None):
     class Finished:
         """Worker process and pipe end in one: ``recv`` computes the share when read, in order."""
 
-        def __init__(self, share):
-            self.share = share
+        def __init__(self, share, measures, method):
+            self.args = share, measures, method
 
         def recv(self):
-            return sweep._records(self.share)
+            return sweep._compute_share(*self.args)
 
         def terminate(self):
             pass
 
         join = close = terminate
 
-    def start(share):
+    def start(share, measures, method):
         seen[0] += 1
-        seen[1] += [cells for cells, *_ in share]
-        worker = Finished(share)
+        seen[1] += [_cells(runs) for runs in share]
+        worker = Finished(share, measures, method)
         return worker, worker
 
     monkeypatch.setattr(sweep, "_start", start)
@@ -319,9 +324,9 @@ def test_every_job_count_computes_the_same_chunks(monkeypatch):
     _inline_workers(monkeypatch, cpus=64)
     computed, compute = [], sweep._compute_chunk
 
-    def recording(args):
-        computed.append(args)
-        return compute(args)
+    def recording(runs, measures, method):
+        computed.append((_cells(runs), measures, method))
+        return compute(runs, measures, method)
 
     monkeypatch.setattr(sweep, "_compute_chunk", recording)
     config = SweepConfig(measures=("tau",), method="analytic")
@@ -374,11 +379,11 @@ def _before_each_chunk(monkeypatch, caller=None, worker=None):
     """Patch ``_compute_chunk`` to call ``caller()`` first in this process, ``worker()`` in a worker."""
     pid, compute = os.getpid(), sweep._compute_chunk
 
-    def compute_chunk(args):
+    def compute_chunk(*args):
         act = caller if os.getpid() == pid else worker
         if act is not None:
             act()
-        return compute(args)
+        return compute(*args)
 
     monkeypatch.setattr(sweep, "_compute_chunk", compute_chunk)
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -433,7 +438,7 @@ def test_a_two_process_sweep_leaves_no_descriptor_open(monkeypatch, fail):
     # run_sweep's frame alive in the traceback, so an end it did not close stays counted.
     started = []
     start = sweep._start
-    monkeypatch.setattr(sweep, "_start", lambda share: started.append(share) or start(share))
+    monkeypatch.setattr(sweep, "_start", lambda *args: started.append(args) or start(*args))
     act = _raise(f"no chunk in the {fail}")
     _before_each_chunk(monkeypatch, **({fail: act} if fail else {}))
     before = _open_descriptors()
@@ -719,7 +724,9 @@ def test_chunk_records_equal_one_cell_chunks(channels, steps, measures):
     # search, which takes each chunk's stack, crosses the chunk boundary too.
     assert sweep._CHUNK == 128
     config, cells = _sweep(channels, steps, measures)
-    alone = [sweep._compute_chunk(([cell], measures, "both"))[0] for cell in cells]
+    alone = [SweepRecord(value, kt, **{name: column.item() for name, column in
+                                       sweep._compute_chunk([(Channel(value), [kt])], measures, "both").items()})
+             for value, kt in cells]
     assert run_sweep(config) == alone
 
 
