@@ -61,16 +61,16 @@ class Channel(str, Enum):
 
 
 def ghz_ket(n: int = 4) -> np.ndarray:
-    """(|0...0> + |1...1>) / sqrt(2) on n qubits."""
+    """(|0...0> + |1...1>) / sqrt(2) on n qubits, as a real array."""
     if n < 2 or n > MAX_QUBITS:
         raise ValueError(f"GHZ register needs 2..{MAX_QUBITS} qubits, got {n}")
-    psi = np.zeros(2**n, dtype=complex)
+    psi = np.zeros(2**n)
     psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
     return psi
 
 
 def ghz_state(n: int = 4) -> np.ndarray:
-    """Density matrix of the n-qubit GHZ state."""
+    """Density matrix of the n-qubit GHZ state, as a real array."""
     psi = ghz_ket(n)
     return np.outer(psi, psi.conj())
 

@@ -23,10 +23,10 @@ value that chose it.
 Along one angle x of one qubit every outcome probability is
 ``A + B cos x + C sin x``, so a line search contracts C once, checks those
 probabilities for every x at once, and then prices each trial at O(2**N): a
-few 9-point scans over a shrinking bracket, one scan a round for all
-descents in lockstep.  The first sweep opens with one confirmation pass over
-every start's lines; a start that no line improves, as on most channel states,
-ends there.  Outcome probabilities enter as the continuous ``p log2 p``.
+fixed count of 9-point scans over a shrinking bracket (``_ROUNDS``), one scan
+a round for all descents in lockstep.  The first sweep opens with one
+confirmation pass over every start's lines; a start that no line improves, as
+on most channel states, ends there.  Outcome probabilities enter as the continuous ``p log2 p``.
 The paper's states are real and invariant under qubit permutations, and the
 search uses both, keyed on what it can see: a real stack prices only the grid
 frames with phi in [0, pi] (a real state cannot tell phi from -phi), and a
@@ -57,7 +57,9 @@ _GRID_THETA = 21
 _GRID_PHI = 16
 _SCAN_POINTS = 9
 _SCAN_OFFSETS = np.arange(_SCAN_POINTS)
-_ANGLE_TOL = 1e-7
+# The scans of a theta and of a phi line, whatever the state: the spacing starts at pi/8 or pi/4
+# and shrinks 4x a scan, to 9.4e-8 or 4.7e-8 in the last.
+_ROUNDS = (12, 13)
 # A descent stops after _MAX_SWEEPS sweeps, or after one that improves it by less than _SWEEP_TOL;
 # a scan minimum replaces an angle only if it beats the descent's best by more than _GAIN_TOL.
 _MAX_SWEEPS = 3
@@ -373,31 +375,23 @@ def _scan(evaluate, coords: np.ndarray):
     """Line minima of every row of ``evaluate``, row i along angle ``coords[i]``, in lockstep.
 
     A row scans ``_SCAN_POINTS`` points over [0, pi] or [0, 2 pi], then one
-    spacing either side of the scan minimum until the spacing is at most
-    ``_ANGLE_TOL`` (brackets unclipped: a minimum just across the phi seam
-    stays in reach).  The spacing starts at pi/8 or pi/4 and shrinks 4x a scan
-    whatever the state: a theta row closes after 12 scans, a phi row after 13.
-    Returns each row's best point, its value and its count of scans.
+    spacing either side of the scan minimum, ``_ROUNDS[coords[i]]`` scans in
+    all (brackets unclipped: a minimum just across the phi seam stays in
+    reach); a round evaluates only the rows with a scan left.  Returns each
+    row's best point and its value.
     """
-    count, rounds, rows = len(coords), 0, np.arange(len(coords))
-    x, fx, scans, lo = np.zeros(count), np.zeros(count), np.zeros(count, dtype=int), np.zeros(count)
-    hi, best_x, best_f = (1 + coords) * math.pi, np.zeros(count), np.full(count, np.inf)
-    while len(rows):
-        step = (hi - lo) / (_SCAN_POINTS - 1)
-        scan = evaluate(lo[:, None] + step[:, None] * _SCAN_OFFSETS,
-                        rows if len(rows) < count else slice(None))
-        xk, fk = lo + step * scan.argmin(axis=1), np.minimum.reduce(scan, axis=1)
-        gain = fk < best_f
-        best_x, best_f = np.where(gain, xk, best_x), np.where(gain, fk, best_f)
-        lo, hi = xk - step, xk + step
-        rounds += 1
-        keep = step > _ANGLE_TOL
-        kept = keep.nonzero()[0]
-        if len(kept) < len(rows):  # the others leave with their best so far
-            out = rows[~keep]
-            x[out], fx[out], scans[out] = best_x[~keep], best_f[~keep], rounds
-            rows, lo, hi, best_x, best_f = (a[kept] for a in (rows, lo, hi, best_x, best_f))
-    return x, fx, scans
+    rounds = np.take(_ROUNDS, coords)
+    lo, hi = np.zeros(len(coords)), (1 + coords) * math.pi
+    x, fx = np.zeros(len(coords)), np.full(len(coords), np.inf)
+    for r in range(rounds.max()):
+        rows = slice(None) if rounds.min() > r else np.flatnonzero(rounds > r)
+        step = (hi[rows] - lo[rows]) / (_SCAN_POINTS - 1)
+        scan = evaluate(lo[rows, None] + step[:, None] * _SCAN_OFFSETS, rows)
+        xk, fk = lo[rows] + step * scan.argmin(axis=1), np.minimum.reduce(scan, axis=1)
+        gain = fk < fx[rows]
+        x[rows], fx[rows] = np.where(gain, xk, x[rows]), np.where(gain, fk, fx[rows])
+        lo[rows], hi[rows] = xk - step, xk + step
+    return x, fx
 
 
 def _lockstep(objective, starts: np.ndarray, values: np.ndarray, owners: np.ndarray):
@@ -430,10 +424,11 @@ def _lockstep(objective, starts: np.ndarray, values: np.ndarray, owners: np.ndar
     start, ends = np.repeat(live, width), np.cumsum(width)
     heads, row = ends - width, np.arange(ends[-1])  # each start's first row
     qubits, coords = np.divmod(row - heads[start], 2)  # the sweep's line order
-    x, fx, scans = _scan(objective.lines(frames[start], owners[start], qubits, coords), coords)
+    x, fx = _scan(objective.lines(frames[start], owners[start], qubits, coords), coords)
     better = fx < best[start] - _GAIN_TOL
     k = np.minimum.reduceat(np.where(better, row, (ends - 1)[start]), heads)  # first gain, or last
-    evals = np.add.reduceat(np.where(row <= k[start], scans, 0), heads) * _SCAN_POINTS
+    points = np.take(_ROUNDS, coords) * _SCAN_POINTS
+    evals = np.add.reduceat(np.where(row <= k[start], points, 0), heads)
     moved, line = np.flatnonzero(better[k]), k - heads
     frames[moved, line[moved] // 2, line[moved] % 2] = x[k[moved]]
     best[moved] = fx[k[moved]]
@@ -443,9 +438,9 @@ def _lockstep(objective, starts: np.ndarray, values: np.ndarray, owners: np.ndar
             rows = live[resume[live] <= line]
             if not len(rows):
                 continue
-            x, fx, scans = _scan(objective.lines(frames[rows], owners[rows], qubit, coord),
-                                 np.full(len(rows), coord))
-            evals[rows] += scans * _SCAN_POINTS
+            x, fx = _scan(objective.lines(frames[rows], owners[rows], qubit, coord),
+                          np.full(len(rows), coord))
+            evals[rows] += _ROUNDS[coord] * _SCAN_POINTS
             better = fx < best[rows] - _GAIN_TOL
             frames[rows[better], qubit, coord] = x[better]
             best[rows[better]] = fx[better]
@@ -456,33 +451,27 @@ def _lockstep(objective, starts: np.ndarray, values: np.ndarray, owners: np.ndar
     return best, frames, evals
 
 
-def _grid(n: int) -> np.ndarray:
-    """Uniform ``n``-qubit frames, theta-major, phi ascending; one frame at each pole."""
-    theta = np.linspace(0.0, math.pi, _GRID_THETA)
-    phi = np.linspace(0.0, 2.0 * math.pi, _GRID_PHI, endpoint=False)
-    circles = np.stack(np.meshgrid(theta[1:-1], phi, indexing="ij"), -1).reshape(-1, 2)
-    angles = np.concatenate([[[theta[0], 0.0]], circles, [[theta[-1], 0.0]]])
-    return np.repeat(angles[:, None], n, axis=1)
-
-
+# The uniform grid's (theta, phi), theta-major and phi ascending, with one frame (phi 0) at
+# each pole.
+_GRID_ANGLES = np.column_stack([
+    np.linspace(0.0, math.pi, _GRID_THETA).repeat([1] + [_GRID_PHI] * (_GRID_THETA - 2) + [1]),
+    np.r_[0.0, np.tile(np.linspace(0.0, 2.0 * math.pi, _GRID_PHI, endpoint=False),
+                       _GRID_THETA - 2), 0.0]])
 # Grid indices of the named frames, whose grid values each search reports.
-_NAMED = {name: int(np.flatnonzero((_grid(1) == frame(1)).all(axis=(1, 2)))[0])
+_NAMED = {name: int(np.flatnonzero((_GRID_ANGLES == frame(1)).all(axis=1))[0])
           for name, frame in (("z", z_frame), ("x", x_frame), ("y", y_frame))}
+# A real state takes the same value at (theta, phi) and (theta, 2 pi - phi), as its Pauli entries
+# with an odd count of Y vanish.  A real stack prices the frames _PRICED, those with phi in
+# [0, pi], and grid frame i takes the value of _PRICED[_MIRROR[i]], which shares its theta and
+# |phi - pi|: itself, or its phi_k <-> phi_(16 - k) mirror.
+_PRICED = np.flatnonzero(_GRID_ANGLES[:, 1] <= math.pi)
+_MIRROR = np.abs(np.abs(_GRID_ANGLES - [0.0, math.pi])[:, None]
+                 - np.abs(_GRID_ANGLES[_PRICED] - [0.0, math.pi])).sum(axis=-1).argmin(axis=1)
 
 
-def _mirror() -> tuple[np.ndarray, np.ndarray]:
-    """Grid indices of the frames with phi in [0, pi], and each grid frame's partner among them.
-
-    A real state takes the same value at (theta, phi) and (theta, 2 pi - phi), as its Pauli
-    entries with an odd count of Y vanish.  Frame i's partner, ``priced[partner[i]]``, shares its
-    theta and ``|phi - pi|``: itself, or its phi_k <-> phi_(16 - k) mirror.
-    """
-    angles = _grid(1)[:, 0]
-    priced, key = np.flatnonzero(angles[:, 1] <= math.pi), np.abs(angles - [0.0, math.pi])
-    return priced, np.abs(key[:, None] - key[priced]).sum(axis=-1).argmin(axis=1)
-
-
-_PRICED, _MIRROR = _mirror()
+def _grid(n: int) -> np.ndarray:
+    """The grid's uniform ``n``-qubit frames, one per row of ``_GRID_ANGLES``."""
+    return np.repeat(_GRID_ANGLES[:, None], n, axis=1)
 
 
 def _search(objective, n: int):
@@ -493,7 +482,7 @@ def _search(objective, n: int):
     from each state's grid optimum and named frames (grid points ``_NAMED``),
     distinct by grid index, each from its grid value.  A stack that
     ``objective.real`` marks prices only the 173 frames ``_PRICED`` and gives
-    the other 133 their mirror partners' values (:func:`_mirror`), so a grid
+    the other 133 their mirror partners' values (``_MIRROR``), so a grid
     pick is always a priced frame.  Both stages take the lexicographically
     smallest angle vector within ``_TIE_TOL`` of the least value: on the
     grid, which is theta-major, the first such index; then the best descent,

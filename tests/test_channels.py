@@ -53,6 +53,7 @@ def test_ghz_ket_and_state_structure():
     assert {tuple(ij) for ij in nonzero} == {(0, 0), (0, 15), (15, 0), (15, 15)}
     assert np.allclose(rho @ rho, rho, atol=1e-14)
     assert assert_density_matrix(rho) == 4
+    assert psi.dtype == rho.dtype == np.float64  # real, so the discord search's shortcuts apply
 
 
 def test_ghz_register_size_limits():

@@ -167,7 +167,7 @@ def test_tau_lower_bound_matches_closed_forms():
     for channel in Channel:
         for kt in np.linspace(0.0, 0.5, 20):
             bound = tau_lower_bound(closed_form_state(channel, kt)).value
-            assert abs(bound - analytic_tau(channel, kt)) < 1e-8
+            assert abs(bound - analytic_tau(channel, kt)) < 1e-14
 
 
 def test_spin_flip_tau_matches_the_closed_form_on_a_near_pure_state():

@@ -108,7 +108,7 @@ def test_run_sweep_values_at_t_zero():
         assert r.tau_numeric == pytest.approx(math.sqrt(2.0), abs=1e-9)
         assert r.entropy == pytest.approx(0.0, abs=1e-9)
     for r in records:
-        assert abs(r.tau_numeric - r.tau_analytic) < 1e-8
+        assert abs(r.tau_numeric - r.tau_analytic) < 1e-14
 
 
 def test_run_sweep_method_selects_columns():
@@ -127,8 +127,8 @@ def test_run_sweep_discord_columns():
     config = SweepConfig(channels=(Channel.Z,), measures=("gqd",), kt_max=0.1, steps=2)
     records = run_sweep(config)
     assert records[0].gqd_analytic == pytest.approx(1.0, abs=1e-12)
-    assert abs(records[0].gqd_numeric - 1.0) < 1e-5
-    assert abs(records[1].gqd_numeric - records[1].gqd_analytic) < 1e-5
+    assert abs(records[0].gqd_numeric - 1.0) < 1e-14
+    assert abs(records[1].gqd_numeric - records[1].gqd_analytic) < 1e-14
 
 
 # The public per-cell function behind each measure column.
