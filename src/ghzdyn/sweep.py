@@ -105,25 +105,28 @@ class SweepRecord:
 CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
-def _compute_chunk(runs: list, measures: tuple[str, ...], method: str) -> dict[str, np.ndarray]:
+def _compute_chunk(runs: list, measures: tuple[str, ...], method: str,
+                   search: bool = True) -> dict[str, np.ndarray]:
     """Float64 columns of one chunk, its ``(channel, kts)`` runs measured and searched as one stack.
 
     Coefficients computed once per run give both the closed-form states and the analytic tau.
+    With ``search`` false the chunk gets no ``gqd_numeric`` column: a worker searches it.
     """
     analytic = method in ("analytic", "both")
     numeric = method in ("numeric", "both")
+    search = search and numeric and "gqd" in measures
     coefficients = [(channel, _coefficient_columns(channel, kts)) for channel, kts in runs]
     columns = {}
     if analytic and "tau" in measures:
         columns["tau_analytic"] = np.concatenate([_analytic_taus(co) for _, co in coefficients])
     if analytic and "gqd" in measures:
         columns["gqd_analytic"] = [analytic_gqd(channel, kt) for channel, kts in runs for kt in kts]
-    if numeric or "ppt" in measures or "entropy" in measures:
+    if search or (numeric and "tau" in measures) or "ppt" in measures or "entropy" in measures:
         states = np.concatenate([_closed_form_states(channel, co) for channel, co in coefficients])
         spectra = _density_spectra(states)
         if numeric and "tau" in measures:
             columns["tau_numeric"] = _tau_lower_bounds(states)
-        if numeric and "gqd" in measures:
+        if search:
             columns["gqd_numeric"] = [d.value for d in _global_discords(states, spectra)]
         if "ppt" in measures:
             columns["ppt_min_eig"] = _ppt_min_eigenvalues(states, (0,))
@@ -133,26 +136,28 @@ def _compute_chunk(runs: list, measures: tuple[str, ...], method: str) -> dict[s
 
 
 def _concatenate(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    """Each column of ``parts[0]`` joined, in order, from the parts that hold it."""
+    return {name: np.concatenate([part[name] for part in parts if name in part]) for name in parts[0]}
 
 
-def _compute_share(share: list, measures: tuple[str, ...], method: str) -> dict[str, np.ndarray]:
-    return _concatenate([_compute_chunk(runs, measures, method) for runs in share])
-
-
-def _send_columns(share: list, measures: tuple[str, ...], method: str, send) -> None:
-    """Worker body: send ``share``'s columns, or the exception computing them raised."""
+def _send_columns(share: list, send) -> None:
+    """Worker body: send ``share``'s ``gqd_numeric`` column, or the exception computing it raised."""
     try:
-        result = _compute_share(share, measures, method)
+        result = _concatenate([_compute_chunk(runs, ("gqd",), "numeric") for runs in share])
     except Exception as exc:
         result = exc
     send.send(result)
 
 
-def _start(share: list, measures: tuple[str, ...], method: str):
-    """Start a process computing ``share``; returns it and the read end of its one-way pipe."""
-    receive, send = multiprocessing.Pipe(duplex=False)
-    process = multiprocessing.Process(target=_send_columns, args=(share, measures, method, send))
+# Fork where the platform has it, so a worker starts as a copy of the caller whatever the default.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+
+
+def _start(share: list):
+    """Start a process searching ``share``; returns it and the read end of its one-way pipe."""
+    receive, send = _CONTEXT.Pipe(duplex=False)
+    process = _CONTEXT.Process(target=_send_columns, args=(share, send))
     process.start()
     send.close()  # the worker holds the only write end, so its death reads as EOF
     return process, receive
@@ -177,12 +182,14 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     The channel-major cells are cut once into chunks of ``_CHUNK`` (128: ``2 *
     BATCH_ENTRIES // 4**4``), the same chunks under every ``jobs``; a chunk is a list of
     ``(channel, kts)`` runs, measured as one stack and searched by one discord search, and a
-    process finishes it before it builds the next.  ``min(config.jobs, chunks, usable CPUs)``
-    processes compute them (the usable CPUs are the affinity set where the platform has one,
-    else ``os.cpu_count()``): the calling process the first ``ceil(chunks / processes)``, and
-    each worker process, started from ``multiprocessing``'s default context, the next as many,
-    sending its share's columns back over a one-way pipe.  So every cell is measured in the
-    same stack under every ``jobs``, and a ``jobs`` above the chunk count starts no more workers.
+    process finishes it before it builds the next.  Only the discord search is shared: a request
+    without numeric gqd runs in the calling process alone, and one with it in ``min(config.jobs,
+    chunks, usable CPUs)`` processes (the usable CPUs are the affinity set where the platform has
+    one, else ``os.cpu_count()``).  The caller searches the first ``ceil(chunks / processes)``
+    chunks and each worker process, forked where the platform can fork, the next as many, sending
+    its share's ``gqd_numeric`` column back over a one-way pipe; the caller computes every chunk's
+    other columns.  So every cell is measured and searched in the same stack under every ``jobs``,
+    and a ``jobs`` above the chunk count starts no more workers.
     A worker's exception is re-raised here, a worker that dies before sending is a RuntimeError
     naming its exit code, and on any failure every worker is stopped before the call returns.
     """
@@ -194,12 +201,16 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                if lo - steps < first < lo + _CHUNK]
               for lo in range(0, cells, _CHUNK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    own = -(-len(chunks) // min(config.jobs, len(chunks), cpus))
+    searched = "gqd" in config.measures and config.method != "analytic"
+    own = -(-len(chunks) // (min(config.jobs, len(chunks), cpus) if searched else 1))
     workers = []
     try:
         for lo in range(own, len(chunks), own):
-            workers.append(_start(chunks[lo:lo + own], config.measures, config.method))
-        columns = _concatenate([_compute_share(chunks[:own], config.measures, config.method)]
+            workers.append(_start(chunks[lo:lo + own]))
+        # The caller's chunks past its own share lack gqd_numeric, the workers' columns hold
+        # only it, so joining every part in this order keeps each column in chunk order.
+        columns = _concatenate([_compute_chunk(runs, config.measures, config.method, i < own)
+                                for i, runs in enumerate(chunks)]
                                + [_receive(*worker) for worker in workers])
     except BaseException:
         for process, _ in workers:

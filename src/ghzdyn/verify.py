@@ -268,8 +268,9 @@ def check_structure() -> list[CheckResult]:
                            "max deviation of spectra, tau and PPT minima", _pair_route_deviation(),
                            0.0, 1e-15))
 
-    config = SweepConfig(channels=(Channel.X, Channel.Z), measures=("tau", "entropy"),
-                         kt_max=0.2, steps=65)  # 130 cells, two chunks: jobs=2 starts a worker
+    # 130 cells, two chunks: jobs=2 starts a worker, which searches the second chunk.
+    config = SweepConfig(channels=(Channel.X, Channel.Z), measures=("tau", "gqd", "entropy"),
+                         kt_max=0.2, steps=65)
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("a.csv", "b.csv", "c.csv")]
         for path, jobs in zip(paths, (1, 1, 2)):

@@ -175,9 +175,9 @@ def test_global_discord_ghz():
     # A complex copy: the real ghz_state(4) takes the search's real-state shortcuts.
     result = global_discord(ghz_state(4).astype(complex))
     assert result.value == pytest.approx(1.0, abs=1e-14)
-    assert result.branch_values["z"] == pytest.approx(1.0, abs=1e-9)
-    assert result.branch_values["x"] == pytest.approx(3.0, abs=1e-9)
-    assert result.branch_values["y"] == pytest.approx(3.0, abs=1e-9)
+    assert result.branch_values["z"] == pytest.approx(1.0, abs=1e-14)
+    assert result.branch_values["x"] == pytest.approx(3.0, abs=1e-14)
+    assert result.branch_values["y"] == pytest.approx(3.0, abs=1e-14)
     assert result.optimizer_evals == 3006
     for theta, _ in result.frame:
         assert min(abs(theta), abs(math.pi - theta)) < 1e-3

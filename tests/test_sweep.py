@@ -211,7 +211,7 @@ def test_csv_bytes_are_reproducible(tmp_path):
                          ids=["more-jobs-than-cells", "one-chunk-of-5", "chunks-of-128-and-1"])
 def test_csv_bytes_do_not_depend_on_how_the_chunks_are_shared(tmp_path, channels, steps, jobs):
     # 3 x 43 = 129 cells, every measure: under jobs=2, on two usable CPUs, a real worker
-    # process computes, and searches, the second chunk's one cell.
+    # process searches the second chunk's one cell, and the caller measures it.
     config = SweepConfig(channels=channels, kt_max=0.3, steps=steps)
     paths = [str(tmp_path / "one.csv"), str(tmp_path / "many.csv")]
     emit_csv(run_sweep(config), paths[0])
@@ -227,7 +227,7 @@ def _cells(runs):
 def _inline_workers(monkeypatch, cpus, usable=None, chunk=None):
     """Run worker shares in-process on a host of ``cpus`` CPUs; returns what the workers saw.
 
-    That is the worker count, then the cells of each chunk the workers were given.
+    That is the worker count, then the cells of each chunk the workers were given to search.
     ``usable`` of the CPUs are the process's own (default: all).  ``cpus`` None, as
     ``os.cpu_count`` may return, stands for a platform without an affinity call too.
     ``chunk``, if given, stands in for the 128 cells of a chunk.
@@ -235,23 +235,27 @@ def _inline_workers(monkeypatch, cpus, usable=None, chunk=None):
     seen = [0, []]
 
     class Finished:
-        """Worker process and pipe end in one: ``recv`` computes the share when read, in order."""
+        """Worker process and pipe in one: ``recv`` runs the worker body when read, in order."""
 
-        def __init__(self, share, measures, method):
-            self.args = share, measures, method
+        def __init__(self, share):
+            self.share = share
+
+        def send(self, result):
+            self.result = result
 
         def recv(self):
-            return sweep._compute_share(*self.args)
+            sweep._send_columns(self.share, self)
+            return self.result
 
         def terminate(self):
             pass
 
         join = close = terminate
 
-    def start(share, measures, method):
+    def start(share):
         seen[0] += 1
         seen[1] += [_cells(runs) for runs in share]
-        worker = Finished(share, measures, method)
+        worker = Finished(share)
         return worker, worker
 
     monkeypatch.setattr(sweep, "_start", start)
@@ -271,7 +275,7 @@ def test_no_empty_chunk_reaches_the_pool(monkeypatch, steps, jobs, sizes):
     # One-cell chunks; ``sizes`` counts the chunks of the calling process, which
     # computes the first share itself, then those given to the workers.
     seen = _inline_workers(monkeypatch, cpus=64, chunk=1)
-    config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3,
+    config = SweepConfig(channels=(Channel.Z,), measures=("gqd",), kt_max=0.3,
                          steps=steps, jobs=jobs)
     assert len(run_sweep(config)) == steps
     assert seen[0] == min(jobs, steps) - 1
@@ -285,7 +289,7 @@ def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, usable, work
     seen = _inline_workers(monkeypatch, cpus, usable, chunk=1)
     if workers == 1:
         monkeypatch.setattr(sweep, "_start", None)
-    config = SweepConfig(channels=(Channel.Z,), measures=("tau",), kt_max=0.3, steps=5)
+    config = SweepConfig(channels=(Channel.Z,), measures=("gqd",), kt_max=0.3, steps=5)
     records = run_sweep(replace(config, jobs=5))
     if workers > 1:
         # Five one-cell chunks, two processes: the caller takes cells 0-2, the worker 3 and 4.
@@ -298,7 +302,7 @@ def test_the_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, usable, work
 def test_a_large_job_count_shares_the_chunks_among_the_cpus(monkeypatch, cpus):
     # Ten cells in five two-cell chunks; the caller takes ceil(5 / cpus) of them.
     seen = _inline_workers(monkeypatch, cpus, chunk=2)
-    config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("tau", "entropy"),
+    config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("gqd", "entropy"),
                          kt_max=0.3, steps=5)
     records = run_sweep(replace(config, jobs=64))
     workers, pooled = seen
@@ -312,7 +316,7 @@ def test_a_large_job_count_shares_the_chunks_among_the_cpus(monkeypatch, cpus):
 def test_a_huge_job_count_starts_one_process_per_chunk(monkeypatch):
     # One-cell chunks: one process per chunk, the caller's included.
     seen = _inline_workers(monkeypatch, cpus=64, chunk=1)
-    config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("tau", "entropy"),
+    config = SweepConfig(channels=(Channel.Z, Channel.ISO), measures=("gqd", "entropy"),
                          kt_max=0.3, steps=3)
     assert run_sweep(replace(config, jobs=10**12)) == run_sweep(config)
     assert seen[0] == 5 and [len(cells) for cells in seen[1]] == [1] * 5
@@ -320,22 +324,25 @@ def test_a_huge_job_count_starts_one_process_per_chunk(monkeypatch):
 
 def test_every_job_count_computes_the_same_chunks(monkeypatch):
     # The default 484-cell grid is four chunks, 128, 128, 128 and 100 cells, whichever
-    # process computes them.
+    # process searches them and whichever measures them.
     _inline_workers(monkeypatch, cpus=64)
-    computed, compute = [], sweep._compute_chunk
+    computed, compute = {}, sweep._compute_chunk
 
-    def recording(runs, measures, method):
-        computed.append((_cells(runs), measures, method))
-        return compute(runs, measures, method)
+    def recording(runs, *args):
+        columns = compute(runs, *args)
+        for name in columns:
+            computed.setdefault(name, []).append(_cells(runs))
+        return columns
 
     monkeypatch.setattr(sweep, "_compute_chunk", recording)
-    config = SweepConfig(measures=("tau",), method="analytic")
+    config = SweepConfig(measures=("tau", "gqd"))
     chunks = []
     for jobs in (1, 2, 3, 64):
         computed.clear()
         run_sweep(replace(config, jobs=jobs))
-        chunks.append(list(computed))
-    assert [len(cells) for cells, *_ in chunks[0]] == [128, 128, 128, 100]
+        chunks.append(dict(computed))
+    assert sorted(chunks[0]) == ["gqd_analytic", "gqd_numeric", "tau_analytic", "tau_numeric"]
+    assert all(list(map(len, cells)) == [128, 128, 128, 100] for cells in chunks[0].values())
     assert chunks[0] == chunks[1] == chunks[2] == chunks[3]
 
 
@@ -348,15 +355,27 @@ def test_a_one_chunk_sweep_starts_no_pool_whatever_the_jobs(monkeypatch):
     # 128 cells are one chunk, so a process count above one adds nothing.
     _inline_workers(monkeypatch, cpus=64)
     monkeypatch.setattr(sweep, "_start", None)
-    config = SweepConfig(channels=(Channel.X, Channel.Y), measures=("tau",), steps=64, jobs=64)
+    config = SweepConfig(channels=(Channel.X, Channel.Y), measures=("gqd",), steps=64, jobs=64)
     assert len(run_sweep(config)) == 128
 
 
-# 129 cells: two chunks, so under jobs=2 the caller computes the first and one real
-# worker the second.  The patched ``_compute_chunk`` reaches a worker only through fork.
-_TWO_CHUNKS = SweepConfig(channels=(Channel.X, Channel.Y, Channel.Z), measures=("tau",),
+@pytest.mark.parametrize("measures, method", [(("tau", "ppt", "entropy"), "both"), (MEASURES, "analytic")],
+                         ids=["state-only", "analytic"])
+@pytest.mark.parametrize("jobs", [2, 64])
+def test_a_request_without_the_discord_search_starts_no_worker(monkeypatch, measures, method, jobs):
+    # 964 cells, eight chunks, 64 CPUs: only the discord search is shared among processes.
+    _inline_workers(monkeypatch, cpus=64)
+    monkeypatch.setattr(sweep, "_start", lambda share: pytest.fail("started a worker"))
+    config = SweepConfig(measures=measures, method=method, steps=241)
+    assert run_sweep(replace(config, jobs=jobs)) == run_sweep(config)
+
+
+# 129 cells: two chunks, so under jobs=2 the caller searches the first and one real worker
+# the second, and the caller measures both.  The patched ``_compute_chunk`` reaches a worker
+# only through fork, the start method wherever the platform has it.
+_TWO_CHUNKS = SweepConfig(channels=(Channel.X, Channel.Y, Channel.Z), measures=("tau", "gqd"),
                           kt_max=0.3, steps=43, jobs=2)
-_FORKED = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+_FORKED = pytest.mark.skipif(sweep._CONTEXT.get_start_method() != "fork",
                              reason="a worker sees the patched chunk only when forked")
 
 
@@ -411,7 +430,8 @@ def test_a_worker_that_dies_is_a_runtime_error_naming_its_exit_code(monkeypatch,
         with pytest.raises(RuntimeError, match="exited with code 7 "):
             run_sweep(_TWO_CHUNKS)
         assert main(["--channel", "x", "--channel", "y", "--channel", "z", "--measure", "tau",
-                     "--kt-max", "0.3", "--steps", "43", "--jobs", "2", "--out", str(out)]) == 3
+                     "--measure", "gqd", "--kt-max", "0.3", "--steps", "43", "--jobs", "2",
+                     "--out", str(out)]) == 3
     assert "exited with code 7 " in capsys.readouterr().err and not out.exists()
     assert multiprocessing.active_children() == []
 
