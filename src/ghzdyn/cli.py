@@ -68,10 +68,10 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     parser.add_argument("--plot", action="store_true", default=None,
                         help="also emit a standalone matplotlib script next to the CSV")
     parser.add_argument("--jobs", type=int, default=None,
-                        help=f"processes sharing the numeric gqd search of the sweep's {_CHUNK}-cell "
-                             f"chunks, at most one per chunk and per usable CPU, the workers forked where "
-                             f"the platform can fork; a request without that search runs in one process "
-                             f"(default {_SWEEP_DEFAULTS.jobs})")
+                        help=f"processes computing the sweep's {_CHUNK}-cell chunks, by the rule of "
+                             f"ghzdyn.sweep.run_sweep: several only for the numeric gqd search, at most "
+                             f"one per chunk and per usable CPU, the workers forked where the platform "
+                             f"can fork (default {_SWEEP_DEFAULTS.jobs})")
     parser.add_argument("--config", default=None,
                         help="flat key = value file supplying defaults for the flags above")
     parser.add_argument("--verify", action="store_true",

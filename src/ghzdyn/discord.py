@@ -12,30 +12,20 @@ and the objective is
 It is evaluated on the real Pauli tensor ``C[mu] = Tr(rho sigma_mu)``: the
 frame's outcome probabilities contract C with one row pair
 ``0.5 * (1, +-n_j)`` per qubit, and qubit j's own are ``(1 +- r_j . n_j) / 2``
-for its Bloch vector r_j, along the same axes.
+for its Bloch vector r_j, along the same axes (:class:`_GlobalObjective`).
 
-:func:`global_discord` minimises it with one fixed, deterministic search: a
-uniform-frame grid of 21 thetas by 16 phis, one frame per pole, which holds
-the named z/x/y frames, then at most 3 sweeps of coordinate descent from the
-best starts.  A grid frame is uniform, one row pair for every qubit, so each
-is priced on all states of the search at once, and a descent starts from the
-value that chose it.
-Along one angle x of one qubit every outcome probability is
-``A + B cos x + C sin x``, so a line search contracts C once, checks those
-probabilities for every x at once, and then prices each trial at O(2**N): a
-fixed count of 9-point scans over a shrinking bracket (``_ROUNDS``), one scan
-a round for all descents in lockstep.  The first sweep opens with one
-confirmation pass over every start's lines; a start that no line improves, as
-on most channel states, ends there.  Outcome probabilities enter as the continuous ``p log2 p``.
-The paper's states are real and invariant under qubit permutations, and the
-search uses both, keyed on what it can see: a real stack prices only the grid
-frames with phi in [0, pi] (a real state cannot tell phi from -phi), and a
-uniform start on a real state equal to its cyclic qubit shift scans only
-qubit 0's two lines, the others being copies.  A complex stack takes neither
-shortcut.  One search carries the whole stack it is given (each frame is
-measured on the state that owns it); a sweep gives it one chunk of up to 128
-cells, so it pays a round's fixed cost once per chunk.  No value depends on
-the stack: each state gets the result it gets when searched alone.
+:func:`global_discord` minimises it with one fixed, deterministic search, which takes a
+whole stack of states and gives each the result it gets alone.  Each stage's rule is
+stated once, beside its code:
+
+* the stages, their starts and the tie rule: :func:`_search`;
+* the uniform-frame grid, priced on every state at once, and the half of it a real stack
+  prices: :meth:`_GlobalObjective.uniform`, ``_PRICED`` and ``_MIRROR``;
+* the coordinate descents in lockstep, their confirmation pass and the lines a symmetric
+  state copies: :func:`_lockstep`;
+* a line's closed-form probabilities and its fixed scans: :meth:`_GlobalObjective.line_model`,
+  :func:`_scan` and ``_ROUNDS``.
+
 :func:`analytic_gqd` gives the closed forms of the 4-qubit channel states.
 """
 

@@ -22,7 +22,6 @@ import math
 import multiprocessing
 import numbers
 import os
-import tempfile
 from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import attrgetter
@@ -105,16 +104,14 @@ class SweepRecord:
 CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
-def _compute_chunk(runs: list, measures: tuple[str, ...], method: str,
-                   search: bool = True) -> dict[str, np.ndarray]:
+def _compute_chunk(runs: list, measures: tuple[str, ...], method: str) -> dict[str, np.ndarray]:
     """Float64 columns of one chunk, its ``(channel, kts)`` runs measured and searched as one stack.
 
     Coefficients computed once per run give both the closed-form states and the analytic tau.
-    With ``search`` false the chunk gets no ``gqd_numeric`` column: a worker searches it.
     """
     analytic = method in ("analytic", "both")
     numeric = method in ("numeric", "both")
-    search = search and numeric and "gqd" in measures
+    search = numeric and "gqd" in measures
     coefficients = [(channel, _coefficient_columns(channel, kts)) for channel, kts in runs]
     columns = {}
     if analytic and "tau" in measures:
@@ -135,15 +132,10 @@ def _compute_chunk(runs: list, measures: tuple[str, ...], method: str,
     return {name: np.asarray(column, dtype=np.float64) for name, column in columns.items()}
 
 
-def _concatenate(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Each column of ``parts[0]`` joined, in order, from the parts that hold it."""
-    return {name: np.concatenate([part[name] for part in parts if name in part]) for name in parts[0]}
-
-
-def _send_columns(share: list, send) -> None:
-    """Worker body: send ``share``'s ``gqd_numeric`` column, or the exception computing it raised."""
+def _send_columns(share: list, measures: tuple[str, ...], method: str, send) -> None:
+    """Worker body: send each of ``share``'s chunks' columns, or the exception computing them raised."""
     try:
-        result = _concatenate([_compute_chunk(runs, ("gqd",), "numeric") for runs in share])
+        result = [_compute_chunk(runs, measures, method) for runs in share]
     except Exception as exc:
         result = exc
     send.send(result)
@@ -154,23 +146,23 @@ _CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
-def _start(share: list):
-    """Start a process searching ``share``; returns it and the read end of its one-way pipe."""
+def _start(share: list, measures: tuple[str, ...], method: str):
+    """Start a process computing ``share``; returns it and the read end of its one-way pipe."""
     receive, send = _CONTEXT.Pipe(duplex=False)
-    process = _CONTEXT.Process(target=_send_columns, args=(share, send))
+    process = _CONTEXT.Process(target=_send_columns, args=(share, measures, method, send))
     process.start()
     send.close()  # the worker holds the only write end, so its death reads as EOF
     return process, receive
 
 
-def _receive(process, receive) -> dict[str, np.ndarray]:
-    """A worker's columns; its exception is re-raised, its death without columns a RuntimeError."""
+def _receive(process, receive) -> list[dict[str, np.ndarray]]:
+    """A worker's chunk columns; its exception is re-raised, its death without them a RuntimeError."""
     try:
         result = receive.recv()
     except EOFError:
         process.join()
         raise RuntimeError(f"sweep worker exited with code {process.exitcode} "
-                           "before sending its records") from None
+                           "before sending its columns") from None
     if isinstance(result, BaseException):
         raise result
     return result
@@ -182,14 +174,14 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     The channel-major cells are cut once into chunks of ``_CHUNK`` (128: ``2 *
     BATCH_ENTRIES // 4**4``), the same chunks under every ``jobs``; a chunk is a list of
     ``(channel, kts)`` runs, measured as one stack and searched by one discord search, and a
-    process finishes it before it builds the next.  Only the discord search is shared: a request
-    without numeric gqd runs in the calling process alone, and one with it in ``min(config.jobs,
-    chunks, usable CPUs)`` processes (the usable CPUs are the affinity set where the platform has
-    one, else ``os.cpu_count()``).  The caller searches the first ``ceil(chunks / processes)``
-    chunks and each worker process, forked where the platform can fork, the next as many, sending
-    its share's ``gqd_numeric`` column back over a one-way pipe; the caller computes every chunk's
-    other columns.  So every cell is measured and searched in the same stack under every ``jobs``,
-    and a ``jobs`` above the chunk count starts no more workers.
+    process computes all of a chunk's columns before it starts the next.  Processes pay only for
+    the discord search: a request without numeric gqd runs in the calling process alone, and one
+    with it in ``min(config.jobs, chunks, usable CPUs)`` processes (the usable CPUs are the
+    affinity set where the platform has one, else ``os.cpu_count()``).  The caller computes the
+    first ``ceil(chunks / processes)`` chunks and each worker process, forked where the platform
+    can fork, the next as many, sending their columns back over a one-way pipe.  So every cell is
+    measured and searched in the same stack under every ``jobs``, and a ``jobs`` above the chunk
+    count starts no more workers.
     A worker's exception is re-raised here, a worker that dies before sending is a RuntimeError
     naming its exit code, and on any failure every worker is stopped before the call returns.
     """
@@ -206,12 +198,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     workers = []
     try:
         for lo in range(own, len(chunks), own):
-            workers.append(_start(chunks[lo:lo + own]))
-        # The caller's chunks past its own share lack gqd_numeric, the workers' columns hold
-        # only it, so joining every part in this order keeps each column in chunk order.
-        columns = _concatenate([_compute_chunk(runs, config.measures, config.method, i < own)
-                                for i, runs in enumerate(chunks)]
-                               + [_receive(*worker) for worker in workers])
+            workers.append(_start(chunks[lo:lo + own], config.measures, config.method))
+        parts = [_compute_chunk(runs, config.measures, config.method) for runs in chunks[:own]]
+        for worker in workers:
+            parts += _receive(*worker)
     except BaseException:
         for process, _ in workers:
             process.terminate()
@@ -221,25 +211,22 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
             process.join()
             process.close()  # its sentinel pipe, else open while a traceback holds it
             receive.close()
-    values = [columns[name].tolist() if name in columns else repeat(None)
-              for name in CSV_HEADER.split(",")[2:]]
+    values = [np.concatenate([part[name] for part in parts]).tolist() if name in parts[0]
+              else repeat(None) for name in CSV_HEADER.split(",")[2:]]
     names = [channel.value for channel in config.channels]
     return list(map(SweepRecord, [name for name in names for _ in grid], grid * len(names), *values))
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
+    """Write ``text`` to a new file beside ``path``, then rename it over ``path``.
 
-    A failed write leaves any previous file intact and no temporary behind.
-    The file gets the mode ``open`` would give it, 0o666 less the umask,
-    rather than the 0600 of ``mkstemp``.
+    A failed write leaves any previous file intact and no temporary behind.  The temporary
+    file is created as ``open(tmp, "x")`` creates one, so the kernel gives it 0o666 less the
+    umask, and the umask is never read or changed.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)

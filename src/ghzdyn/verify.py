@@ -71,10 +71,10 @@ def check_tau_closed_form() -> list[CheckResult]:
                for rho in (closed_form_state(channel, kt), closed_form_state(channel, kt).astype(complex)))
     return [
         _result("tau-closed-form", "max |bound - closed form| over 20 points, all channels",
-                worst, 0.0, 1e-12),
+                worst, 0.0, 1e-14),
         _result("tau-closed-form", "max |bound - closed form| at kappa*t = 1e-6, 1e-5, 1e-4 "
-                "on X, Y and iso, real and complex", near, 0.0, 1e-12),
-        _result("tau-closed-form", "max |tau_X - tau_Y| over 20 points", xy, 0.0, 1e-12),
+                "on X, Y and iso, real and complex", near, 0.0, 1e-14),
+        _result("tau-closed-form", "max |tau_X - tau_Y| over 20 points", xy, 0.0, 1e-14),
     ]
 
 
@@ -84,11 +84,11 @@ def check_tau_vanishing() -> list[CheckResult]:
     root_iso = -math.log((2.0 * math.sqrt(2.0) - 1.0) / 3.0) / 8.0
     return [
         _result("tau-vanishing", "X-channel root vs quadratic solution",
-                tau_vanishing_time(Channel.X), root_xy, 1e-10),
+                tau_vanishing_time(Channel.X), root_xy, 1e-12),
         _result("tau-vanishing", "Y-channel root vs quadratic solution",
-                tau_vanishing_time(Channel.Y), root_xy, 1e-10),
+                tau_vanishing_time(Channel.Y), root_xy, 1e-12),
         _result("tau-vanishing", "isotropic root vs quadratic solution",
-                tau_vanishing_time(Channel.ISO), root_iso, 1e-10),
+                tau_vanishing_time(Channel.ISO), root_iso, 1e-12),
         _flag("tau-vanishing", "Z-channel bound never vanishes (root is None)",
               tau_vanishing_time(Channel.Z) is None),
     ]
@@ -101,7 +101,7 @@ def check_sudden_change() -> list[CheckResult]:
     return [
         _result("sudden-change", "branch crossing time", kink, 0.137, 0.001),
         _result("sudden-change", "|plateau - transverse branch| at the crossing",
-                gap, 0.0, 1e-10),
+                gap, 0.0, 5e-12),
     ]
 
 
@@ -128,11 +128,11 @@ def check_gqd_x() -> list[CheckResult]:
                   for v, kt in zip(_optimised_gqd(Channel.X, general_grid, complex), general_grid))
     return [
         _result("gqd-x", "max |optimised - 1| on the plateau {0.02, 0.08, 0.13}",
-                plateau, 0.0, 1e-12),
+                plateau, 0.0, 1e-14),
         _result("gqd-x", "max |optimised - (3 - S)| past the kink {0.2, 0.4}",
-                decay, 0.0, 1e-12),
+                decay, 0.0, 1e-14),
         _result("gqd-x", "max |optimised - closed form| on complex copies at {0.08, 0.4}, "
-                "the search's general path: full grid, every line", general, 0.0, 1e-12),
+                "the search's general path: full grid, every line", general, 0.0, 1e-14),
     ]
 
 
@@ -152,8 +152,8 @@ def check_gqd_z() -> list[CheckResult]:
     uncorrected = max(abs(v - _z_form_unbalanced(kt)) for v, kt in zip(values, grid))
     return [
         _result("gqd-z", "max |optimised - corrected form| over 10 points in [0, 0.5]",
-                corrected, 0.0, 1e-12),
-        _result("gqd-z", "value at kappa*t = 0", values[0], 1.0, 1e-12),
+                corrected, 0.0, 1e-14),
+        _result("gqd-z", "value at kappa*t = 0", values[0], 1.0, 1e-14),
         _flag("gqd-z", "form without the 1/2 factor disagrees (rejected as expected)",
               uncorrected > 5e-3),
     ]
@@ -166,8 +166,8 @@ def check_gqd_iso() -> list[CheckResult]:
     dev = max(abs(v - analytic_gqd(Channel.ISO, kt)) for v, kt in zip(values, grid))
     return [
         _result("gqd-iso", "max |optimised - closed form| over 10 points in [0, 0.5]",
-                dev, 0.0, 1e-12),
-        _result("gqd-iso", "value at kappa*t = 0", values[0], 1.0, 1e-12),
+                dev, 0.0, 1e-14),
+        _result("gqd-iso", "value at kappa*t = 0", values[0], 1.0, 1e-14),
     ]
 
 
@@ -200,7 +200,7 @@ def check_ppt() -> list[CheckResult]:
     return [
         _flag("ppt", f"X-channel min PT eigenvalue stays below -1e-6 "
               f"at {{0.25, 0.5, 1.0}} (worst {x_worst:.3e})", x_worst < -1e-6),
-        _result("ppt", "Z-channel min PT eigenvalue vs -exp(-8 kt)/2", z_dev, 0.0, 1e-12),
+        _result("ppt", "Z-channel min PT eigenvalue vs -exp(-8 kt)/2", z_dev, 0.0, 1e-14),
     ]
 
 
@@ -251,7 +251,7 @@ def check_structure() -> list[CheckResult]:
     frame = uniform_frame(4, 0.7, 1.3)
     once = dephase(rho, frame)
     idem = float(np.abs(dephase(once, frame) - once).max())
-    results.append(_result("structure", "dephase idempotence in max-abs", idem, 0.0, 1e-12))
+    results.append(_result("structure", "dephase idempotence in max-abs", idem, 0.0, 1e-14))
 
     worst = 0.0
     for channel in Channel:
@@ -262,13 +262,13 @@ def check_structure() -> list[CheckResult]:
                         abs(float(np.trace(state).real) - 1.0),
                         -float(np.linalg.eigvalsh(state).min()))
     results.append(_result("structure", "closed-form states: GHZ at t=0, hermitian, "
-                           "unit trace, positive", worst, 0.0, 1e-12))
+                           "unit trace, positive", worst, 0.0, 1e-14))
     results.append(_result("structure", "X-pair route vs dense LAPACK (eigvalsh, eigvals of rho F) "
                            "on the channel states at kappa*t = 0, 0.05, 0.137, 0.3, 0.6: "
                            "max deviation of spectra, tau and PPT minima", _pair_route_deviation(),
                            0.0, 1e-15))
 
-    # 130 cells, two chunks: jobs=2 starts a worker, which searches the second chunk.
+    # 130 cells, two chunks: jobs=2 starts a worker, which computes the second chunk.
     config = SweepConfig(channels=(Channel.X, Channel.Z), measures=("tau", "gqd", "entropy"),
                          kt_max=0.2, steps=65)
     with tempfile.TemporaryDirectory() as tmp:

@@ -211,7 +211,7 @@ def test_csv_bytes_are_reproducible(tmp_path):
                          ids=["more-jobs-than-cells", "one-chunk-of-5", "chunks-of-128-and-1"])
 def test_csv_bytes_do_not_depend_on_how_the_chunks_are_shared(tmp_path, channels, steps, jobs):
     # 3 x 43 = 129 cells, every measure: under jobs=2, on two usable CPUs, a real worker
-    # process searches the second chunk's one cell, and the caller measures it.
+    # process computes the second chunk's one cell.
     config = SweepConfig(channels=channels, kt_max=0.3, steps=steps)
     paths = [str(tmp_path / "one.csv"), str(tmp_path / "many.csv")]
     emit_csv(run_sweep(config), paths[0])
@@ -227,7 +227,7 @@ def _cells(runs):
 def _inline_workers(monkeypatch, cpus, usable=None, chunk=None):
     """Run worker shares in-process on a host of ``cpus`` CPUs; returns what the workers saw.
 
-    That is the worker count, then the cells of each chunk the workers were given to search.
+    That is the worker count, then the cells of each chunk the workers were given to compute.
     ``usable`` of the CPUs are the process's own (default: all).  ``cpus`` None, as
     ``os.cpu_count`` may return, stands for a platform without an affinity call too.
     ``chunk``, if given, stands in for the 128 cells of a chunk.
@@ -237,14 +237,14 @@ def _inline_workers(monkeypatch, cpus, usable=None, chunk=None):
     class Finished:
         """Worker process and pipe in one: ``recv`` runs the worker body when read, in order."""
 
-        def __init__(self, share):
-            self.share = share
+        def __init__(self, args):
+            self.args = args
 
         def send(self, result):
             self.result = result
 
         def recv(self):
-            sweep._send_columns(self.share, self)
+            sweep._send_columns(*self.args, self)
             return self.result
 
         def terminate(self):
@@ -252,10 +252,10 @@ def _inline_workers(monkeypatch, cpus, usable=None, chunk=None):
 
         join = close = terminate
 
-    def start(share):
+    def start(share, measures, method):
         seen[0] += 1
         seen[1] += [_cells(runs) for runs in share]
-        worker = Finished(share)
+        worker = Finished((share, measures, method))
         return worker, worker
 
     monkeypatch.setattr(sweep, "_start", start)
@@ -324,7 +324,7 @@ def test_a_huge_job_count_starts_one_process_per_chunk(monkeypatch):
 
 def test_every_job_count_computes_the_same_chunks(monkeypatch):
     # The default 484-cell grid is four chunks, 128, 128, 128 and 100 cells, whichever
-    # process searches them and whichever measures them.
+    # process computes them.
     _inline_workers(monkeypatch, cpus=64)
     computed, compute = {}, sweep._compute_chunk
 
@@ -363,16 +363,16 @@ def test_a_one_chunk_sweep_starts_no_pool_whatever_the_jobs(monkeypatch):
                          ids=["state-only", "analytic"])
 @pytest.mark.parametrize("jobs", [2, 64])
 def test_a_request_without_the_discord_search_starts_no_worker(monkeypatch, measures, method, jobs):
-    # 964 cells, eight chunks, 64 CPUs: only the discord search is shared among processes.
+    # 964 cells, eight chunks, 64 CPUs: eight processes, were the discord search requested.
     _inline_workers(monkeypatch, cpus=64)
-    monkeypatch.setattr(sweep, "_start", lambda share: pytest.fail("started a worker"))
+    monkeypatch.setattr(sweep, "_start", lambda *args: pytest.fail("started a worker"))
     config = SweepConfig(measures=measures, method=method, steps=241)
     assert run_sweep(replace(config, jobs=jobs)) == run_sweep(config)
 
 
-# 129 cells: two chunks, so under jobs=2 the caller searches the first and one real worker
-# the second, and the caller measures both.  The patched ``_compute_chunk`` reaches a worker
-# only through fork, the start method wherever the platform has it.
+# 129 cells: two chunks, so under jobs=2, by ``run_sweep``'s rule, the caller computes the
+# first and one real worker the second.  The patched ``_compute_chunk`` reaches a worker only
+# through fork, the start method wherever the platform has it.
 _TWO_CHUNKS = SweepConfig(channels=(Channel.X, Channel.Y, Channel.Z), measures=("tau", "gqd"),
                           kt_max=0.3, steps=43, jobs=2)
 _FORKED = pytest.mark.skipif(sweep._CONTEXT.get_start_method() != "fork",
@@ -471,6 +471,22 @@ def test_a_two_process_sweep_leaves_no_descriptor_open(monkeypatch, fail):
             assert raised.traceback
     assert len(started) == 1
     assert _open_descriptors() == before
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("start_method", [m for m in multiprocessing.get_all_start_methods() if m != "fork"])
+def test_a_worker_started_without_fork_computes_the_same_records(monkeypatch, start_method):
+    # A worker that starts from a fresh interpreter imports the sweep again instead of
+    # inheriting it, so it must be handed everything it computes with.
+    monkeypatch.setattr(sweep, "_CONTEXT", multiprocessing.get_context(start_method))
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []
+    start = sweep._start
+    monkeypatch.setattr(sweep, "_start", lambda *args: started.append(args) or start(*args))
+    with _deadline(60):
+        records = run_sweep(_TWO_CHUNKS)
+    assert len(started) == 1
+    assert records == run_sweep(replace(_TWO_CHUNKS, jobs=1))
     assert multiprocessing.active_children() == []
 
 
@@ -680,6 +696,15 @@ def test_written_files_follow_the_umask(tmp_path):
         os.umask(previous)
     for path in (csv_path, script_path):
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path
+
+
+def test_emit_csv_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # Setting the umask, even to read it back, would give a file that another thread of the
+    # process creates meanwhile the wrong mode.
+    records = run_sweep(replace(FAST, measures=("tau",)))
+    monkeypatch.setattr(sweep.os, "umask", lambda mask: pytest.fail(f"os.umask({mask:#o}) called"))
+    emit_csv(records, str(tmp_path / "sweep.csv"))
+    assert os.listdir(tmp_path) == ["sweep.csv"]
 
 
 _spec = importlib.util.spec_from_file_location(
