@@ -24,8 +24,8 @@ def main() -> int:
     print("transition landmarks (all times in units of kappa*t)")
     print()
     print(f"{'channel':<10} {'bound vanishes at':<20} {'discord kink at':<18}")
-    for channel in CHANNELS:
-        root = tau_vanishing_time(channel)
+    roots = {channel: tau_vanishing_time(channel) for channel in CHANNELS}
+    for channel, root in roots.items():
         root_text = f"{root:.6f}" if root is not None else "never"
         try:
             kink_text = f"{sudden_change_point(channel):.6f}"
@@ -49,9 +49,15 @@ def main() -> int:
                   f"{d_closed:<18.10f} {d_optim:<16.10f} {witness:<12.3e}")
 
     print()
-    print("reading: Z keeps GHZ entanglement longest (its bound never dies),")
-    print("X/Y lose it first via a finite-time zero, and the isotropic channel")
-    print("is the most destructive; discord outlives the concurrence bound.")
+    # The reading follows the vanishing times above: earliest first, equal times together.
+    vanishing = sorted((c for c in CHANNELS if roots[c] is not None), key=roots.get)
+    times = dict.fromkeys(f"{roots[c]:.6f}" for c in vanishing)
+    order = [" and ".join(c.value for c in vanishing if f"{roots[c]:.6f}" == t) + f" ({t})" for t in times]
+    never = " and ".join(c.value for c in CHANNELS if roots[c] is None)
+    *others, last = [c.value for c in vanishing if analytic_gqd(c, roots[c]) > 0.0]
+    print(f"reading: the concurrence bound vanishes first under {', then under '.join(order)},")
+    print(f"and never under {never}; discord outlives it under {', '.join(others)} and {last},")
+    print(f"but not under {never} (dephasing), where the bound never dies.")
     return 0
 
 

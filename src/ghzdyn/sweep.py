@@ -83,6 +83,9 @@ class SweepConfig:
             problems.append(f"out must be a non-empty path, got {self.out!r}")
         if not isinstance(self.plot, bool):
             problems.append(f"plot must be a bool, got {self.plot!r}")
+        elif self.plot and isinstance(self.measures, (tuple, list)) and not (
+                "tau" in self.measures or "gqd" in self.measures):
+            problems.append("plot needs the tau or gqd measure: the plot script draws only their curves")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -236,23 +239,19 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def emit_csv(records: list[SweepRecord], path: str) -> None:
-    """Write records atomically with fixed header, digits and line endings.
-
-    A row is one ``%`` template after the channel: ``%.12g`` for each filled column and
-    ``%.0s``, which prints nothing, for each None one.  Records may mix None columns, so
-    the template is built once per pattern of column types.
-    """
+def _csv_text(records: list[SweepRecord]) -> str:
+    """The header, then per record its channel and each column as ``%.12g`` (empty where None)."""
     values = attrgetter(*CSV_HEADER.split(",")[1:])
-    templates = {}
     lines = [CSV_HEADER]
     for record in records:
-        row = values(record)
-        kinds = tuple(map(type, row))
-        if kinds not in templates:
-            templates[kinds] = "".join(",%.0s" if kind is type(None) else ",%.12g" for kind in kinds)
-        lines.append(record.channel + templates[kinds] % row)
-    _write_atomic(path, "\n".join(lines) + "\n")
+        lines.append(",".join([record.channel] + ["" if v is None else "%.12g" % v
+                                                  for v in values(record)]))
+    return "\n".join(lines) + "\n"
+
+
+def emit_csv(records: list[SweepRecord], path: str) -> None:
+    """Write records' CSV text atomically with fixed header, digits and line endings."""
+    _write_atomic(path, _csv_text(records))
 
 
 _PLOT_SCRIPT = '''#!/usr/bin/env python3

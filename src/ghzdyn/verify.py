@@ -11,10 +11,7 @@ drift apart.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +30,7 @@ from .entanglement import (
     tau_vanishing_time,
 )
 from .linalg import _density_spectra, _partial_transposes, shannon_entropy, trace_distance
-from .sweep import SweepConfig, emit_csv, run_sweep
+from .sweep import SweepConfig, _csv_text, run_sweep
 
 
 @dataclass(frozen=True)
@@ -119,10 +116,8 @@ def check_gqd_x() -> list[CheckResult]:
     plateau_grid, decay_grid = (0.02, 0.08, 0.13), (0.2, 0.4)
     values = _optimised_gqd(Channel.X, plateau_grid + decay_grid)
     plateau = max(abs(v - 1.0) for v in values[:len(plateau_grid)])
-    decay = max(
-        abs(v - (3.0 - shannon_entropy(closed_form_spectrum(Channel.X, kt))))
-        for v, kt in zip(values[len(plateau_grid):], decay_grid)
-    )
+    decay = max(abs(v - analytic_gqd(Channel.X, kt))
+                for v, kt in zip(values[len(plateau_grid):], decay_grid))
     general_grid = (0.08, 0.4)
     general = max(abs(v - analytic_gqd(Channel.X, kt))
                   for v, kt in zip(_optimised_gqd(Channel.X, general_grid, complex), general_grid))
@@ -269,15 +264,12 @@ def check_structure() -> list[CheckResult]:
                            0.0, 1e-15))
 
     # 130 cells, two chunks: jobs=2 starts a worker, which computes the second chunk.
+    # Each text is the one emit_csv writes.
     config = SweepConfig(channels=(Channel.X, Channel.Z), measures=("tau", "gqd", "entropy"),
                          kt_max=0.2, steps=65)
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, name) for name in ("a.csv", "b.csv", "c.csv")]
-        for path, jobs in zip(paths, (1, 1, 2)):
-            emit_csv(run_sweep(replace(config, jobs=jobs)), path)
-        blobs = [Path(p).read_bytes() for p in paths]
+    texts = [_csv_text(run_sweep(replace(config, jobs=jobs))) for jobs in (1, 1, 2)]
     results.append(_flag("structure", "CSV bytes identical across reruns and across jobs=1/2",
-                         blobs[0] == blobs[1] == blobs[2]))
+                         texts[0] == texts[1] == texts[2]))
     return results
 
 

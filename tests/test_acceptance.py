@@ -7,9 +7,13 @@ acceptance report.  The tests after them check the abstract's claims on
 one sweep.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 
+import ghzdyn.sweep as sweep
+import ghzdyn.verify as verify
 from ghzdyn.sweep import CSV_HEADER, SweepConfig, run_sweep
 from ghzdyn.verify import CHECKS, format_report, run_checks
 
@@ -84,6 +88,24 @@ def test_09_integrator_agrees_with_closed_forms():
 
 def test_10_structure_and_determinism():
     _run("structure")
+
+
+def test_the_structure_check_compares_csv_text_in_memory_with_one_worker(monkeypatch, tmp_path):
+    # Two usable CPUs: the jobs=2 run of the 130-cell, two-chunk sweep starts the worker that
+    # computes the second chunk.  The three CSV texts are compared as strings; no file is written.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sweep, "_write_atomic", lambda *args: pytest.fail("wrote a file"))
+    monkeypatch.setattr(tempfile, "mkdtemp", lambda *args, **kwargs: pytest.fail("made a directory"))
+    started, texts = [], []
+    start, text = sweep._start, verify._csv_text
+    monkeypatch.setattr(sweep, "_start", lambda *args: started.append(args) or start(*args))
+    monkeypatch.setattr(verify, "_csv_text", lambda records: texts.append(text(records)) or texts[-1])
+    results = [r for r in verify.check_structure() if r.detail.startswith("CSV bytes")]
+    assert [r.passed for r in results] == [True]
+    assert len(started) == 1
+    assert len(texts) == 3 and texts[0].startswith(CSV_HEADER + "\n") and texts[0].count("\n") == 131
+    assert list(tmp_path.iterdir()) == []
 
 
 # The abstract's claims, read off one sweep of every channel and measure: 241 steps to

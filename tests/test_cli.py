@@ -215,6 +215,19 @@ def test_main_runs_sweep_and_plot(tmp_path, capsys):
     compile(Path(script).read_text(), script, "exec")
 
 
+@pytest.mark.parametrize("config_text", [None, "measure = entropy\nplot = true\n"], ids=["flags", "config-file"])
+def test_a_plot_without_tau_or_gqd_is_a_usage_error_that_writes_nothing(tmp_path, capsys, config_text):
+    out = tmp_path / "x.csv"
+    argv = ["--plot", "--measure", "entropy"]
+    if config_text is not None:
+        (tmp_path / "run.cfg").write_text(config_text)
+        argv = ["--config", str(tmp_path / "run.cfg")]
+    assert cli.main([*argv, "--steps", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "plot needs the tau or gqd measure" in captured.err and not captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config_text is None else ["run.cfg"])
+
+
 def test_back_to_back_main_calls_share_no_state(tmp_path):
     # The parser is built once; each call's flags and config file are its own.
     assert cli._build_parser() is cli._build_parser()

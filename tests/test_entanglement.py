@@ -172,14 +172,14 @@ def test_tau_lower_bound_matches_closed_forms():
 
 def test_spin_flip_tau_matches_the_closed_form_on_a_near_pure_state():
     bound = tau_lower_bound(closed_form_state(Channel.Y, 1e-4)).value
-    assert abs(bound - analytic_tau(Channel.Y, 1e-4)) <= 1e-12
+    assert abs(bound - analytic_tau(Channel.Y, 1e-4)) <= 1e-14
 
 
 def test_tau_x_equals_tau_y():
     for kt in np.linspace(0.0, 0.5, 20):
         bx = tau_lower_bound(closed_form_state(Channel.X, kt)).value
         by = tau_lower_bound(closed_form_state(Channel.Y, kt)).value
-        assert abs(bx - by) < 1e-10
+        assert abs(bx - by) <= 1e-14
 
 
 def test_tau_is_permutation_invariant(rng):

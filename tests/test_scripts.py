@@ -20,6 +20,12 @@ def test_transition_report_prints_the_kink_and_matching_discords():
     assert len(snapshots) == 8  # four channels at kappa*t = 0.1 and 0.3
     for channel, _, _, closed, optim, _ in snapshots:
         assert optim == closed, f"{channel}: discord (optim) {optim} != discord (closed) {closed}"
+    # The closing reading names the channels in the order of the vanishing times in the table.
+    reading = " ".join(proc.stdout.split("reading: ", 1)[1].split())
+    assert reading.startswith("the concurrence bound vanishes first under iso (0.061895), "
+                              "then under x and y (0.191913), and never under z;")
+    assert reading.endswith("discord outlives it under iso, x and y, but not under z (dephasing), "
+                            "where the bound never dies.")
 
 
 def _deviation_report(tmp_path, a_text, b_text):

@@ -173,9 +173,9 @@ def test_emit_csv_format(tmp_path):
 
 
 def test_emit_csv_bytes_equal_per_value_formatting(tmp_path):
-    # One % template per pattern of None columns must give the bytes of formatting each
-    # value on its own, on records that mix patterns and carry signed zeros, infinities,
-    # NaN, subnormals and numpy floats.
+    # The CSV text must give the bytes of formatting each value on its own with an f-string,
+    # on records that mix None columns and carry signed zeros, infinities, NaN, subnormals
+    # and numpy floats.
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 2.2250738585072014e-308,
                 1.7976931348623157e308, 1.0, 1.0 / 3.0, -123456789012.345, 1e-12, 0.1 + 0.2]
     rng = np.random.default_rng(29)
