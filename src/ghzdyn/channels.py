@@ -249,9 +249,9 @@ def evolve_numeric(rho0: np.ndarray, channel: Channel, t_final: float) -> np.nda
     """Integrate the master equation from ``rho0`` for time ``t_final`` (kappa = 1).
 
     One fixed-step RK4 run of ``2 * ceil(t_final / BASE_STEP)`` steps, raised beforehand
-    to the fewest for which :func:`_rk4_error_bound` meets ``INTEGRATOR_TOL`` (1e-9), which
+    to the fewest for which :func:`_rk4_error_bound` meets ``INTEGRATOR_TOL``, which
     never happens for N <= 6.  The result is re-hermitized and its trace renormalised;
-    drift beyond ``NORM_TOL`` (1e-10) raises.
+    drift beyond ``NORM_TOL`` raises.
     """
     channel = Channel(channel)
     n = assert_density_matrix(rho0, name="initial state")

@@ -82,7 +82,7 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat ``key = value`` file, rejecting unknown or repeated keys and noise."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a BOM is not part of the first key
             raw_lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
@@ -165,7 +165,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -40,7 +40,7 @@ from .channels import PAULI_X, PAULI_Y, PAULI_Z, Channel, closed_form_spectrum, 
 from .entanglement import _bisect_root
 from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, EIGENVALUE_FLOOR, PROBABILITY_SUM_TOL,
                      PSD_FLOOR, _check_probabilities, _density_spectra, _entropies,
-                     _outcome_plog2p, assert_density_matrix, num_qubits, shannon_entropy)
+                     _plog2p, assert_density_matrix, num_qubits, shannon_entropy)
 
 # The uniform-frame grid: theta over [0, pi] inclusive, phi over [0, 2 pi) exclusive.
 _GRID_THETA = 21
@@ -137,7 +137,7 @@ def _pauli_tensors(rhos: np.ndarray, n: int) -> np.ndarray:
 def _outcome_entropies(probs: np.ndarray) -> np.ndarray:
     """Row entropies of outcome probabilities, checked as by ``shannon_entropies``, unfloored."""
     _check_probabilities(probs)
-    return -_outcome_plog2p(probs).sum(axis=-1)
+    return -_plog2p(probs, 0.0).sum(axis=-1)
 
 
 def _rows(frames: np.ndarray) -> np.ndarray:
@@ -289,7 +289,7 @@ class _GlobalObjective:
                 trig[..., 0] = 1.0
                 np.cos(x, out=trig[..., 1])
                 np.sin(x, out=trig[..., 2])
-                terms = _outcome_plog2p(trig @ model[part])  # H(joint) - H(own), as sums of terms
+                terms = _plog2p(trig @ model[part], 0.0)  # H(joint) - H(own), as sums of terms
                 own = terms[..., width] + terms[..., width + 1]
                 out[part] = own - np.add.reduce(terms[..., :width], -1) + offset[part, None]
             return out
@@ -503,8 +503,8 @@ def _search(objective, n: int):
 def _global_discords(rhos: np.ndarray, spectra: np.ndarray) -> list[DiscordResult]:
     """:func:`global_discord` of a validated ``(B, d, d)`` stack, given its :func:`_density_spectra`.
 
-    One search of the whole stack, which the caller bounds: at most 128 states from a sweep
-    chunk, one from :func:`global_discord`, at most 10 from ``--verify``.  Each result is the
+    One search of the whole stack, which the caller bounds: at most ``sweep._CHUNK`` states from a
+    sweep chunk, one from :func:`global_discord`, at most 10 from ``--verify``.  Each result is the
     one :func:`global_discord` gives for that state alone.
     """
     n = rhos.shape[-1].bit_length() - 1
@@ -522,7 +522,7 @@ def global_discord(rho: np.ndarray) -> DiscordResult:
 
     Deterministic by construction: the uniform grid (named frames included)
     is evaluated in a fixed order, descent starts are deduplicated, and ties
-    within 1e-12 resolve to the lexicographically smallest angle vector.
+    within ``_TIE_TOL`` resolve to the lexicographically smallest angle vector.
 
     The result is the lowest point the capped descents reach: on 9 random
     4-qubit states (``default_rng(11)``, ranks 2, 4, 16) uncapped ones end 4e-5

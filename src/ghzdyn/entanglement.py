@@ -168,7 +168,7 @@ def _tau_lower_bounds(rhos: np.ndarray) -> np.ndarray:
 
 
 def tau_lower_bound(rho: np.ndarray) -> TauResult:
-    """Spin-flip concurrence bound, calibrated to sqrt(2) on 4-qubit GHZ.
+    """Spin-flip concurrence bound, calibrated to ``TAU_SCALE`` on 4-qubit GHZ.
 
     Every one-versus-rest cut shares the single flip construction, so
     ``per_cut`` holds N equal Wootters values v and ``value`` is
@@ -176,7 +176,7 @@ def tau_lower_bound(rho: np.ndarray) -> TauResult:
     """
     n = assert_density_matrix(rho)
     v = float(_flip_values(rho[None])[0])
-    return TauResult(TAU_SCALE * v, (v,) * n, TAU_SCALE)
+    return TauResult(float(_tau_lower_bounds(rho[None])[0]), (v,) * n, TAU_SCALE)
 
 
 def _cut_arrays(rho: np.ndarray, n: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

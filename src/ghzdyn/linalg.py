@@ -25,6 +25,7 @@ directly with numpy.
 
 from __future__ import annotations
 
+import numbers
 from functools import cache
 
 import numpy as np
@@ -187,7 +188,7 @@ def permute_qubits(rho: np.ndarray, perm: tuple[int, ...] | list[int]) -> np.nda
     """Reorder register wires: output qubit ``j`` is input qubit ``perm[j]``."""
     n = num_qubits(rho)
     perm = list(perm)
-    if sorted(perm) != list(range(n)):
+    if sorted(perm) != list(range(n)) or not all(isinstance(q, numbers.Integral) for q in perm):
         raise ValueError(f"perm {perm} is not a permutation of range({n})")
     t = rho.reshape([2] * (2 * n))
     t = np.transpose(t, perm + [p + n for p in perm])
@@ -198,6 +199,8 @@ def _partial_transposes(rhos: np.ndarray, subset: tuple[int, ...] | list[int]) -
     """:func:`partial_transpose` of every matrix in a ``(B, d, d)`` stack, as one copy."""
     n = rhos.shape[-1].bit_length() - 1
     subset = set(subset)
+    if bad := [q for q in subset if not isinstance(q, numbers.Integral)]:
+        raise ValueError(f"qubit index {bad[0]!r} in subset is not an integer")
     if any(q < 0 or q >= n for q in subset):
         raise ValueError(f"subset {sorted(subset)} out of range for {n} qubits")
     axes = list(range(2 * n + 1))  # axis 0 runs over the stack
@@ -233,18 +236,15 @@ def shannon_entropies(probs: np.ndarray) -> np.ndarray:
     """Row-wise :func:`shannon_entropy` over the last axis, with the same checks."""
     p = np.asarray(probs, dtype=float)
     _check_probabilities(p)
-    return -_plog2p(p).sum(axis=-1)
+    return -_plog2p(p, EIGENVALUE_FLOOR).sum(axis=-1)
 
 
-def _plog2p(p: np.ndarray) -> np.ndarray:
-    """``p log2 p`` entrywise, 0 at or below ``EIGENVALUE_FLOOR``, for spectra; no checks."""
-    q = np.where(p > EIGENVALUE_FLOOR, p, 1.0)
-    return q * np.log2(q)
+def _plog2p(p: np.ndarray, floor: float) -> np.ndarray:
+    """``p log2 p`` entrywise, 0 at or below ``floor``; no checks.
 
-
-def _outcome_plog2p(p: np.ndarray) -> np.ndarray:
-    """``p log2 p`` entrywise, 0 for ``p <= 0``: continuous, with no floor; no checks."""
-    q = np.where(p > 0.0, p, 1.0)
+    Spectra take ``EIGENVALUE_FLOOR``; outcome probabilities take 0.0, which keeps the sum continuous.
+    """
+    q = np.where(p > floor, p, 1.0)
     return q * np.log2(q)
 
 
@@ -257,7 +257,7 @@ def _entropies(spectra: np.ndarray) -> np.ndarray:
     lo = float(spectra[:, 0].min())
     if lo < -PSD_FLOOR:
         raise ValueError(f"state has negative eigenvalue {lo:.3e}")
-    return -_plog2p(spectra).sum(axis=1)
+    return -_plog2p(spectra, EIGENVALUE_FLOOR).sum(axis=1)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -60,15 +60,17 @@ class SweepConfig:
 
     def validate(self) -> None:
         problems = []
-        for name, items, known, expected in (
-                ("channels", self.channels, lambda ch: isinstance(ch, Channel), ""),
-                ("measures", self.measures, MEASURES.__contains__, f" (expected one of {MEASURES})")):
+        for name, items, known, wrong in (
+                ("channels", self.channels, lambda ch: isinstance(ch, Channel),
+                 "channel {!r} is not a Channel (expected a member such as Channel('x'))"),
+                ("measures", self.measures, MEASURES.__contains__,
+                 f"unknown measure {{!r}} (expected one of {MEASURES})")):
             if not isinstance(items, (tuple, list)):
                 problems.append(f"{name} must be a tuple or list, got {items!r}")
             elif not items:
                 problems.append(f"{name} must not be empty")
             elif unknown := [item for item in items if not known(item)]:
-                problems += [f"unknown {name[:-1]} {item!r}{expected}" for item in unknown]
+                problems += [wrong.format(item) for item in unknown]
             elif len(set(items)) != len(items):
                 problems.append(f"duplicate {name} in {tuple(getattr(i, 'value', i) for i in items)}")
         if not _is(self.kt_max, numbers.Real) or not 0.0 < self.kt_max < math.inf:

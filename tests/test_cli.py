@@ -90,6 +90,18 @@ def test_flag_lists_replace_config_file_lists(tmp_path):
     assert config.measures == ("tau", "ppt")
 
 
+def test_a_config_file_with_a_byte_order_mark_gives_the_csv_of_the_same_flags(tmp_path):
+    # Editors that save UTF-8 with a BOM put U+FEFF before the first key.
+    path = tmp_path / "run.cfg"
+    path.write_text("channel = x, z\nmeasure = tau, entropy\nkt-max = 0.4\nsteps = 5\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert cli.main(["--config", str(path), "--out", str(from_file)]) == 0
+    assert cli.main(["--channel", "x", "--channel", "z", "--measure", "tau", "--measure", "entropy",
+                     "--kt-max", "0.4", "--steps", "5", "--out", str(from_flags)]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+
+
 @pytest.mark.parametrize("key, value, flag", [
     ("steps", "soon", "--steps"),
     ("channel", "w", "--channel"),

@@ -429,10 +429,10 @@ def test_line_rejects_a_state_whose_probabilities_do_not_sum_to_one(monkeypatch)
     # Unvalidated spectra: the state is invalid on purpose.
     objective = _GlobalObjective(doubled[None], 2, np.linalg.eigvalsh(doubled[None]))
 
-    def no_trial(p):
+    def no_trial(p, floor):
         raise AssertionError("a trial was priced")
 
-    monkeypatch.setattr(discord, "_outcome_plog2p", no_trial)
+    monkeypatch.setattr(discord, "_plog2p", no_trial)
     with pytest.raises(ValueError, match="on a line sum to 2 "):
         objective.lines(np.stack([z_frame(2), x_frame(2)]), np.zeros(2, dtype=int), 0, 0)
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import bell_state, random_density, random_product_state, random_pure, random_unitary
 from ghzdyn.channels import Channel, closed_form_state, ghz_state
+from ghzdyn.entanglement import ppt_min_eigenvalue
 from ghzdyn.linalg import (
     MAX_QUBITS,
     _density_spectra,
@@ -128,8 +129,11 @@ def test_permute_qubits_composition_and_spectrum(seed):
 
 
 def test_permute_qubits_validation():
-    with pytest.raises(ValueError, match="not a permutation"):
-        permute_qubits(ghz_state(3), (0, 1, 1))
+    for perm in ((0, 1, 1), (2.0, 1, 0)):  # 2.0 == 2, but no axis index
+        with pytest.raises(ValueError, match="not a permutation"):
+            permute_qubits(ghz_state(3), perm)
+    with pytest.raises(ValueError, match=r"perm \[1\.0, 0\] is not a permutation"):
+        partial_trace(ghz_state(2), [1.0])
 
 
 @given(seeds)
@@ -153,6 +157,16 @@ def test_partial_transpose_rejects_a_qubit_out_of_range():
     for subset in ((2,), (-1,), (0, 3)):
         with pytest.raises(ValueError, match="out of range for 2 qubits"):
             partial_transpose(bell_state(), subset)
+
+
+def test_partial_transpose_and_ppt_reject_a_qubit_index_that_is_not_an_integer():
+    for subset, name in (([0.5], "0.5"), ((1.0,), "1.0"), (["0"], "'0'"), ((0, None), "None")):
+        with pytest.raises(ValueError, match=f"qubit index {name} in subset is not an integer"):
+            partial_transpose(bell_state(), subset)
+        with pytest.raises(ValueError, match=f"qubit index {name} in subset is not an integer"):
+            ppt_min_eigenvalue(bell_state(), subset)
+    numpy_index = (np.int64(0),)
+    assert np.array_equal(partial_transpose(bell_state(), numpy_index), partial_transpose(bell_state(), (0,)))
 
 
 def test_bell_partial_transpose_floor():

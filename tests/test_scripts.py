@@ -62,3 +62,45 @@ def test_csv_deviation_rejects_files_that_do_not_line_up(tmp_path):
     proc = _deviation_report(tmp_path, "channel,tau,ppt\nx,1,2\n", "channel,tau,ppt\nx,1\n")
     assert proc.returncode == 2 and "b.csv:2: 2 fields, the header has 3" in proc.stderr
     assert not proc.stdout
+
+
+def test_readme_quick_start_runs_and_prints_the_documented_values(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md#quick-start", "exec"), {})
+    discord, vanishing, kink, ppt = capsys.readouterr().out.splitlines()
+    assert discord.startswith("1.0 {'z': 1.0, ")
+    assert (f"{float(vanishing):.6f}", f"{float(kink):.6f}") == ("0.191913", "0.136666")  # as commented
+    assert float(ppt) < 0.0
+
+
+def _line_count(package):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "line_count.py"), str(package)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["module", "code", "docstring", "comment", "blank", "total"]
+    return {row[0]: [int(count) for count in row[1:]] for row in rows}
+
+
+def test_line_count_totals_are_the_physical_line_counts():
+    package = ROOT / "src" / "ghzdyn"
+    counts = _line_count(package)
+    lines = {path.name: len(path.read_text(encoding="utf-8").splitlines()) for path in package.glob("*.py")}
+    assert set(counts) == set(lines) | {"total"}
+    for name, (code, doc, comment, blank, total) in counts.items():
+        physical = sum(lines.values()) if name == "total" else lines[name]
+        assert code + doc + comment + blank == total == physical
+
+
+def test_line_count_splits_code_docstrings_comments_and_blanks(tmp_path):
+    (tmp_path / "m.py").write_text('"""Module doc,\n\nover three lines."""\n'
+                                   "# a comment\n"
+                                   "\n"
+                                   "def f():\n"
+                                   "    '''One line.'''\n"
+                                   "    text = '''a string in code,\n"
+                                   "\n"
+                                   "    not a docstring'''  # trailing comment\n"
+                                   "    return text\n", encoding="utf-8")
+    assert _line_count(tmp_path)["m.py"] == [5, 4, 1, 1, 11]

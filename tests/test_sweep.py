@@ -90,6 +90,13 @@ def test_config_validation_reports_bad_types(field, value):
     replace(FAST, **{field: good}).validate()
 
 
+def test_a_channel_name_in_place_of_a_channel_is_reported_as_such():
+    # 'x' names a channel but is no Channel: the message says what to pass, and nothing coerces it.
+    with pytest.raises(ValueError, match=r"^channel 'x' is not a Channel \(expected a member such as "
+                                         r"Channel\('x'\)\)$"):
+        run_sweep(replace(FAST, channels=("x",)))
+
+
 def test_run_sweep_orders_channel_major():
     records = run_sweep(FAST)
     assert [r.channel for r in records] == ["x", "x", "x", "z", "z", "z"]
