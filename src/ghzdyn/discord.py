@@ -38,9 +38,9 @@ import numpy as np
 
 from .channels import PAULI_X, PAULI_Y, PAULI_Z, Channel, closed_form_spectrum, coefficients
 from .entanglement import _bisect_root
-from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, EIGENVALUE_FLOOR, PROBABILITY_SUM_TOL,
-                     PSD_FLOOR, _check_probabilities, _density_spectra, _entropies,
-                     _plog2p, assert_density_matrix, num_qubits, shannon_entropy)
+from .linalg import (BATCH_ENTRIES, DISCORD_FLOOR, PROBABILITY_SUM_TOL, PSD_FLOOR,
+                     _check_probabilities, _density_spectra, _entropies, _plog2p,
+                     assert_density_matrix, num_qubits, shannon_entropy)
 
 # The uniform-frame grid: theta over [0, pi] inclusive, phi over [0, 2 pi) exclusive.
 _GRID_THETA = 21
@@ -553,27 +553,19 @@ def bipartite_discord(rho: np.ndarray) -> float:
     return max(0.0, value)
 
 
-def _xlg(v: float) -> float:
-    """v * log2(v) extended by continuity to 0 at v = 0."""
-    return 0.0 if v <= EIGENVALUE_FLOOR else v * math.log2(v)
-
-
 def analytic_gqd(channel: Channel, kt: float) -> float:
-    """Closed-form global discord of the evolved 4-qubit GHZ state."""
+    """Closed-form global discord of the evolved 4-qubit GHZ state.
+
+    Z and iso: the corner block's dephasing gain, ``alpha * g(corner / alpha)`` without
+    cancellation, ``g(t) = (2 t atanh(t) + log1p(-t**2)) / ln 2``.
+    """
     channel = Channel(channel)
-    if not 0.0 <= kt < math.inf:
-        raise ValueError(f"kappa*t must be finite and nonnegative, got {kt}")
     if channel in (Channel.X, Channel.Y):
         entropy = shannon_entropy(closed_form_spectrum(channel, kt))
         return min(1.0, 3.0 - entropy)
-    if channel is Channel.Z:
-        x = 2.0 * coefficients(channel, kt).corner
-        return 0.5 * (_xlg(1.0 - x) + _xlg(1.0 + x))
-    y = math.exp(-8.0 * kt)
-    a = 1.0 + 6.0 * y + y * y
-    b = 1.0 + 6.0 * y - 7.0 * y * y
-    c = 1.0 + 6.0 * y + 9.0 * y * y
-    return -_xlg(a) / 8.0 + _xlg(b) / 16.0 + _xlg(c) / 16.0
+    co = coefficients(channel, kt)
+    t = co.corner / co.alpha  # rounds to 1 at and near kt = 0, where math.atanh raises
+    return co.alpha * (2.0 if t >= 1.0 else (2.0 * t * math.atanh(t) + math.log1p(-t * t)) / math.log(2.0))
 
 
 def sudden_change_point(channel: Channel) -> float:

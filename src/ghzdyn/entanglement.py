@@ -162,21 +162,26 @@ def _flip_values(rhos: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 2.0 * lam[:, 0] - lam.sum(axis=-1))
 
 
+def _flips_and_taus(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's flip value and its :func:`tau_lower_bound` value, ``TAU_SCALE`` times it."""
+    flips = _flip_values(rhos)
+    return flips, TAU_SCALE * flips
+
+
 def _tau_lower_bounds(rhos: np.ndarray) -> np.ndarray:
-    """Stacked :func:`tau_lower_bound` values: ``TAU_SCALE`` times each state's flip value."""
-    return TAU_SCALE * _flip_values(rhos)
+    """Stacked :func:`tau_lower_bound` values."""
+    return _flips_and_taus(rhos)[1]
 
 
 def tau_lower_bound(rho: np.ndarray) -> TauResult:
     """Spin-flip concurrence bound, calibrated to ``TAU_SCALE`` on 4-qubit GHZ.
 
-    Every one-versus-rest cut shares the single flip construction, so
-    ``per_cut`` holds N equal Wootters values v and ``value`` is
-    ``TAU_SCALE * v``, the :func:`_tau_lower_bounds` value of a stack of one.
+    Every one-versus-rest cut shares the single flip construction, so ``per_cut`` holds
+    N equal Wootters values v, and ``value`` is ``TAU_SCALE * v`` as in a stack.
     """
     n = assert_density_matrix(rho)
-    v = float(_flip_values(rho[None])[0])
-    return TauResult(float(_tau_lower_bounds(rho[None])[0]), (v,) * n, TAU_SCALE)
+    flips, taus = _flips_and_taus(rho[None])
+    return TauResult(float(taus[0]), (float(flips[0]),) * n, TAU_SCALE)
 
 
 def _cut_arrays(rho: np.ndarray, n: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -260,20 +260,21 @@ def _entropies(spectra: np.ndarray) -> np.ndarray:
     return -_plog2p(spectra, EIGENVALUE_FLOOR).sum(axis=1)
 
 
+def _checked_spectra(m: np.ndarray, noun: str) -> np.ndarray:
+    """``_hermitian_spectra(m[None])`` once ``m`` is hermitian to ``HERMITICITY_TOL``."""
+    dev = float(np.abs(m - m.conj().T).max())
+    if not dev <= HERMITICITY_TOL:  # NaN fails: the spectrum reads one triangle
+        raise ValueError(f"{noun} is not hermitian: max deviation {dev:.3e}")
+    return _hermitian_spectra(m[None])
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr rho log2 rho via the eigenvalue spectrum."""
-    dev = float(np.abs(rho - rho.conj().T).max())
-    if not dev <= HERMITICITY_TOL:  # NaN fails: the spectrum reads one triangle
-        raise ValueError(f"matrix is not hermitian: max deviation {dev:.3e}")
-    return float(_entropies(_hermitian_spectra(rho[None]))[0])
+    return float(_entropies(_checked_spectra(rho, "matrix"))[0])
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """T(a, b) = (1/2) ||a - b||_1 for hermitian a, b."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    dev = float(np.abs(diff - diff.conj().T).max())
-    if not dev <= HERMITICITY_TOL:  # NaN fails: the spectrum reads one triangle
-        raise ValueError(f"difference is not hermitian: max deviation {dev:.3e}")
-    return float(0.5 * np.abs(_hermitian_spectra(diff[None])[0]).sum())
+    return float(0.5 * np.abs(_checked_spectra(a - b, "difference")[0]).sum())

@@ -261,20 +261,33 @@ def test_analytic_gqd_x_branches():
 
 
 def test_analytic_gqd_z_and_iso_reference_values():
-    assert analytic_gqd(Channel.Z, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert analytic_gqd(Channel.Z, 0.0) == 1.0
     assert analytic_gqd(Channel.Z, 0.1) == pytest.approx(0.150982990486, abs=1e-11)
     assert analytic_gqd(Channel.Z, 0.3) == pytest.approx(0.005944677211, abs=1e-11)
-    assert analytic_gqd(Channel.ISO, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert analytic_gqd(Channel.ISO, 0.0) == 1.0
     assert analytic_gqd(Channel.ISO, 0.1) == pytest.approx(0.062206130710, abs=1e-11)
     assert analytic_gqd(Channel.ISO, 0.3) == pytest.approx(0.000251823152, abs=1e-11)
     for channel in Channel:
-        with pytest.raises(ValueError, match="nonnegative"):
-            analytic_gqd(channel, -0.01)
+        for kt in (-0.01, math.nan, math.inf):
+            with pytest.raises(ValueError, match="kappa.t must be finite and nonnegative"):
+                analytic_gqd(channel, kt)
 
 
-def test_analytic_gqd_iso_decays():
-    values = [analytic_gqd(Channel.ISO, kt) for kt in (0.05, 0.2, 0.4)]
-    assert values[0] > values[1] > values[2] > 0.0
+@pytest.mark.parametrize("channel", [Channel.Z, Channel.ISO], ids=lambda c: c.value)
+def test_analytic_gqd_z_and_iso_at_tiny_times(channel):
+    # corner / alpha rounds to 1 here, where math.atanh would raise.
+    for kt in (5e-324, 1e-300):
+        value = analytic_gqd(channel, kt)
+        assert math.isfinite(value) and value <= 1.0
+
+
+@pytest.mark.parametrize("channel", [Channel.Z, Channel.ISO], ids=lambda c: c.value)
+def test_analytic_gqd_z_and_iso_decay_strictly(channel):
+    # Below kappa*t of about 2e-13, where corner / alpha is within about 2e-12 of 1, the
+    # form's rounding (about 5e-15 absolute) exceeds a step of one ulp in corner / alpha,
+    # and neighbouring values may rise by up to 5.2e-15.
+    values = np.array([analytic_gqd(channel, kt) for kt in np.geomspace(1e-6, 0.6, 2001)])
+    assert (np.diff(values) < 0.0).all() and values[-1] > 0.0
 
 
 def test_sudden_change_point():

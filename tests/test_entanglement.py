@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (bell_state, random_density, random_local_unitary, random_product_state,
                       random_pure)
+import ghzdyn.entanglement as entanglement
 from ghzdyn.channels import Channel, closed_form_state, ghz_ket, ghz_state
 from ghzdyn.entanglement import (
     L0,
@@ -427,6 +428,17 @@ def test_tau_is_the_scaled_flip_value_of_the_stack(n):
         bits = np.array([result.value, bounds[k], TAU_SCALE * values[k]]).view(np.uint64)
         assert bits[0] == bits[1] == bits[2]
         assert result.per_cut == (values[k],) * n
+
+
+def test_tau_lower_bound_solves_the_wootters_roots_once(monkeypatch):
+    # value and per_cut come from one root pass, real or complex.
+    calls = []
+    solve = entanglement._wootters_roots
+    monkeypatch.setattr(entanglement, "_wootters_roots", lambda rhos: calls.append(1) or solve(rhos))
+    for rho in (closed_form_state(Channel.X, 0.1), random_density(4, np.random.default_rng(5))):
+        calls.clear()
+        tau_lower_bound(rho)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -339,7 +339,7 @@ def test_a_non_finite_state_raises_before_the_eigensolve(entry, value):
     good = closed_form_state(Channel.Z, 0.1)
     with pytest.raises(ValueError, match="state is not finite"):
         _density_spectra(np.stack([good, bad]))
-    with pytest.raises(ValueError, match="not hermitian"):
+    with pytest.raises(ValueError, match="matrix is not hermitian"):
         von_neumann_entropy(bad)
-    with pytest.raises(ValueError, match="not hermitian"):
+    with pytest.raises(ValueError, match="difference is not hermitian"):
         trace_distance(bad, good)
